@@ -8,8 +8,8 @@ from .errors import (
     ResourceLimitError,
 )
 from .formulas import (
-    BigCount,
     DegreeClass,
+    FactoredCount,
     StructuralReport,
     asymptotic_clustering,
     average_degree,
@@ -46,10 +46,10 @@ from .spectra import (
     adjacency_spectrum,
     child_pair,
     kirchhoff_spectral,
+    laplacian_reciprocal_sum,
     laplacian_spectrum,
     nonzero_product,
     spanning_trees_spectral,
-    spectral_sum,
 )
 
 __version__ = "0.1.0"

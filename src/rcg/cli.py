@@ -144,7 +144,20 @@ def verification_checks(
     spectrum_tol: float = SPECTRUM_COMPARE_TOL,
     resistance_tol: float = RESISTANCE_REL_TOL,
 ) -> list[tuple[str, bool]]:
-    """Every oracle-vs-formula comparison for one (q, g)."""
+    """Every oracle-vs-formula comparison for one (q, g).
+
+    The size limits of the oracles are checked before any work starts.
+    """
+    for oracle_name, limit in (
+        ("matrix-tree", oracle.MATRIX_TREE_SIZE_LIMIT),
+        ("eigenvalue", oracle.JACOBI_SIZE_LIMIT),
+        ("resistance", oracle.RESISTANCE_SIZE_LIMIT),
+    ):
+        if params.vertex_count > limit:
+            raise ResourceLimitError(
+                f"(q={params.q}, g={params.g}) has {params.vertex_count} vertices, "
+                f"the {oracle_name} oracle takes at most {limit}"
+            )
     cg = build_rcg(params, budget)
     graph = cg.graph
     checks: list[tuple[str, bool]] = []
@@ -160,7 +173,7 @@ def verification_checks(
     checks.append(
         (
             "total distance",
-            oracle.bfs_total_distance(graph) == formulas.total_distance(params).value,
+            oracle.bfs_total_distance(graph) == formulas.total_distance(params),
         )
     )
 
@@ -199,11 +212,14 @@ def verification_checks(
         )
         checks.append((f"{kind} spectrum", ok))
 
-    trees_closed = formulas.spanning_trees_closed(params).value
-    trees_spectral = spectra.spanning_trees_spectral(params).value
-    trees_oracle = oracle.matrix_tree_count(graph).value
+    trees_closed = formulas.spanning_trees_closed(params)
+    trees_spectral = spectra.spanning_trees_spectral(params)
+    trees_oracle = oracle.matrix_tree_count(graph)
     checks.append(
-        ("spanning trees", trees_closed == trees_spectral == trees_oracle)
+        (
+            "spanning trees",
+            trees_closed == trees_spectral and trees_closed.value == trees_oracle,
+        )
     )
 
     kirchhoff = formulas.kirchhoff_closed(params)
@@ -280,9 +296,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="emit all closed-form quantities")
     common(p)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", default=True)
-    group.add_argument("--csv", action="store_true")
+    p.add_argument("--csv", action="store_true", help="key,value CSV instead of JSON")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("spectrum", help="emit the recursive eigenvalue multiset")

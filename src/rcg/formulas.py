@@ -10,37 +10,45 @@ and compared, so a transcription error in either one cannot go unnoticed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInconsistencyError
 from .graphs import RcgParams
 
-DEFAULT_DIGIT_LIMIT = 10**6
+# `FactoredCount.value` builds integers below this many decimal digits only
+MAX_VALUE_DIGITS = 10**6
 
 
 @dataclass(frozen=True)
-class BigCount:
-    """Arbitrary-precision count with a log10 shadow.
+class FactoredCount:
+    """Exact count q^a (q+1)^b, carried as its exponents.
 
-    `value` is None when the exact integer was not materialized (digit cap);
-    `log10` is always available.
+    q and q+1 are coprime, so two counts are equal exactly when their
+    exponents are; comparing them never builds either integer.
     """
 
-    value: int | None
-    log10: float
+    q: int
+    a: int
+    b: int
 
-    @classmethod
-    def from_int(cls, value: int) -> "BigCount":
-        return cls(value, math.log10(value) if value > 0 else float("-inf"))
+    @property
+    def log10(self) -> float:
+        return self.a * math.log10(self.q) + self.b * math.log10(self.q + 1)
 
     @property
     def exact(self) -> bool:
-        return self.value is not None
+        return self.log10 < MAX_VALUE_DIGITS
 
     @property
-    def digits(self) -> int | None:
-        return len(str(self.value)) if self.value is not None else None
+    def value(self) -> int | None:
+        """The integer, built on each access; None from MAX_VALUE_DIGITS digits on."""
+        return self.q**self.a * (self.q + 1) ** self.b if self.exact else None
+
+
+# the benchmark's tracer (perfbench/tracing.py) looks counts up by this name
+BigCount = FactoredCount
 
 
 @dataclass(frozen=True)
@@ -52,12 +60,12 @@ class DegreeClass:
     birth: int
 
 
-def order(params: RcgParams) -> BigCount:
-    return BigCount.from_int(params.vertex_count)
+def order(params: RcgParams) -> int:
+    return params.vertex_count
 
 
-def size(params: RcgParams) -> BigCount:
-    return BigCount.from_int(params.edge_count)
+def size(params: RcgParams) -> int:
+    return params.edge_count
 
 
 def average_degree(params: RcgParams) -> Fraction:
@@ -114,7 +122,7 @@ def knn_approx(delta: int, q: int) -> float:
     return 0.5 * (q + delta) + q / delta
 
 
-def total_distance(params: RcgParams) -> BigCount:
+def total_distance(params: RcgParams) -> int:
     """Sum of distances over unordered vertex pairs.
 
     Evaluates both the closed form and the generation recursion and insists
@@ -137,7 +145,7 @@ def total_distance(params: RcgParams) -> BigCount:
         raise InternalInconsistencyError(
             f"distance recursion {recursive} != closed form {closed.numerator}"
         )
-    return BigCount.from_int(closed.numerator)
+    return closed.numerator
 
 
 def average_distance(params: RcgParams) -> Fraction:
@@ -151,7 +159,7 @@ def average_distance(params: RcgParams) -> Fraction:
     n = params.vertex_count
     if n < 2:
         raise ValueError("average distance needs at least 2 vertices")
-    return Fraction(total_distance(params).value, n * (n - 1) // 2)
+    return Fraction(total_distance(params), n * (n - 1) // 2)
 
 
 def vertex_clustering(params: RcgParams, birth: int) -> Fraction:
@@ -208,26 +216,20 @@ def asymptotic_clustering(q: int) -> float:
     return (q - 1) / (q + 1) * lerch_phi(1.0 / (q + 1), (q - 1) / q)
 
 
-def spanning_trees_closed(
-    params: RcgParams, digit_limit: int = DEFAULT_DIGIT_LIMIT
-) -> BigCount:
+def spanning_trees_closed(params: RcgParams) -> FactoredCount:
     """Number of spanning trees, q^{q-2} (q+1)^{(q-1)((q+1)^g - 1)}.
 
-    Materializes the exact integer only below the digit cap; log10 always.
+    Cross-checked against the generation recursion, which multiplies by
+    (q+1)^{(q-1) N_{g-1}} at each step.
     """
     q, g = params.q, params.g
-    exponent = (q - 1) * ((q + 1) ** g - 1)
-    log10 = (q - 2) * math.log10(q) + exponent * math.log10(q + 1)
-    if log10 >= digit_limit:
-        return BigCount(None, log10)
-    value = q ** (q - 2) * (q + 1) ** exponent
-    recursive = q ** (q - 2)
+    closed = FactoredCount(q, q - 2, (q - 1) * ((q + 1) ** g - 1))
+    exponent = 0
     for step in range(1, g + 1):
-        n_prev = q * (q + 1) ** (step - 1)
-        recursive *= (q + 1) ** ((q - 1) * n_prev)
-    if recursive != value:
+        exponent += (q - 1) * q * (q + 1) ** (step - 1)
+    if FactoredCount(q, q - 2, exponent) != closed:
         raise InternalInconsistencyError("spanning tree recursion != closed form")
-    return BigCount.from_int(value)
+    return closed
 
 
 def kirchhoff_closed(params: RcgParams) -> Fraction:
@@ -255,54 +257,57 @@ class StructuralReport:
     """All closed-form quantities for one (q, g)."""
 
     params: RcgParams
-    order: BigCount
-    size: BigCount
+    order: int
+    size: int
     average_degree: Fraction
     degree_classes: list[DegreeClass]
-    total_distance: BigCount
+    total_distance: int
     average_distance: Fraction
     global_clustering: Fraction
     asymptotic_clustering: float
-    spanning_trees: BigCount
+    spanning_trees: FactoredCount
     kirchhoff: Fraction
 
     def __post_init__(self):
         twice_edges = sum(c.degree * c.count for c in self.degree_classes)
-        if twice_edges != 2 * self.size.value:
+        if twice_edges != 2 * self.size:
             raise InternalInconsistencyError("degree sum != 2M")
-        if sum(c.count for c in self.degree_classes) != self.order.value:
+        if sum(c.count for c in self.degree_classes) != self.order:
             raise InternalInconsistencyError("class counts do not sum to N")
 
     def to_json_dict(self) -> dict:
         def frac(x: Fraction) -> dict:
             return {"num": str(x.numerator), "den": str(x.denominator)}
 
-        trees = (
-            {"digits": str(self.spanning_trees.value)}
-            if self.spanning_trees.exact
-            else {"log10": self.spanning_trees.log10}
-        )
+        trees = self.spanning_trees
+        # decimal digits only where str() accepts them; a limit of 0 means none
+        str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf
+        if trees.exact and trees.log10 < str_limit - 1:
+            spanning_trees = {"digits": str(trees.value)}
+        else:
+            spanning_trees = {
+                "log10": trees.log10,
+                "factors": [[trees.q, trees.a], [trees.q + 1, trees.b]],
+            }
         return {
             "q": self.params.q,
             "g": self.params.g,
-            "order": str(self.order.value),
-            "size": str(self.size.value),
+            "order": str(self.order),
+            "size": str(self.size),
             "average_degree": frac(self.average_degree),
             "degree_classes": [
                 {"degree": c.degree, "count": str(c.count)} for c in self.degree_classes
             ],
-            "total_distance": str(self.total_distance.value),
+            "total_distance": str(self.total_distance),
             "average_distance": frac(self.average_distance),
             "global_clustering": frac(self.global_clustering),
             "asymptotic_clustering": self.asymptotic_clustering,
-            "spanning_trees": trees,
+            "spanning_trees": spanning_trees,
             "kirchhoff": frac(self.kirchhoff),
         }
 
 
-def structural_report(
-    params: RcgParams, digit_limit: int = DEFAULT_DIGIT_LIMIT
-) -> StructuralReport:
+def structural_report(params: RcgParams) -> StructuralReport:
     return StructuralReport(
         params=params,
         order=order(params),
@@ -313,6 +318,6 @@ def structural_report(
         average_distance=average_distance(params),
         global_clustering=global_clustering(params),
         asymptotic_clustering=asymptotic_clustering(params.q),
-        spanning_trees=spanning_trees_closed(params, digit_limit),
+        spanning_trees=spanning_trees_closed(params),
         kirchhoff=kirchhoff_closed(params),
     )

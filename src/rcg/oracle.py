@@ -15,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConnectivityError, NumericalError, ResourceLimitError
-from .formulas import BigCount
 from .graphs import CoronaGraph, Graph, matrix_of
 
 JACOBI_MAX_SWEEPS = 100
@@ -139,7 +138,7 @@ def symmetric_eigenvalues(matrix, tol: float = 1e-12) -> list[float]:
     raise NumericalError(f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")
 
 
-def matrix_tree_count(graph: Graph, remove_index: int = 0) -> BigCount:
+def matrix_tree_count(graph: Graph, remove_index: int = 0) -> int:
     """Spanning-tree count: exact integer determinant of a Laplacian minor.
 
     Bareiss fraction-free elimination over Python ints; the result does not
@@ -152,11 +151,11 @@ def matrix_tree_count(graph: Graph, remove_index: int = 0) -> BigCount:
     if not (0 <= remove_index < max(n, 1)):
         raise ValueError("remove_index out of range")
     if n <= 1:
-        return BigCount.from_int(1)
+        return 1
     laplacian = matrix_of(graph, "laplacian")
     keep = [i for i in range(n) if i != remove_index]
     minor = [[int(laplacian[i, j]) for j in keep] for i in keep]
-    return BigCount.from_int(_bareiss_determinant(minor))
+    return _bareiss_determinant(minor)
 
 
 def _bareiss_determinant(m: list[list[int]]) -> int:
@@ -209,7 +208,7 @@ class OracleReport:
     local_clustering_by_vertex: list[Fraction]
     adjacency_eigenvalues: list[float]
     laplacian_eigenvalues: list[float]
-    spanning_tree_count: BigCount
+    spanning_tree_count: int
     resistance_sum: float
 
 

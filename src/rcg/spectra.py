@@ -4,8 +4,8 @@ Each generation maps every eigenvalue of the previous generation to two
 children via a fixed quadratic, and adds one structural eigenvalue (-1 for
 the adjacency matrix, q+1 for the Laplacian) with a known multiplicity.
 Eigenvalues are stored as floats with exact integer multiplicities; the
-exact big-integer quantities (spanning trees, Kirchhoff index) come from
-separate integer recursions, never from the float spectrum.
+exact spectral quantities (spanning trees, Kirchhoff index) come from
+separate exponent and rational recursions, never from the float spectrum.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInconsistencyError, ResourceLimitError
-from .formulas import DEFAULT_DIGIT_LIMIT, BigCount
+from .formulas import FactoredCount
 from .graphs import RcgParams
 
 DEFAULT_EIGENVALUE_BUDGET = 10**6
@@ -119,13 +119,7 @@ def laplacian_spectrum(params: RcgParams, budget: int | None = None) -> Spectrum
     return _recursive_spectrum(params, "laplacian", budget)
 
 
-def _upsilon_log10(q: int, g: int) -> float:
-    return (q - 1) * math.log10(q) + ((q - 1) * ((q + 1) ** g - 1) + g) * math.log10(q + 1)
-
-
-def nonzero_product(
-    params: RcgParams, digit_limit: int = DEFAULT_DIGIT_LIMIT
-) -> BigCount:
+def nonzero_product(params: RcgParams) -> FactoredCount:
     """Product of the nonzero Laplacian eigenvalues.
 
     Recursion: each generation multiplies by (q+1)^{m+1} with
@@ -137,84 +131,48 @@ def nonzero_product(
     closed form and the matrix-tree count.)
     """
     q, g = params.q, params.g
-    log10 = _upsilon_log10(q, g)
-    if log10 >= digit_limit:
-        return BigCount(None, log10)
-    recursive = q ** (q - 1)
+    a, b = q - 1, 0  # K_q: eigenvalue q, q-1 times
     for step in range(1, g + 1):
         m = (q - 1) * q * (q + 1) ** (step - 1)
-        recursive *= (q + 1) ** (m + 1)
-    closed = q ** (q - 1) * (q + 1) ** ((q - 1) * ((q + 1) ** g - 1) + g)
-    if recursive != closed:
+        b += m + 1
+    closed = FactoredCount(q, q - 1, (q - 1) * ((q + 1) ** g - 1) + g)
+    if FactoredCount(q, a, b) != closed:
         raise InternalInconsistencyError("nonzero-product recursion != closed form")
-    return BigCount.from_int(closed)
+    return closed
 
 
-def spanning_trees_spectral(
-    params: RcgParams, digit_limit: int = DEFAULT_DIGIT_LIMIT
-) -> BigCount:
-    """Spanning-tree count as (product of nonzero Laplacian eigenvalues)/N."""
-    upsilon = nonzero_product(params, digit_limit)
-    n = params.vertex_count
-    if not upsilon.exact:
-        return BigCount(None, upsilon.log10 - math.log10(n))
-    quotient, remainder = divmod(upsilon.value, n)
-    if remainder != 0:
+def spanning_trees_spectral(params: RcgParams) -> FactoredCount:
+    """Spanning-tree count as (product of nonzero Laplacian eigenvalues)/N.
+
+    N = q (q+1)^g, so dividing subtracts exponents; a negative exponent
+    would mean that N does not divide the product.
+    """
+    upsilon = nonzero_product(params)
+    a, b = upsilon.a - 1, upsilon.b - params.g
+    if a < 0 or b < 0:
         raise InternalInconsistencyError(
             "nonzero eigenvalue product is not divisible by N"
         )
-    return BigCount.from_int(quotient)
+    return FactoredCount(params.q, a, b)
 
 
-def spectral_sum(params: RcgParams, digit_limit: int = DEFAULT_DIGIT_LIMIT) -> BigCount:
-    """Sum over j of the product of all nonzero Laplacian eigenvalues but the j-th.
+def laplacian_reciprocal_sum(params: RcgParams) -> Fraction:
+    """Sum of 1/lambda over the nonzero Laplacian eigenvalues.
 
-    Built by splitting each generation's spectrum into the child pairs of the
-    previous generation and the structural q+1 block, and combining the
-    partial sums/products of the two blocks.
+    By Vieta, a nonzero parent lambda spawns children with
+    1/lambda_+ + 1/lambda_- = 1 + (q+1)/lambda; the zero parent spawns q+1,
+    as do the m_g structural eigenvalues.  Hence
+    R_g = (N_{g-1} - 1) + (q+1) R_{g-1} + (1 + m_g)/(q+1), R_0 = (q-1)/q.
     """
-    q, g = params.q, params.g
-    qp = q + 1
-    log10 = _spectral_sum_log10(q, g)
-    if log10 >= digit_limit:
-        return BigCount(None, log10)
-    s = (q - 1) * q ** (q - 2)
-    upsilon = q ** (q - 1)
-    for step in range(1, g + 1):
-        m = (q - 1) * q * qp ** (step - 1)
-        s_child = (1 + qp * (q * qp ** (step - 1) - 1)) * upsilon + qp * qp * s
-        upsilon_block = qp**m
-        s_block = m * qp ** (m - 1)
-        upsilon_child = qp * upsilon
-        s = s_child * upsilon_block + s_block * upsilon_child
-        upsilon *= qp ** (m + 1)
-    if g >= 1:
-        exponent = (q - 1) * qp**g + g - q - 1
-        closed = (
-            q ** (q - 2)
-            * qp**exponent
-            * (((2 * g + 1) * q**3 - 2 * q - 1) * qp**g + q * qp)
-        )
-        if s != closed:
-            raise InternalInconsistencyError("spectral sum recursion != closed form")
-    return BigCount.from_int(s)
+    q = params.q
+    reciprocal_sum, n = Fraction(q - 1, q), q
+    for step in range(1, params.g + 1):
+        m = (q - 1) * q * (q + 1) ** (step - 1)
+        reciprocal_sum = (n - 1) + (q + 1) * reciprocal_sum + Fraction(1 + m, q + 1)
+        n *= q + 1
+    return reciprocal_sum
 
 
-def _spectral_sum_log10(q: int, g: int) -> float:
-    if g == 0:
-        return math.log10((q - 1) * q ** (q - 2)) if (q - 1) * q ** (q - 2) > 0 else float("-inf")
-    qp = q + 1
-    exponent = (q - 1) * qp**g + g - q - 1
-    tail = ((2 * g + 1) * q**3 - 2 * q - 1) * qp**g + q * qp
-    return (q - 2) * math.log10(q) + exponent * math.log10(qp) + math.log10(tail)
-
-
-def kirchhoff_spectral(
-    params: RcgParams, digit_limit: int = DEFAULT_DIGIT_LIMIT
-) -> Fraction:
+def kirchhoff_spectral(params: RcgParams) -> Fraction:
     """Kirchhoff index as N * (sum of reciprocals of nonzero eigenvalues)."""
-    s = spectral_sum(params, digit_limit)
-    upsilon = nonzero_product(params, digit_limit)
-    if not (s.exact and upsilon.exact):
-        raise ResourceLimitError("exact Kirchhoff index exceeds the digit limit")
-    return Fraction(params.vertex_count * s.value, upsilon.value)
+    return params.vertex_count * laplacian_reciprocal_sum(params)

@@ -1,4 +1,7 @@
 import json
+import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -59,7 +62,7 @@ class TestGenerate:
 
 class TestAnalyze:
     def test_json_values(self, capsys):
-        code, out, _ = run(capsys, "analyze", "--q", "2", "--g", "1", "--json")
+        code, out, _ = run(capsys, "analyze", "--q", "2", "--g", "1")
         assert code == 0
         payload = json.loads(out)
         assert payload["order"] == "6"
@@ -73,6 +76,21 @@ class TestAnalyze:
         rows = dict(line.split(",", 1) for line in out.splitlines()[1:])
         assert rows["kirchhoff"] == "21/1"
         assert rows["average_distance"] == "9/5"
+
+    def test_spanning_trees_beyond_str_limit(self, capsys):
+        # 9391 digits: past the interpreter's int->str limit, emitted factored
+        code, out, _ = run(capsys, "analyze", "--q", "2", "--g", "9")
+        assert code == 0
+        trees = json.loads(out)["spanning_trees"]
+        exponent = 3**9 - 1
+        assert trees["factors"] == [[2, 0], [3, exponent]]
+        assert trees["log10"] == pytest.approx(exponent * math.log10(3), rel=1e-12)
+
+    def test_csv_beyond_str_limit(self, capsys):
+        assert run(capsys, "analyze", "--q", "2", "--g", "9", "--csv")[0] == 0
+
+    def test_large_generation(self, capsys):
+        assert run(capsys, "analyze", "--q", "2", "--g", "50")[0] == 0
 
 
 class TestSpectrum:
@@ -99,13 +117,25 @@ class TestVerify:
         from rcg import cli, formulas
 
         def wrong_total_distance(params):
-            return formulas.BigCount.from_int(total_distance_true(params).value + 1)
+            return total_distance_true(params) + 1
 
         total_distance_true = formulas.total_distance
         monkeypatch.setattr(cli.formulas, "total_distance", wrong_total_distance)
         code, out, _ = run(capsys, "verify", "--q", "2", "--g", "1")
         assert code == 3
         assert "total distance        FAIL" in out or "FAIL" in out
+
+    def test_over_oracle_budget_exits_before_work(self):
+        # N = 1458 exceeds the matrix-tree oracle's limit; the refusal must
+        # come before construction, BFS or any eigensolver pass
+        result = subprocess.run(
+            [sys.executable, "-m", "rcg.cli", "verify", "--q", "2", "--g", "6"],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert result.returncode == 2
+        assert "resource" in result.stderr
 
 
 class TestCurve:

@@ -13,16 +13,18 @@ from rcg import (
     child_pair,
     kirchhoff_closed,
     kirchhoff_spectral,
+    laplacian_reciprocal_sum,
     laplacian_spectrum,
     matrix_of,
     nonzero_product,
     spanning_trees_closed,
     spanning_trees_spectral,
-    spectral_sum,
 )
 from rcg.oracle import matrix_tree_count, symmetric_eigenvalues
 
 GRID = [(q, g) for q in (2, 3, 4) for g in (0, 1, 2)] + [(2, 3)]
+# far beyond any explicit construction or digit expansion
+LARGE_G = [(2, 50), (3, 20), (5, 20)]
 
 
 def expand(spectrum):
@@ -197,7 +199,7 @@ class TestNonzeroProduct:
         assert product / exact == pytest.approx(1.0, rel=1e-6)
 
     def test_digit_cap(self):
-        result = nonzero_product(RcgParams(2, 30), digit_limit=100)
+        result = nonzero_product(RcgParams(2, 30))
         assert result.value is None
         assert result.log10 > 100
 
@@ -213,23 +215,33 @@ class TestSpanningTreesSpectral:
         params = RcgParams(q, g)
         closed = spanning_trees_closed(params).value
         spectral = spanning_trees_spectral(params).value
-        oracle = matrix_tree_count(build_rcg(params).graph).value
+        oracle = matrix_tree_count(build_rcg(params).graph)
         assert closed == spectral == oracle
+
+    @pytest.mark.parametrize("q,g", LARGE_G)
+    def test_equals_closed_form_at_large_g(self, q, g):
+        params = RcgParams(q, g)
+        spectral = spanning_trees_spectral(params)
+        assert spectral == spanning_trees_closed(params)
+        exponent = (q - 1) * ((q + 1) ** g - 1)
+        closed_log10 = (q - 2) * math.log10(q) + exponent * math.log10(q + 1)
+        assert spectral.log10 == pytest.approx(closed_log10, rel=1e-12)
 
 
 class TestSpectralSum:
+    """Sum of reciprocals of the nonzero Laplacian eigenvalues."""
+
     def test_initial_conditions(self):
-        assert spectral_sum(RcgParams(2, 0)).value == 1
-        assert spectral_sum(RcgParams(3, 0)).value == 6
+        assert laplacian_reciprocal_sum(RcgParams(2, 0)) == Fraction(1, 2)
+        assert laplacian_reciprocal_sum(RcgParams(3, 0)) == Fraction(2, 3)
 
     def test_q2_g1(self):
-        assert spectral_sum(RcgParams(2, 1)).value == 189
-        # cross-check: product of nonzero eigenvalues times sum of reciprocals
+        assert laplacian_reciprocal_sum(RcgParams(2, 1)) == Fraction(7, 2)
         total = 0.0
         for value, mult in laplacian_spectrum(RcgParams(2, 1)).entries:
             if abs(value) > 1e-9:
                 total += mult / value
-        assert 54 * total == pytest.approx(189.0, rel=1e-9)
+        assert total == pytest.approx(3.5, rel=1e-9)
 
 
 class TestKirchhoffSpectral:
@@ -241,7 +253,7 @@ class TestKirchhoffSpectral:
     def test_generation_zero_identity(self, q):
         assert kirchhoff_spectral(RcgParams(q, 0)) == q - 1
 
-    @pytest.mark.parametrize("q,g", GRID + [(5, 2), (3, 3), (2, 5)])
+    @pytest.mark.parametrize("q,g", GRID + [(5, 2), (3, 3), (2, 5)] + LARGE_G)
     def test_equals_closed_form(self, q, g):
         params = RcgParams(q, g)
         assert kirchhoff_spectral(params) == kirchhoff_closed(params)
