@@ -93,6 +93,13 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _trees_cell(trees: dict) -> str:
+    """Decimal digits where they fit, else the exact factored form q^a*(q+1)^b."""
+    if "digits" in trees:
+        return trees["digits"]
+    return "*".join(f"{base}^{exponent}" for base, exponent in trees["factors"])
+
+
 def cmd_analyze(args) -> int:
     report = formulas.structural_report(RcgParams(args.q, args.g))
     if args.csv:
@@ -108,9 +115,7 @@ def cmd_analyze(args) -> int:
             "average_distance": _fmt(report.average_distance),
             "global_clustering": _fmt(report.global_clustering),
             "asymptotic_clustering": _fmt(report.asymptotic_clustering),
-            "spanning_trees": payload["spanning_trees"].get(
-                "digits", _fmt(report.spanning_trees.log10)
-            ),
+            "spanning_trees": _trees_cell(payload["spanning_trees"]),
             "kirchhoff": _fmt(report.kirchhoff),
         }
         rows.extend(f"{key},{value}" for key, value in flat.items())
@@ -150,7 +155,7 @@ def verification_checks(
     """
     for oracle_name, limit in (
         ("matrix-tree", oracle.MATRIX_TREE_SIZE_LIMIT),
-        ("eigenvalue", oracle.JACOBI_SIZE_LIMIT),
+        ("eigenvalue", oracle.EIGENVALUE_SIZE_LIMIT),
         ("resistance", oracle.RESISTANCE_SIZE_LIMIT),
     ):
         if params.vertex_count > limit:

@@ -10,7 +10,7 @@ class ResourceLimitError(RcgError):
 
 
 class NumericalError(RcgError):
-    """An iterative numerical routine failed to converge."""
+    """A numerical routine (an eigensolver or a matrix inverse) failed."""
 
 
 class InternalInconsistencyError(RcgError):

@@ -193,9 +193,9 @@ def matrix_of(graph: Graph, kind: str) -> np.ndarray:
             f"dense matrix for {n} vertices exceeds limit {MATRIX_VERTEX_LIMIT}"
         )
     a = np.zeros((n, n), dtype=np.int64)
-    for u, v in graph.edges:
-        a[u, v] = 1
-        a[v, u] = 1
+    u, v = np.array(graph.edges, dtype=np.int64).reshape(-1, 2).T
+    a[u, v] = 1
+    a[v, u] = 1
     if kind == "adjacency":
         return a
     d = np.diag(a.sum(axis=1))

@@ -2,9 +2,9 @@
 
 Everything here is an independent ground truth for the closed forms and
 spectral recursions: BFS distance sums, degree histograms, neighbor-degree
-averages, a cyclic Jacobi eigensolver, an exact integer matrix-tree
-determinant, and effective-resistance sums.  No function in this module
-consults any formula it is meant to check.
+averages, LAPACK eigenvalues, an exact sparse matrix-tree determinant, and
+effective-resistance sums.  No function in this module consults any formula
+it is meant to check.
 """
 from __future__ import annotations
 
@@ -17,8 +17,7 @@ import numpy as np
 from .errors import ConnectivityError, NumericalError, ResourceLimitError
 from .graphs import CoronaGraph, Graph, matrix_of
 
-JACOBI_MAX_SWEEPS = 100
-JACOBI_SIZE_LIMIT = 2000
+EIGENVALUE_SIZE_LIMIT = 2000
 MATRIX_TREE_SIZE_LIMIT = 500
 RESISTANCE_SIZE_LIMIT = 2000
 
@@ -89,61 +88,32 @@ def mean_neighbor_degree_by_class(cg: CoronaGraph) -> dict[int, Fraction]:
     return {b: sums[b] / counts[b] for b in sums}
 
 
-def symmetric_eigenvalues(matrix, tol: float = 1e-12) -> list[float]:
-    """All eigenvalues of a dense symmetric matrix via cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius norm falls below tol * ||A||_F;
-    returns eigenvalues sorted descending.
-    """
+def symmetric_eigenvalues(matrix) -> list[float]:
+    """All eigenvalues of a dense symmetric matrix (LAPACK), sorted descending."""
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    n = a.shape[0]
+    if n > EIGENVALUE_SIZE_LIMIT:
+        raise ResourceLimitError(f"matrix size {n} exceeds {EIGENVALUE_SIZE_LIMIT}")
     if not np.allclose(a, a.T, atol=1e-12):
         raise ValueError("matrix must be symmetric")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = a.shape[0]
-    if n > JACOBI_SIZE_LIMIT:
-        raise ResourceLimitError(f"matrix size {n} exceeds {JACOBI_SIZE_LIMIT}")
-    if n <= 1:
-        return [a[0, 0]] if n == 1 else []
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return [0.0] * n
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off < tol * norm:
-            return sorted(np.diag(a).tolist(), reverse=True)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                # hypot avoids overflow of theta**2 for nearly-converged entries
-                t = t / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    raise NumericalError(f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")
+    try:
+        values = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigvalsh failed: {exc}") from exc
+    return values[::-1].tolist()
 
 
 def matrix_tree_count(graph: Graph, remove_index: int = 0) -> int:
-    """Spanning-tree count: exact integer determinant of a Laplacian minor.
+    """Spanning-tree count: exact determinant of a Laplacian minor.
 
-    Bareiss fraction-free elimination over Python ints; the result does not
-    depend on which row/column is removed.  Returns 0 for disconnected
-    graphs (the minor is singular).
+    Symmetric elimination over Fractions on a sparse minor, in reverse index
+    order; the result does not depend on which row/column is removed, and
+    the order only affects fill-in.  Reverse index order is a perfect
+    elimination order of the chordal corona graphs, so they fill in nothing.
+    The minor is positive semidefinite, so a zero pivot means a singular
+    minor: disconnected graphs return 0.
     """
     n = graph.vertex_count
     if n > MATRIX_TREE_SIZE_LIMIT:
@@ -152,29 +122,28 @@ def matrix_tree_count(graph: Graph, remove_index: int = 0) -> int:
         raise ValueError("remove_index out of range")
     if n <= 1:
         return 1
-    laplacian = matrix_of(graph, "laplacian")
-    keep = [i for i in range(n) if i != remove_index]
-    minor = [[int(laplacian[i, j]) for j in keep] for i in keep]
-    return _bareiss_determinant(minor)
-
-
-def _bareiss_determinant(m: list[list[int]]) -> int:
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    rows: list[dict[int, int | Fraction]] = [{} for _ in range(n)]
+    for u, v in graph.edges:
+        for a, b in ((u, v), (v, u)):
+            rows[a][a] = rows[a].get(a, 0) + 1
+            if b != remove_index:
+                rows[a][b] = -1
+    det = Fraction(1)
+    for k in reversed(range(n)):
+        if k == remove_index:
+            continue
+        row = rows[k]
+        pivot = row.pop(k, 0)
+        if pivot == 0:
+            return 0
+        det *= pivot
+        for i, a_ik in row.items():
+            target = rows[i]
+            del target[k]
+            scale = Fraction(a_ik) / pivot
+            for j, a_kj in row.items():
+                target[j] = target.get(j, 0) - scale * a_kj
+    return int(det)
 
 
 def resistance_sum(graph: Graph) -> float:
@@ -190,12 +159,12 @@ def resistance_sum(graph: Graph) -> float:
     # ground the Laplacian by shifting with the all-ones projector; exact
     # inverse of (L + J/n) minus J/n is the pseudoinverse for connected graphs
     shift = np.full((n, n), 1.0 / n)
-    pinv = np.linalg.inv(laplacian + shift) - shift
-    diag = np.diag(pinv)
-    total = 0.0
-    for u in range(n):
-        total += float(np.sum(diag[u] + diag[u + 1 :] - 2.0 * pinv[u, u + 1 :]))
-    return total
+    try:
+        pinv = np.linalg.inv(laplacian + shift) - shift
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"inv failed: {exc}") from exc
+    # sum over pairs of P_uu + P_vv - 2 P_uv
+    return float(n * np.trace(pinv) - pinv.sum())
 
 
 @dataclass(frozen=True)
@@ -212,15 +181,15 @@ class OracleReport:
     resistance_sum: float
 
 
-def oracle_report(cg: CoronaGraph, eig_tol: float = 1e-12) -> OracleReport:
+def oracle_report(cg: CoronaGraph) -> OracleReport:
     graph = cg.graph
     return OracleReport(
         degree_histogram=degree_histogram(graph),
         mean_neighbor_degree_by_class=mean_neighbor_degree_by_class(cg),
         total_distance=bfs_total_distance(graph),
         local_clustering_by_vertex=local_clustering(graph),
-        adjacency_eigenvalues=symmetric_eigenvalues(matrix_of(graph, "adjacency"), eig_tol),
-        laplacian_eigenvalues=symmetric_eigenvalues(matrix_of(graph, "laplacian"), eig_tol),
+        adjacency_eigenvalues=symmetric_eigenvalues(matrix_of(graph, "adjacency")),
+        laplacian_eigenvalues=symmetric_eigenvalues(matrix_of(graph, "laplacian")),
         spanning_tree_count=matrix_tree_count(graph),
         resistance_sum=resistance_sum(graph),
     )

@@ -76,6 +76,7 @@ class TestAnalyze:
         rows = dict(line.split(",", 1) for line in out.splitlines()[1:])
         assert rows["kirchhoff"] == "21/1"
         assert rows["average_distance"] == "9/5"
+        assert rows["spanning_trees"] == "9"
 
     def test_spanning_trees_beyond_str_limit(self, capsys):
         # 9391 digits: past the interpreter's int->str limit, emitted factored
@@ -87,7 +88,14 @@ class TestAnalyze:
         assert trees["log10"] == pytest.approx(exponent * math.log10(3), rel=1e-12)
 
     def test_csv_beyond_str_limit(self, capsys):
-        assert run(capsys, "analyze", "--q", "2", "--g", "9", "--csv")[0] == 0
+        code, out, _ = run(capsys, "analyze", "--q", "2", "--g", "9", "--csv")
+        assert code == 0
+        rows = dict(line.split(",", 1) for line in out.splitlines()[1:])
+        factors = [term.split("^") for term in rows["spanning_trees"].split("*")]
+        assert [(int(base), int(exponent)) for base, exponent in factors] == [
+            (2, 0),
+            (3, 3**9 - 1),
+        ]
 
     def test_large_generation(self, capsys):
         assert run(capsys, "analyze", "--q", "2", "--g", "50")[0] == 0
@@ -124,6 +132,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--q", "2", "--g", "1")
         assert code == 3
         assert "total distance        FAIL" in out or "FAIL" in out
+
+    def test_solver_failure_exits_numerical(self, capsys, monkeypatch):
+        import numpy as np
+
+        def failing_eigvalsh(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced failure")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+        code, _, err = run(capsys, "verify", "--q", "2", "--g", "1")
+        assert code == 4
+        assert "numerical error" in err
 
     def test_over_oracle_budget_exits_before_work(self):
         # N = 1458 exceeds the matrix-tree oracle's limit; the refusal must

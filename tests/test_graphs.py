@@ -177,6 +177,14 @@ class TestMatrixOf:
         lap = matrix_of(build_rcg(RcgParams(q, g)).graph, "laplacian")
         assert lap.sum(axis=1).tolist() == [0] * lap.shape[0]
 
+    @pytest.mark.parametrize("graph", [build_rcg(RcgParams(3, 2)).graph, Graph(3, ())])
+    def test_adjacency_matches_edge_loop(self, graph):
+        n = graph.vertex_count
+        reference = [[0] * n for _ in range(n)]
+        for u, v in graph.edges:
+            reference[u][v] = reference[v][u] = 1
+        assert matrix_of(graph, "adjacency").tolist() == reference
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             matrix_of(complete_graph(2), "incidence")

@@ -7,13 +7,16 @@ import pytest
 from rcg import (
     ConnectivityError,
     Graph,
+    NumericalError,
     RcgParams,
     ResourceLimitError,
     build_rcg,
     complete_graph,
     matrix_of,
 )
+from rcg.formulas import spanning_trees_closed
 from rcg.oracle import (
+    EIGENVALUE_SIZE_LIMIT,
     bfs_total_distance,
     degree_histogram,
     local_clustering,
@@ -27,6 +30,21 @@ from rcg.oracle import (
 
 def star(n):
     return Graph.from_edges(n + 1, [(0, i) for i in range(1, n + 1)])
+
+
+def cycle(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + spokes + inner)
+
+
+def failing_linalg(*args, **kwargs):
+    raise np.linalg.LinAlgError("forced failure")
 
 
 class TestBfsTotalDistance:
@@ -111,9 +129,19 @@ class TestSymmetricEigenvalues:
         with pytest.raises(ValueError):
             symmetric_eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            symmetric_eigenvalues(np.zeros((2, 3)))
+
     def test_size_guard(self):
+        n = EIGENVALUE_SIZE_LIMIT + 1
         with pytest.raises(ResourceLimitError):
-            symmetric_eigenvalues(np.zeros((2001, 2001)))
+            symmetric_eigenvalues(np.zeros((n, n)))
+
+    def test_solver_failure_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_linalg)
+        with pytest.raises(NumericalError):
+            symmetric_eigenvalues(np.eye(3))
 
 
 class TestMatrixTreeCount:
@@ -133,12 +161,32 @@ class TestMatrixTreeCount:
     @pytest.mark.parametrize("q,g", [(2, 2), (3, 1)])
     def test_removed_index_irrelevant(self, q, g):
         graph = build_rcg(RcgParams(q, g)).graph
-        first = matrix_tree_count(graph, remove_index=0)
-        last = matrix_tree_count(graph, remove_index=graph.vertex_count - 1)
-        assert first == last
+        counts = {matrix_tree_count(graph, i) for i in range(graph.vertex_count)}
+        assert len(counts) == 1
 
     def test_disconnected_returns_zero(self):
         assert matrix_tree_count(Graph.from_edges(4, [(0, 1), (2, 3)])) == 0
+
+    def test_isolated_vertex_returns_zero(self):
+        assert matrix_tree_count(Graph.from_edges(3, [(0, 1)]), remove_index=1) == 0
+
+    # non-chordal graphs; a cycle's minor is a path, but the minors of K_{3,3}
+    # and the Petersen graph fill in under elimination in any order
+    @pytest.mark.parametrize("n", [3, 4, 7, 12])
+    def test_cycle(self, n):
+        assert matrix_tree_count(cycle(n)) == n
+
+    def test_k33(self):
+        k33 = Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+        assert matrix_tree_count(k33) == 81
+
+    def test_petersen(self):
+        assert matrix_tree_count(petersen()) == 2000
+
+    def test_matches_closed_form_at_q2_g5(self):
+        params = RcgParams(2, 5)
+        graph = build_rcg(params).graph
+        assert matrix_tree_count(graph) == spanning_trees_closed(params).value
 
 
 class TestResistanceSum:
@@ -166,6 +214,11 @@ class TestResistanceSum:
     def test_disconnected_raises(self):
         with pytest.raises(ConnectivityError):
             resistance_sum(Graph.from_edges(3, [(0, 1)]))
+
+    def test_solver_failure_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "inv", failing_linalg)
+        with pytest.raises(NumericalError):
+            resistance_sum(complete_graph(3))
 
 
 def test_oracle_report_is_self_consistent():
