@@ -14,7 +14,14 @@ from fractions import Fraction
 
 from . import formulas, oracle, spectra
 from .errors import NumericalError, RcgError, ResourceLimitError
-from .graphs import CoronaGraph, RcgParams, build_rcg, matrix_of, write_edgelist
+from .graphs import (
+    DEFAULT_VERTEX_BUDGET,
+    CoronaGraph,
+    RcgParams,
+    build_rcg,
+    matrix_of,
+    write_edgelist,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,7 +51,7 @@ def _fmt(value) -> str:
 def vertex_budget() -> int:
     raw = os.environ.get("CORONA_VERTEX_BUDGET")
     if raw is None:
-        return 10**6
+        return DEFAULT_VERTEX_BUDGET
     try:
         return int(raw)
     except ValueError:

@@ -4,16 +4,23 @@ The recursive corona graph with parameters (q, g) is the g-fold iterated
 corona of the complete graph K_q with K_q.  Vertex indices are deterministic:
 the vertices of the previous generation keep their indices and the new
 complete-graph copies are appended in order, so every construction is
-reproducible byte for byte.
+reproducible byte for byte.  In closed form, with N_b = q (q+1)^b, the
+vertices born at step b >= 1 are the blocks N_{b-1} + i*q .. N_{b-1} + i*q + q-1,
+one K_q per parent vertex i < N_{b-1}, each fully joined to i.
+
+A `Graph` stores its edges as a strictly increasing tuple of pairs (u, v)
+with u < v; `Graph.from_edges` normalizes any edge iterable into that form.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ResourceLimitError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_VERTEX_BUDGET = 10**6
 
@@ -23,25 +30,33 @@ MATRIX_VERTEX_LIMIT = 10**4
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple undirected graph on vertices 0..vertex_count-1."""
+    """Immutable simple undirected graph on vertices 0..vertex_count-1.
+
+    `edges` must be strictly increasing pairs (u, v) with u < v, which rules
+    out self-loops and duplicates; one linear pass checks it.
+    """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.vertex_count < 0:
+        n = self.vertex_count
+        if n < 0:
             raise ValueError("vertex_count must be nonnegative")
-        seen = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            if u > v:
+        previous = (-1, -1)
+        for edge in self.edges:
+            u, v = edge
+            if not 0 <= u < v < n:
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge ({u}, {v}) out of range")
                 raise ValueError(f"edge ({u}, {v}) not normalized (need u < v)")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
+            if edge <= previous:
+                if edge == previous:
+                    raise ValueError(f"duplicate edge ({u}, {v})")
+                raise ValueError(f"edge ({u}, {v}) out of order after {previous}")
+            previous = edge
 
     @classmethod
     def from_edges(cls, vertex_count, edges):
@@ -151,7 +166,16 @@ def corona_product(g1: Graph, g2: Graph) -> Graph:
 
 
 def build_rcg(params: RcgParams, vertex_budget: int | None = None) -> CoronaGraph:
-    """Construct the explicit recursive corona graph for (q, g)."""
+    """Construct the explicit recursive corona graph for (q, g).
+
+    The edges come straight from the block layout (see the module docstring):
+    the initial K_q, then for each step b and parent i < N_{b-1} the q spokes
+    (i, N_{b-1} + i*q + j) and the clique edges of that block.  They are sorted
+    once by u*N + v, so the result equals the iterated `corona_product` of K_q
+    with K_q index for index, and the Graph validates them once.
+    """
+    import numpy as np
+
     budget = DEFAULT_VERTEX_BUDGET if vertex_budget is None else vertex_budget
     n_final = params.vertex_count
     if n_final > budget:
@@ -160,13 +184,23 @@ def build_rcg(params: RcgParams, vertex_budget: int | None = None) -> CoronaGrap
             f"budget is {budget}"
         )
     q = params.q
-    kq = complete_graph(q)
-    graph = kq
+    clique_u, clique_v = np.triu_indices(q, 1)
+    keys = [clique_u * n_final + clique_v]
     birth = [0] * q
+    previous = q
     for step in range(1, params.g + 1):
-        previous = graph.vertex_count
-        graph = corona_product(graph, kq)
-        birth.extend([step] * (graph.vertex_count - previous))
+        parents = np.arange(previous, dtype=np.int64)
+        children = previous + np.arange(previous * q, dtype=np.int64)
+        keys.append(np.repeat(parents, q) * n_final + children)
+        bases = children[::q, None]
+        keys.append(((bases + clique_u) * n_final + bases + clique_v).ravel())
+        birth.extend([step] * (previous * q))
+        previous += previous * q
+    # u*N + v < N^2 fits int64 for every N whose edge arrays fit in memory
+    key = np.sort(np.concatenate(keys))
+    u, v = np.divmod(key, n_final)
+    edges = tuple(zip(u.tolist(), v.tolist()))
+    graph = Graph(n_final, edges)
     return CoronaGraph(graph=graph, params=params, birth=tuple(birth))
 
 
@@ -185,6 +219,8 @@ def birth_generation(v: int, params: RcgParams) -> int:
 
 def matrix_of(graph: Graph, kind: str) -> np.ndarray:
     """Dense integer adjacency, degree, or laplacian matrix."""
+    import numpy as np
+
     if kind not in ("adjacency", "degree", "laplacian"):
         raise ValueError(f"unknown matrix kind {kind!r}")
     n = graph.vertex_count

@@ -12,8 +12,6 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ConnectivityError, NumericalError, ResourceLimitError
 from .graphs import CoronaGraph, Graph, matrix_of
 
@@ -90,6 +88,8 @@ def mean_neighbor_degree_by_class(cg: CoronaGraph) -> dict[int, Fraction]:
 
 def symmetric_eigenvalues(matrix) -> list[float]:
     """All eigenvalues of a dense symmetric matrix (LAPACK), sorted descending."""
+    import numpy as np
+
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
@@ -148,6 +148,8 @@ def matrix_tree_count(graph: Graph, remove_index: int = 0) -> int:
 
 def resistance_sum(graph: Graph) -> float:
     """Sum of pairwise effective resistances via the Laplacian pseudoinverse."""
+    import numpy as np
+
     n = graph.vertex_count
     if n > RESISTANCE_SIZE_LIMIT:
         raise ResourceLimitError(f"graph size {n} exceeds {RESISTANCE_SIZE_LIMIT}")

@@ -190,6 +190,25 @@ class TestCurve:
         assert code == 1
 
 
+class TestImports:
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import sys, rcg.cli",
+            "import sys, rcg.cli; rcg.cli.main(['analyze', '--q', '2', '--g', '3'])",
+        ],
+    )
+    def test_numpy_not_imported(self, code):
+        # only construction and the oracles need numpy; they import it on call
+        result = subprocess.run(
+            [sys.executable, "-c", f"{code}; assert 'numpy' not in sys.modules"],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert result.returncode == 0, result.stderr
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

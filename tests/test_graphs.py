@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,26 @@ class TestGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Graph(2, ((0, 2),))
+
+    def test_rejects_unsorted(self):
+        with pytest.raises(ValueError, match="out of order"):
+            Graph(3, ((1, 2), (0, 1)))
+
+    def test_rejects_duplicate(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            Graph(2, ((0, 1), (0, 1)))
+
+    def test_rejects_reversed_pair(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            Graph(2, ((1, 0),))
+
+    def test_rejects_negative_index(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(2, ((-1, 1),))
+
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Graph(-1, ())
 
     def test_from_edges_normalizes(self):
         g = Graph.from_edges(3, [(2, 0), (0, 2), (1, 0)])
@@ -84,9 +106,13 @@ class TestCoronaProduct:
             for v in range(u + 1, n2)
             if rng.random() < 0.5
         ]
-        g1 = Graph.from_edges(n1, e1)
+        rng.shuffle(e1)
+        g1 = Graph.from_edges(n1, [(v, u) for u, v in e1])
         g2 = Graph.from_edges(n2, e2)
+        # from_edges output meets the strictly increasing contract as is
+        assert Graph(n1, g1.edges) == g1 and Graph(n2, g2.edges) == g2
         result = corona_product(g1, g2)
+        assert Graph(result.vertex_count, result.edges) == result
         assert result.vertex_count == n1 + n1 * n2
         assert result.edge_count == len(e1) + n1 * len(e2) + n1 * n2
 
@@ -118,11 +144,34 @@ class TestBuildRcg:
         assert cg.graph.edge_count == q * ((q + 1) ** (g + 1) - 2) // 2
         assert cg.graph.is_connected()
 
-    @pytest.mark.parametrize("q,g", [(2, 2), (3, 2), (2, 3)])
+    @pytest.mark.parametrize(
+        "q,g", [(2, 2), (3, 2), (2, 3), (4, 2), (5, 2), (3, 3), (2, 5)]
+    )
     def test_iteration_is_index_identical(self, q, g):
         previous = build_rcg(RcgParams(q, g - 1))
         expected = corona_product(previous.graph, complete_graph(q))
         assert expected == build_rcg(RcgParams(q, g)).graph
+
+    @pytest.mark.parametrize("q,g", [(2, 5), (3, 3), (5, 2)])
+    def test_birth_matches_layout(self, q, g):
+        params = RcgParams(q, g)
+        cg = build_rcg(params)
+        assert cg.birth == tuple(
+            birth_generation(v, params) for v in range(params.vertex_count)
+        )
+
+    def test_values_are_python_ints(self):
+        cg = build_rcg(RcgParams(3, 3))
+        assert all(type(x) is int for edge in cg.graph.edges for x in edge)
+        assert all(type(x) is int for x in cg.birth)
+
+    def test_edgelist_hash_is_pinned(self):
+        # sha256 of `rcg generate --q 3 --g 6`, taken from the per-generation
+        # corona_product construction
+        text = write_edgelist(build_rcg(RcgParams(3, 6)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "bb94c17447cf568f9f8eef5eaa6d1308fd43cd128ca2ee06fd4d2c3b1377f33c"
+        )
 
     @pytest.mark.parametrize("q,g", [(2, 3), (3, 2), (5, 1)])
     def test_birth_class_sizes(self, q, g):
