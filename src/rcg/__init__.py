@@ -38,7 +38,9 @@ from .graphs import (
     corona_product,
     matrix_of,
     parse_edgelist,
+    write_dot,
     write_edgelist,
+    write_json,
 )
 from .spectra import (
     EigenPair,

@@ -16,11 +16,12 @@ from . import formulas, oracle, spectra
 from .errors import NumericalError, RcgError, ResourceLimitError
 from .graphs import (
     DEFAULT_VERTEX_BUDGET,
-    CoronaGraph,
     RcgParams,
     build_rcg,
     matrix_of,
+    write_dot,
     write_edgelist,
+    write_json,
 )
 
 EXIT_OK = 0
@@ -58,28 +59,6 @@ def vertex_budget() -> int:
         raise ValueError(f"CORONA_VERTEX_BUDGET must be an integer, got {raw!r}")
 
 
-def _dot_text(cg: CoronaGraph) -> str:
-    lines = ["graph rcg {"]
-    lines.extend(
-        f'  {v} [label="{cg.birth[v]}"];' for v in range(cg.graph.vertex_count)
-    )
-    lines.extend(f"  {u} -- {v};" for u, v in cg.graph.edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _graph_json(cg: CoronaGraph) -> str:
-    payload = {
-        "q": cg.params.q,
-        "g": cg.params.g,
-        "N": cg.graph.vertex_count,
-        "M": cg.graph.edge_count,
-        "edges": [[u, v] for u, v in cg.graph.edges],
-        "birth": list(cg.birth),
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _emit(text: str, output: str | None):
     if output:
         with open(output, "w") as fh:
@@ -90,13 +69,14 @@ def _emit(text: str, output: str | None):
 
 def cmd_generate(args) -> int:
     cg = build_rcg(RcgParams(args.q, args.g), vertex_budget())
-    if args.format == "edgelist":
-        text = write_edgelist(cg)
-    elif args.format == "dot":
-        text = _dot_text(cg)
+    # built per call, so a rebinding of these names (a monkeypatch, a tracer) holds
+    writers = {"edgelist": write_edgelist, "dot": write_dot, "json": write_json}
+    writer = writers[args.format]
+    if args.output:
+        with open(args.output, "w") as fh:
+            writer(cg, fh)
     else:
-        text = _graph_json(cg)
-    _emit(text, args.output)
+        writer(cg, sys.stdout)
     return EXIT_OK
 
 

@@ -8,14 +8,19 @@ reproducible byte for byte.  In closed form, with N_b = q (q+1)^b, the
 vertices born at step b >= 1 are the blocks N_{b-1} + i*q .. N_{b-1} + i*q + q-1,
 one K_q per parent vertex i < N_{b-1}, each fully joined to i.
 
-A `Graph` stores its edges as a strictly increasing tuple of pairs (u, v)
-with u < v; `Graph.from_edges` normalizes any edge iterable into that form.
+A `Graph` stores its edges as two int64 arrays u and v, strictly increasing
+in (u, v) with u < v; `Graph.from_edges` normalizes any edge iterable into
+that form.  numpy is imported on first use, never at module import.  The
+edge-list, dot and JSON writers build their text with one vectorized
+decimal-row kernel and stream it in chunks.
 """
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import chain
+from typing import TYPE_CHECKING, TextIO
 
 from .errors import ResourceLimitError
 
@@ -27,63 +32,152 @@ DEFAULT_VERTEX_BUDGET = 10**6
 # matrix_of materializes an N x N dense array; refuse above this many vertices
 MATRIX_VERTEX_LIMIT = 10**4
 
+# the writers emit their text in chunks of at most this many rows
+CHUNK_ROWS = 1 << 16
 
-@dataclass(frozen=True)
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..vertex_count-1.
 
-    `edges` must be strictly increasing pairs (u, v) with u < v, which rules
-    out self-loops and duplicates; one linear pass checks it.
+    The edges are two read-only int64 arrays `u` and `v`, strictly
+    increasing in (u, v) with u < v, which rules out self-loops and
+    duplicates; one vectorized pass checks it and names the first offending
+    edge.  `Graph(n, edges)` takes (u, v) pairs (a sequence or an (M, 2)
+    array); `Graph.from_arrays` adopts the two arrays directly.
     """
 
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("_n", "_u", "_v", "_edges", "_hash")
 
-    def __post_init__(self):
-        n = self.vertex_count
+    def __init__(self, vertex_count: int, edges=()):
+        import numpy as np
+
+        try:
+            pairs = np.asarray(edges, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError("edge endpoint out of range") from exc
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        self._adopt(vertex_count, pairs[:, 0].copy(), pairs[:, 1].copy())
+
+    @classmethod
+    def from_arrays(cls, vertex_count: int, u: np.ndarray, v: np.ndarray) -> Graph:
+        """Graph whose edges are (u[i], v[i]).
+
+        Contiguous int64 arrays are kept without a copy and made read-only.
+        """
+        graph = cls.__new__(cls)
+        graph._adopt(vertex_count, u, v)
+        return graph
+
+    def _adopt(self, n, u, v):
+        import numpy as np
+
         if n < 0:
             raise ValueError("vertex_count must be nonnegative")
-        previous = (-1, -1)
-        for edge in self.edges:
-            u, v = edge
-            if not 0 <= u < v < n:
-                if u == v:
-                    raise ValueError(f"self-loop at vertex {u}")
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError(f"edge ({u}, {v}) out of range")
-                raise ValueError(f"edge ({u}, {v}) not normalized (need u < v)")
-            if edge <= previous:
-                if edge == previous:
-                    raise ValueError(f"duplicate edge ({u}, {v})")
-                raise ValueError(f"edge ({u}, {v}) out of order after {previous}")
-            previous = edge
+        u = np.ascontiguousarray(u, dtype=np.int64)
+        v = np.ascontiguousarray(v, dtype=np.int64)
+        if u.ndim != 1 or u.shape != v.shape:
+            raise ValueError("u and v must be one-dimensional and of equal length")
+        bad = (u < 0) | (u >= v) | (v >= n)
+        bad[1:] |= (u[1:] < u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] <= v[:-1]))
+        if bad.any():
+            i = int(bad.argmax())
+            a, b = int(u[i]), int(v[i])
+            if a == b:
+                raise ValueError(f"self-loop at vertex {a}")
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge ({a}, {b}) out of range")
+            if a > b:
+                raise ValueError(f"edge ({a}, {b}) not normalized (need u < v)")
+            previous = (int(u[i - 1]), int(v[i - 1]))
+            if (a, b) == previous:
+                raise ValueError(f"duplicate edge ({a}, {b})")
+            raise ValueError(f"edge ({a}, {b}) out of order after {previous}")
+        u.flags.writeable = False
+        v.flags.writeable = False
+        self._n, self._u, self._v = n, u, v
+        self._edges = self._hash = None
 
     @classmethod
     def from_edges(cls, vertex_count, edges):
         """Build a graph from any iterable of (u, v) pairs, normalizing order."""
         normalized = sorted({(min(u, v), max(u, v)) for u, v in edges})
-        return cls(vertex_count, tuple(normalized))
+        return cls(vertex_count, normalized)
 
     @property
-    def edge_count(self):
-        return len(self.edges)
+    def vertex_count(self) -> int:
+        return self._n
+
+    @property
+    def u(self) -> np.ndarray:
+        return self._u
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._v
+
+    @property
+    def edge_count(self) -> int:
+        return len(self._u)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as a tuple of int pairs, built on first use (small graphs)."""
+        if self._edges is None:
+            self._edges = tuple(zip(self._u.tolist(), self._v.tolist()))
+        return self._edges
+
+    def __eq__(self, other):
+        import numpy as np
+
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (
+            self._n == other._n
+            and np.array_equal(self._u, other._u)
+            and np.array_equal(self._v, other._v)
+        )
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self._n, self._u.tobytes(), self._v.tobytes()))
+        return self._hash
+
+    def __repr__(self):
+        return f"Graph(vertex_count={self._n}, edge_count={self.edge_count})"
+
+    def has_edge(self, a: int, b: int) -> bool:
+        """Whether {a, b} is an edge, by binary search on the sorted arrays."""
+        import numpy as np
+
+        a, b = min(a, b), max(a, b)
+        lo, hi = np.searchsorted(self._u, (a, a + 1))
+        i = lo + np.searchsorted(self._v[lo:hi], b)
+        return bool(i < hi and self._v[i] == b)
 
     def adjacency_lists(self):
-        """Neighbor lists, sorted ascending."""
-        adj = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for nbrs in adj:
-            nbrs.sort()
-        return adj
+        """Neighbor lists, sorted ascending, read off a CSR layout.
+
+        Each edge appears as (v, u) then as (u, v); a stable sort by the first
+        vertex keeps, for each w, its smaller neighbors (from edges (x, w),
+        ascending in x) ahead of its larger ones, so every list is ascending.
+        """
+        import numpy as np
+
+        source = np.concatenate((self._v, self._u))
+        target = np.concatenate((self._u, self._v))
+        bounds = [0, *np.cumsum(np.bincount(source, minlength=self._n)).tolist()]
+        flat = target[np.argsort(source, kind="stable")].tolist()
+        return [flat[bounds[w] : bounds[w + 1]] for w in range(self._n)]
 
     def degrees(self):
-        deg = [0] * self.vertex_count
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        import numpy as np
+
+        n = self._n
+        degree = np.bincount(self._u, minlength=n) + np.bincount(self._v, minlength=n)
+        return degree.tolist()
 
     def is_connected(self):
         if self.vertex_count == 0:
@@ -186,22 +280,27 @@ def build_rcg(params: RcgParams, vertex_budget: int | None = None) -> CoronaGrap
     q = params.q
     clique_u, clique_v = np.triu_indices(q, 1)
     keys = [clique_u * n_final + clique_v]
-    birth = [0] * q
     previous = q
-    for step in range(1, params.g + 1):
+    for _ in range(params.g):
         parents = np.arange(previous, dtype=np.int64)
         children = previous + np.arange(previous * q, dtype=np.int64)
         keys.append(np.repeat(parents, q) * n_final + children)
         bases = children[::q, None]
         keys.append(((bases + clique_u) * n_final + bases + clique_v).ravel())
-        birth.extend([step] * (previous * q))
         previous += previous * q
     # u*N + v < N^2 fits int64 for every N whose edge arrays fit in memory
     key = np.sort(np.concatenate(keys))
     u, v = np.divmod(key, n_final)
-    edges = tuple(zip(u.tolist(), v.tolist()))
-    graph = Graph(n_final, edges)
-    return CoronaGraph(graph=graph, params=params, birth=tuple(birth))
+    graph = Graph.from_arrays(n_final, u, v)
+    return CoronaGraph(graph=graph, params=params, birth=_layout_birth(params))
+
+
+def _layout_birth(params: RcgParams) -> tuple[int, ...]:
+    """Birth generation of every vertex: step b appends q * N_{b-1} vertices."""
+    birth = [0] * params.q
+    for step in range(1, params.g + 1):
+        birth.extend([step] * (len(birth) * params.q))
+    return tuple(birth)
 
 
 def birth_generation(v: int, params: RcgParams) -> int:
@@ -229,9 +328,8 @@ def matrix_of(graph: Graph, kind: str) -> np.ndarray:
             f"dense matrix for {n} vertices exceeds limit {MATRIX_VERTEX_LIMIT}"
         )
     a = np.zeros((n, n), dtype=np.int64)
-    u, v = np.array(graph.edges, dtype=np.int64).reshape(-1, 2).T
-    a[u, v] = 1
-    a[v, u] = 1
+    a[graph.u, graph.v] = 1
+    a[graph.v, graph.u] = 1
     if kind == "adjacency":
         return a
     d = np.diag(a.sum(axis=1))
@@ -240,16 +338,115 @@ def matrix_of(graph: Graph, kind: str) -> np.ndarray:
     return d - a
 
 
-def write_edgelist(cg: CoronaGraph) -> str:
-    """Text edge list with header comments recording q, g, N, M."""
-    lines = [
-        f"# q {cg.params.q}",
-        f"# g {cg.params.g}",
-        f"# N {cg.graph.vertex_count}",
-        f"# M {cg.graph.edge_count}",
-    ]
-    lines.extend(f"{u} {v}" for u, v in cg.graph.edges)
-    return "\n".join(lines) + "\n"
+def _decimal_rows(parts, separator: str = "") -> Iterator[str]:
+    """Text rows from columns of integers, in chunks of at most CHUNK_ROWS rows.
+
+    `parts` mixes str literals and equal-length arrays of nonnegative
+    integers; row i joins the literals with the decimal digits of each
+    array's element i, and `separator` ends every row but the last.  A chunk
+    is one uint8 block with a fixed-width cell per part: digits sit
+    right-aligned in their cell, the unused leading bytes are 0, and dropping
+    the 0 bytes (which no literal contains) leaves the text.
+    """
+    import numpy as np
+
+    cells = []
+    for part in (*parts, separator):
+        if isinstance(part, str):
+            if part:
+                cells.append((np.frombuffer(part.encode(), np.uint8), None))
+        else:
+            count = len(part)
+            top = int(part.max()) if count else 0
+            part = part.astype(np.uint32 if top < 2**32 else np.uint64)
+            cells.append((part, len(str(top))))
+    width = sum(len(part) if digits is None else digits for part, digits in cells)
+    for lo in range(0, count, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, count)
+        block = np.empty((hi - lo, width), dtype=np.uint8)
+        start = 0
+        for part, digits in cells:
+            if digits is None:
+                block[:, start : start + len(part)] = part
+                start += len(part)
+                continue
+            rest = part[lo:hi].copy()
+            last = start + digits - 1
+            np.add(rest % 10, ord("0"), out=block[:, last], casting="unsafe")
+            for j in range(last - 1, start - 1, -1):
+                # a digit left of the leading one becomes a 0 pad byte
+                rest //= 10
+                digit = rest % 10 + ord("0")
+                np.multiply(digit, rest != 0, out=block[:, j], casting="unsafe")
+            start += digits
+        text = block[block != 0].tobytes().decode("ascii")
+        yield text[: len(text) - len(separator)] if hi == count else text
+
+
+def _emit(out: TextIO | None, chunks: Iterable[str]) -> str | None:
+    """Write the chunks to `out` one by one, or return them joined if it is None."""
+    if out is None:
+        return "".join(chunks)
+    for chunk in chunks:
+        out.write(chunk)
+    return None
+
+
+def write_edgelist(cg: CoronaGraph, out: TextIO | None = None) -> str | None:
+    """Text edge list with header comments recording q, g, N, M.
+
+    Streamed to `out` in chunks when it is given, else returned as one str.
+    """
+    graph = cg.graph
+    header = (
+        f"# q {cg.params.q}\n# g {cg.params.g}\n"
+        f"# N {graph.vertex_count}\n# M {graph.edge_count}\n"
+    )
+    return _emit(out, chain((header,), _decimal_rows((graph.u, " ", graph.v, "\n"))))
+
+
+def write_dot(cg: CoronaGraph, out: TextIO | None = None) -> str | None:
+    """Graphviz text, each vertex labelled with its birth generation.
+
+    Streamed to `out` in chunks when it is given, else returned as one str.
+    """
+    import numpy as np
+
+    graph = cg.graph
+    vertices = np.arange(graph.vertex_count, dtype=np.int64)
+    birth = np.array(cg.birth, dtype=np.int64)
+    chunks = chain(
+        ("graph rcg {\n",),
+        _decimal_rows(("  ", vertices, ' [label="', birth, '"];\n')),
+        _decimal_rows(("  ", graph.u, " -- ", graph.v, ";\n")),
+        ("}\n",),
+    )
+    return _emit(out, chunks)
+
+
+def write_json(cg: CoronaGraph, out: TextIO | None = None) -> str | None:
+    """JSON object with q, g, N, M, edges and birth.
+
+    The bytes are those of `json.dumps(payload, indent=2)` plus a newline;
+    streamed to `out` in chunks when it is given, else returned as one str.
+    """
+    import numpy as np
+
+    params, graph = cg.params, cg.graph
+    birth = np.array(cg.birth, dtype=np.int64)
+    chunks = chain(
+        (
+            f'{{\n  "q": {params.q},\n  "g": {params.g},\n'
+            f'  "N": {graph.vertex_count},\n  "M": {graph.edge_count},\n  "edges": [',
+        ),
+        _decimal_rows(
+            ("\n    [\n      ", graph.u, ",\n      ", graph.v, "\n    ]"), separator=","
+        ),
+        ('\n  ],\n  "birth": [',),
+        _decimal_rows(("\n    ", birth), separator=","),
+        ("\n  ]\n}\n",),
+    )
+    return _emit(out, chunks)
 
 
 def parse_edgelist(text: str) -> CoronaGraph:
@@ -273,5 +470,4 @@ def parse_edgelist(text: str) -> CoronaGraph:
     graph = Graph.from_edges(params.vertex_count, edges)
     if "M" in header and graph.edge_count != header["M"]:
         raise ValueError("edge count does not match header M")
-    birth = tuple(birth_generation(v, params) for v in range(graph.vertex_count))
-    return CoronaGraph(graph=graph, params=params, birth=birth)
+    return CoronaGraph(graph=graph, params=params, birth=_layout_birth(params))

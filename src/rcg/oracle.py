@@ -123,7 +123,7 @@ def matrix_tree_count(graph: Graph, remove_index: int = 0) -> int:
     if n <= 1:
         return 1
     rows: list[dict[int, int | Fraction]] = [{} for _ in range(n)]
-    for u, v in graph.edges:
+    for u, v in zip(graph.u.tolist(), graph.v.tolist()):
         for a, b in ((u, v), (v, u)):
             rows[a][a] = rows[a].get(a, 0) + 1
             if b != remove_index:

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 import subprocess
@@ -40,6 +43,36 @@ class TestGenerate:
         payload = json.loads(out)
         assert payload["N"] == 6 and payload["M"] == 7
         assert payload["birth"] == [0, 0, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "fmt,q,g,digest",
+        [
+            ("json", 2, 2, "45a5cee513751f039ec78734706e9b2a1f302765f7c8376ee6b18d1d648a5722"),
+            ("dot", 3, 2, "a4e8c43da48f892ff55bd81b8f20fe6a09037b0795889280ab4c831ea3f29122"),
+            ("json", 2, 0, "a9bf61080ecf81c74790eb69935261420959ce6d4e0fae3963d59c1f2d6588b9"),
+            ("dot", 2, 0, "b0ca8d2406661625427cb556b2f77bf34f1e827a48e96af7162cf4a1cd0559b2"),
+        ],
+    )
+    def test_hash_is_pinned(self, capsys, fmt, q, g, digest):
+        # sha256 of the output of the per-line f-string and json.dumps writers
+        argv = ["generate", "--q", str(q), "--g", str(g), "--format", fmt]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["edgelist", "dot", "json"])
+    def test_stdout_equals_output_file(self, capsys, tmp_path, fmt):
+        argv = ["generate", "--q", "3", "--g", "2", "--format", fmt]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        target = tmp_path / "graph.out"
+        assert run(capsys, *argv, "--output", str(target))[:2] == (0, "")
+        assert target.read_bytes() == out.encode()
+        # a plain StringIO has no .buffer; the writers must write str to it
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert main(argv) == 0
+        assert buffer.getvalue() == out
 
     def test_budget_exit_code(self, capsys):
         code, _, err = run(capsys, "generate", "--q", "9", "--g", "9")
@@ -195,7 +228,13 @@ class TestImports:
         "code",
         [
             "import sys, rcg.cli",
+            "import sys, rcg.formulas, rcg.spectra",
             "import sys, rcg.cli; rcg.cli.main(['analyze', '--q', '2', '--g', '3'])",
+            "import sys, rcg.cli; rcg.cli.main(['--help'])",
+            "import sys, rcg.cli; rcg.cli.main("
+            "['spectrum', '--q', '3', '--g', '4', '--matrix', 'laplacian'])",
+            "import sys, rcg.cli; rcg.cli.main("
+            "['curve', '--quantity', 'kirchhoff', '--q-list', '2,3', '--g-max', '6'])",
         ],
     )
     def test_numpy_not_imported(self, code):

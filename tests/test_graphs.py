@@ -1,9 +1,14 @@
 import hashlib
+import io
+import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcg import graphs
 from rcg import (
     CoronaGraph,
     Graph,
@@ -15,8 +20,11 @@ from rcg import (
     corona_product,
     matrix_of,
     parse_edgelist,
+    write_dot,
     write_edgelist,
+    write_json,
 )
+
 
 
 class TestGraph:
@@ -47,6 +55,84 @@ class TestGraph:
     def test_rejects_negative_vertex_count(self):
         with pytest.raises(ValueError, match="nonnegative"):
             Graph(-1, ())
+
+    def test_accepts_empty_edges(self):
+        g = Graph(3, ())
+        assert (g.vertex_count, g.edge_count, g.edges) == (3, 0, ())
+
+    def test_accepts_pair_array(self):
+        pairs = np.array([[0, 1], [0, 2], [1, 2]])
+        g = Graph(3, pairs)
+        assert g == complete_graph(3)
+        assert g.u.tolist() == [0, 0, 1] and g.v.tolist() == [1, 2, 2]
+
+    def test_rejects_ragged_pairs(self):
+        with pytest.raises(ValueError, match="pairs"):
+            Graph(3, ((0, 1, 2),))
+
+    def test_rejects_endpoint_beyond_int64(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(3, ((0, 2**70),))
+
+    def test_arrays_are_read_only(self):
+        g = complete_graph(3)
+        with pytest.raises(ValueError):
+            g.u[0] = 1
+
+    def test_equal_graphs_hash_equal(self):
+        a = build_rcg(RcgParams(3, 2)).graph
+        b = Graph(a.vertex_count, a.edges)
+        c = Graph.from_arrays(a.vertex_count, a.u.copy(), a.v.copy())
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        assert len({a, b, c}) == 1
+        assert a != Graph(a.vertex_count + 1, a.edges)
+        assert a != complete_graph(3)
+
+    @pytest.mark.parametrize("kind", ["duplicate", "reversed", "out of order"])
+    def test_planted_fault_names_first_offender(self, kind):
+        # one fault deep inside the 24573 edges of C_3(6); every edge before
+        # it is valid, so the vectorized pass must report exactly this edge
+        graph = build_rcg(RcgParams(3, 6)).graph
+        pairs = np.column_stack((graph.u, graph.v))
+        k = 17_000
+        if kind == "duplicate":
+            pairs[k] = pairs[k - 1]
+            a, b = pairs[k].tolist()
+            message = f"duplicate edge ({a}, {b})"
+        elif kind == "reversed":
+            pairs[k] = pairs[k, ::-1]
+            a, b = pairs[k].tolist()
+            message = f"edge ({a}, {b}) not normalized (need u < v)"
+        else:
+            pairs[[k, k + 1]] = pairs[[k + 1, k]]
+            a, b = pairs[k + 1].tolist()
+            message = f"edge ({a}, {b}) out of order after {tuple(pairs[k].tolist())}"
+        # a later fault of another kind must not mask the first one
+        pairs[-1] = (graph.vertex_count, graph.vertex_count + 1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Graph(graph.vertex_count, pairs)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Graph.from_arrays(graph.vertex_count, pairs[:, 0], pairs[:, 1])
+
+    def test_has_edge(self):
+        g = corona_product(complete_graph(2), complete_graph(2))
+        present = set(g.edges)
+        for a in range(-1, g.vertex_count + 1):
+            for b in range(-1, g.vertex_count + 1):
+                assert g.has_edge(a, b) == ((min(a, b), max(a, b)) in present)
+        assert not Graph(3, ()).has_edge(0, 1)
+
+    def test_adjacency_and_degrees_match_edge_loop(self):
+        graph = build_rcg(RcgParams(3, 3)).graph
+        reference = [[] for _ in range(graph.vertex_count)]
+        for u, v in graph.edges:
+            reference[u].append(v)
+            reference[v].append(u)
+        assert graph.adjacency_lists() == [sorted(nbrs) for nbrs in reference]
+        assert graph.degrees() == [len(nbrs) for nbrs in reference]
+        assert Graph(2, ()).adjacency_lists() == [[], []]
+        assert Graph(2, ()).degrees() == [0, 0]
 
     def test_from_edges_normalizes(self):
         g = Graph.from_edges(3, [(2, 0), (0, 2), (1, 0)])
@@ -79,10 +165,10 @@ class TestCoronaProduct:
     def test_layout(self):
         g = corona_product(complete_graph(2), complete_graph(2))
         # vertex i of g1 keeps index i; copy i occupies N1 + i*N2 ..
-        assert (0, 1) in g.edges
-        assert (2, 3) in g.edges and (4, 5) in g.edges
-        assert (0, 2) in g.edges and (0, 3) in g.edges
-        assert (1, 4) in g.edges and (1, 5) in g.edges
+        assert g.has_edge(0, 1)
+        assert g.has_edge(2, 3) and g.has_edge(4, 5)
+        assert g.has_edge(0, 2) and g.has_edge(0, 3)
+        assert g.has_edge(1, 4) and g.has_edge(1, 5)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -250,6 +336,68 @@ class TestEdgelist:
         cg = build_rcg(RcgParams(q, g))
         assert parse_edgelist(write_edgelist(cg)) == cg
 
+    def test_parse_edgelist_birth_matches_layout(self):
+        params = RcgParams(3, 2)
+        cg = parse_edgelist(write_edgelist(build_rcg(params)))
+        assert cg.birth == tuple(
+            birth_generation(v, params) for v in range(params.vertex_count)
+        )
+
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError):
             parse_edgelist("0 1\n")
+
+
+def _reference_texts(cg):
+    """The three formats as per-line f-strings and json.dumps render them."""
+    graph, birth = cg.graph, cg.birth
+    edgelist = [f"# q {cg.params.q}", f"# g {cg.params.g}"]
+    edgelist += [f"# N {graph.vertex_count}", f"# M {graph.edge_count}"]
+    edgelist += [f"{u} {v}" for u, v in graph.edges]
+    dot = ["graph rcg {"]
+    dot += [f'  {v} [label="{birth[v]}"];' for v in range(graph.vertex_count)]
+    dot += [f"  {u} -- {v};" for u, v in graph.edges] + ["}"]
+    payload = {
+        "q": cg.params.q,
+        "g": cg.params.g,
+        "N": graph.vertex_count,
+        "M": graph.edge_count,
+        "edges": [[u, v] for u, v in graph.edges],
+        "birth": list(birth),
+    }
+    return {
+        write_edgelist: "\n".join(edgelist) + "\n",
+        write_dot: "\n".join(dot) + "\n",
+        write_json: json.dumps(payload, indent=2) + "\n",
+    }
+
+
+class _Recorder(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(text.count("\n"))
+        return super().write(text)
+
+
+class TestWriters:
+    @pytest.mark.parametrize("q,g", [(2, 0), (2, 2), (3, 1), (4, 2), (2, 4)])
+    def test_match_reference(self, q, g):
+        cg = build_rcg(RcgParams(q, g))
+        for writer, expected in _reference_texts(cg).items():
+            assert writer(cg) == expected
+
+    @pytest.mark.parametrize("writer", [write_edgelist, write_dot, write_json])
+    def test_streams_bounded_chunks(self, writer, monkeypatch):
+        # rows reach the stream in chunks of CHUNK_ROWS, and chunk seams,
+        # including the dropped final separator, leave the text unchanged
+        monkeypatch.setattr(graphs, "CHUNK_ROWS", 7)
+        cg = build_rcg(RcgParams(2, 3))
+        out = _Recorder()
+        assert writer(cg, out) is None
+        assert out.getvalue() == _reference_texts(cg)[writer]
+        lines_per_row = {write_edgelist: 1, write_dot: 1, write_json: 4}[writer]
+        assert len(out.sizes) > 10
+        assert max(out.sizes) <= 7 * lines_per_row + 4
