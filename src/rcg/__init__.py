@@ -43,7 +43,6 @@ from .graphs import (
     write_json,
 )
 from .spectra import (
-    EigenPair,
     SpectrumMultiset,
     adjacency_spectrum,
     child_pair,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 resource limit exceeded,
 3 verification failure, 4 numerical error.  The environment variable
-CORONA_VERTEX_BUDGET overrides the default vertex budget of 10^6.
+CORONA_VERTEX_BUDGET overrides the default vertex budget of 10^6; for
+`spectrum` the budget caps the distinct eigenvalues instead.
 """
 from __future__ import annotations
 

@@ -9,13 +9,15 @@ vertices born at step b >= 1 are the blocks N_{b-1} + i*q .. N_{b-1} + i*q + q-1
 one K_q per parent vertex i < N_{b-1}, each fully joined to i.
 
 A `Graph` stores its edges as two int64 arrays u and v, strictly increasing
-in (u, v) with u < v; `Graph.from_edges` normalizes any edge iterable into
-that form.  numpy is imported on first use, never at module import.  The
+in (u, v) with u < v; `Graph.from_edges` normalizes any edge iterable or
+array into that form, and `parse_edgelist` reads a text edge list through
+it.  numpy is imported on first use, never at module import.  The
 edge-list, dot and JSON writers build their text with one vectorized
 decimal-row kernel and stream it in chunks.
 """
 from __future__ import annotations
 
+import io
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -49,16 +51,7 @@ class Graph:
     __slots__ = ("_n", "_u", "_v", "_edges", "_hash")
 
     def __init__(self, vertex_count: int, edges=()):
-        import numpy as np
-
-        try:
-            pairs = np.asarray(edges, dtype=np.int64)
-        except OverflowError as exc:
-            raise ValueError("edge endpoint out of range") from exc
-        if pairs.size == 0:
-            pairs = pairs.reshape(0, 2)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError("edges must be (u, v) pairs")
+        pairs = _pair_array(edges)
         self._adopt(vertex_count, pairs[:, 0].copy(), pairs[:, 1].copy())
 
     @classmethod
@@ -102,9 +95,21 @@ class Graph:
 
     @classmethod
     def from_edges(cls, vertex_count, edges):
-        """Build a graph from any iterable of (u, v) pairs, normalizing order."""
-        normalized = sorted({(min(u, v), max(u, v)) for u, v in edges})
-        return cls(vertex_count, normalized)
+        """Build a graph from any iterable of (u, v) pairs or an (M, 2) array.
+
+        The pairs may come in any order and orientation, and repeats are
+        dropped: each pair becomes (min, max), and a lexicographic sort and
+        one comparison of neighbours leave the arrays `from_arrays` takes.
+        """
+        import numpy as np
+
+        pairs = _pair_array(edges if isinstance(edges, np.ndarray) else list(edges))
+        u, v = pairs.min(axis=1), pairs.max(axis=1)
+        order = np.lexsort((v, u))
+        u, v = u[order], v[order]
+        keep = np.ones(len(u), dtype=bool)
+        keep[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+        return cls.from_arrays(vertex_count, u[keep], v[keep])
 
     @property
     def vertex_count(self) -> int:
@@ -195,6 +200,21 @@ class Graph:
                     count += 1
                     queue.append(v)
         return count == self.vertex_count
+
+
+def _pair_array(edges) -> np.ndarray:
+    """(u, v) pairs, a sequence or an (M, 2) array, as an (M, 2) int64 array."""
+    import numpy as np
+
+    try:
+        pairs = np.asarray(edges, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError("edge endpoint out of range") from exc
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -449,25 +469,40 @@ def write_json(cg: CoronaGraph, out: TextIO | None = None) -> str | None:
     return _emit(out, chunks)
 
 
-def parse_edgelist(text: str) -> CoronaGraph:
-    """Inverse of write_edgelist."""
+def _edgelist_header(text: str) -> dict[str, int]:
+    """q, g, N and M from the `# key value` lines, wherever they stand.
+
+    A comment line is one whose first non-blank character is `#`; only those
+    lines are visited, so a long edge list is not scanned line by line.
+    """
     header = {}
-    edges = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if len(parts) == 2 and parts[0] in ("q", "g", "N", "M"):
-                header[parts[0]] = int(parts[1])
-            continue
-        u, v = line.split()
-        edges.append((int(u), int(v)))
+    at = text.find("#")
+    while at >= 0:
+        end = text.find("\n", at)
+        end = len(text) if end < 0 else end
+        parts = text[at + 1 : end].split()
+        first = not text[text.rfind("\n", 0, at) + 1 : at].strip()
+        if first and len(parts) == 2 and parts[0] in ("q", "g", "N", "M"):
+            header[parts[0]] = int(parts[1])
+        at = text.find("#", end)
+    return header
+
+
+def parse_edgelist(text: str) -> CoronaGraph:
+    """Inverse of write_edgelist.
+
+    The header must record q and g, and M, when present, must match.  Every
+    other nonblank line is one `u v` edge; numpy's text reader parses them
+    all in one call and raises ValueError on a malformed row.
+    """
+    import numpy as np
+
+    header = _edgelist_header(text)
     if "q" not in header or "g" not in header:
         raise ValueError("edge list header must record q and g")
     params = RcgParams(header["q"], header["g"])
-    graph = Graph.from_edges(params.vertex_count, edges)
+    rows = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+    graph = Graph.from_edges(params.vertex_count, rows)
     if "M" in header and graph.edge_count != header["M"]:
         raise ValueError("edge count does not match header M")
     return CoronaGraph(graph=graph, params=params, birth=_layout_birth(params))

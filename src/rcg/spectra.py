@@ -1,35 +1,32 @@
 """Recursive adjacency and Laplacian spectra of recursive corona graphs.
 
 Each generation maps every eigenvalue of the previous generation to two
-children via a fixed quadratic, and adds one structural eigenvalue (-1 for
-the adjacency matrix, q+1 for the Laplacian) with a known multiplicity.
-Eigenvalues are stored as floats with exact integer multiplicities; the
-exact spectral quantities (spanning trees, Kirchhoff index) come from
+children, the roots of a fixed quadratic, and adds one structural eigenvalue
+(-1 for the adjacency matrix, q+1 for the Laplacian) with a known
+multiplicity.  The children are taken in the stable form: first the root
+that does not cancel, then the other from the Vieta product.  Both children
+increase with the parent, and every plus child lies above every minus child,
+so a descending spectrum maps to two descending runs and no generation needs
+a sort.  Eigenvalues are stored as floats with exact integer multiplicities;
+the exact spectral quantities (spanning trees, Kirchhoff index) come from
 separate exponent and rational recursions, never from the float spectrum.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 
 from .errors import InternalInconsistencyError, ResourceLimitError
 from .formulas import FactoredCount
 from .graphs import RcgParams
 
+# default cap on the distinct eigenvalues a spectrum may hold
 DEFAULT_EIGENVALUE_BUDGET = 10**6
 
 MERGE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """Parent eigenvalue and its two children at the next generation."""
-
-    parent: float
-    plus_child: float
-    minus_child: float
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -53,62 +50,85 @@ class SpectrumMultiset:
         return [{"value": v, "multiplicity": m} for v, m in self.entries]
 
 
-def child_pair(parent: float, q: int, kind: str) -> EigenPair:
-    """Two next-generation eigenvalues spawned by `parent`."""
-    if kind == "adjacency":
-        disc = (q - 1 - parent) ** 2 + 4 * q
-    elif kind == "laplacian":
-        if parent < 0:
-            raise ValueError("laplacian eigenvalues are nonnegative")
-        disc = (parent + q + 1) ** 2 - 4 * parent
+def _children(parents: list[float], q: int, kind: str) -> tuple[list[float], list[float]]:
+    """Plus and minus children of a descending list of parents, each run descending.
+
+    The children of x are the roots of t^2 - s t + p with s = x + a and
+    p = b x + c, and the discriminant s^2 - 4p equals (x + e)^2 + 4q.  The
+    root (s + sign(s) sqrt(disc))/2 adds two terms of one sign, and the
+    other root is p divided by it, so neither cancels.  The parents with
+    s >= 0 form the head of the list, and their big root is the plus child;
+    the Laplacian has s >= q+1 for every parent.
+    """
+    if kind == "laplacian":
+        a, e, b, c = q + 1.0, q - 1.0, 1.0, 0.0
+    elif kind == "adjacency":
+        a, e, b, c = q - 1.0, 1.0 - q, q - 1.0, -float(q)
     else:
         raise ValueError(f"unknown spectrum kind {kind!r}")
-    root = math.sqrt(disc)
-    mid = parent + q - 1 if kind == "adjacency" else parent + q + 1
-    return EigenPair(
-        parent=parent,
-        plus_child=(mid + root) / 2,
-        minus_child=(mid - root) / 2,
-        kind=kind,
-    )
+    d, sqrt = 4.0 * q, math.sqrt
+    split = bisect_right(parents, a, key=neg)  # parents x >= -a
+    head, tail = parents[:split], parents[split:]
+    big_head = [(x + a + sqrt((x + e) * (x + e) + d)) * 0.5 for x in head]
+    big_tail = [(x + a - sqrt((x + e) * (x + e) + d)) * 0.5 for x in tail]
+    plus = big_head + [(b * x + c) / r for x, r in zip(tail, big_tail)]
+    minus = [(b * x + c) / r for x, r in zip(head, big_head)] + big_tail
+    return plus, minus
 
 
-def _merge(entries: list[tuple[float, int]]) -> tuple[tuple[float, int], ...]:
-    """Coalesce equal eigenvalues (within MERGE_TOL), sorted descending."""
-    entries.sort(key=lambda e: -e[0])
-    merged: list[tuple[float, int]] = []
-    for value, mult in entries:
-        if merged and abs(merged[-1][0] - value) <= MERGE_TOL:
-            prev_value, prev_mult = merged[-1]
-            merged[-1] = (prev_value, prev_mult + mult)
+def child_pair(parent: float, q: int, kind: str) -> tuple[float, float]:
+    """(plus, minus): the two next-generation eigenvalues spawned by `parent`."""
+    if kind == "laplacian" and parent < 0:
+        raise ValueError("laplacian eigenvalues are nonnegative")
+    (plus,), (minus,) = _children([parent], q, kind)
+    return plus, minus
+
+
+def _merge(values: list[float], mults: list[int]) -> tuple[list[float], list[int]]:
+    """Fold each value within MERGE_TOL of the last kept one into it.
+
+    One pass over a descending list; the kept values descend with gaps
+    above MERGE_TOL.
+    """
+    kept: list[float] = []
+    counts: list[int] = []
+    last, tol = math.inf, MERGE_TOL
+    for value, mult in zip(values, mults):
+        if last - value <= tol:
+            counts[-1] += mult
         else:
-            merged.append((value, mult))
-    return tuple(merged)
+            kept.append(value)
+            counts.append(mult)
+            last = value
+    return kept, counts
 
 
 def _recursive_spectrum(params, kind, budget):
+    """Plus run, minus run and the structural value, merged once per generation.
+
+    g = 0 has 2 distinct values and each generation at most doubles them and
+    adds one, so the budget is checked against 3 * 2^g - 1 before any work.
+    """
     limit = DEFAULT_EIGENVALUE_BUDGET if budget is None else budget
-    if params.vertex_count > limit:
+    bound = 3 * 2**params.g - 1
+    if bound > limit:
         raise ResourceLimitError(
-            f"spectrum of (q={params.q}, g={params.g}) has {params.vertex_count} "
-            f"eigenvalues, budget is {limit}"
+            f"spectrum of (q={params.q}, g={params.g}) has up to {bound} "
+            f"distinct eigenvalues, budget is {limit}"
         )
     q = params.q
     if kind == "adjacency":
-        entries = [(float(q - 1), 1), (-1.0, q - 1)]
-        extra_value = -1.0
+        values, mults, extra = [float(q - 1), -1.0], [1, q - 1], -1.0
     else:
-        entries = [(float(q), q - 1), (0.0, 1)]
-        extra_value = float(q + 1)
+        values, mults, extra = [float(q), 0.0], [q - 1, 1], float(q + 1)
     for step in range(1, params.g + 1):
-        children = []
-        for value, mult in entries:
-            pair = child_pair(value, q, kind)
-            children.append((pair.plus_child, mult))
-            children.append((pair.minus_child, mult))
-        children.append((extra_value, (q - 1) * q * (q + 1) ** (step - 1)))
-        entries = list(_merge(children))
-    return SpectrumMultiset(kind=kind, entries=_merge(entries), params=params)
+        plus, minus = _children(values, q, kind)
+        values, mults = plus + minus, mults + mults
+        at = bisect_right(values, -extra, key=neg)
+        values.insert(at, extra)
+        mults.insert(at, (q - 1) * q * (q + 1) ** (step - 1))
+        values, mults = _merge(values, mults)
+    return SpectrumMultiset(kind=kind, entries=tuple(zip(values, mults)), params=params)
 
 
 def adjacency_spectrum(params: RcgParams, budget: int | None = None) -> SpectrumMultiset:

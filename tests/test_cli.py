@@ -145,6 +145,21 @@ class TestSpectrum:
         values = [e["value"] for e in payload]
         assert values == sorted(values, reverse=True)
 
+    @pytest.mark.parametrize("matrix", ["adjacency", "laplacian"])
+    def test_budget_is_on_distinct_eigenvalues(self, capsys, matrix):
+        # N = 2 * 3^16 is far past the budget of 10^6, but the spectrum holds
+        # at most 3 * 2^16 - 1 distinct eigenvalues
+        code, out, _ = run(capsys, "spectrum", "--q", "2", "--g", "16", "--matrix", matrix)
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload) <= 3 * 2**16 - 1
+        assert sum(e["multiplicity"] for e in payload) == 2 * 3**16
+
+    def test_over_entry_budget_exits_resource(self, capsys):
+        code, _, err = run(capsys, "spectrum", "--q", "2", "--g", "19", "--matrix", "laplacian")
+        assert code == 2
+        assert "distinct eigenvalues" in err
+
 
 class TestVerify:
     @pytest.mark.parametrize("q", [2, 3, 4])

@@ -346,6 +346,37 @@ class TestEdgelist:
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError):
             parse_edgelist("0 1\n")
+        with pytest.raises(ValueError, match="q and g"):
+            parse_edgelist("# q 2\n0 1\n")
+
+    def test_round_trip_large(self):
+        cg = build_rcg(RcgParams(2, 11))
+        assert parse_edgelist(write_edgelist(cg)) == cg
+
+    def test_rows_in_any_order(self):
+        # reversed, repeated and shuffled rows, blank lines and a header
+        # line after the rows all give the graph of the sorted list
+        text = "# q 2\n\n2 0\n1 0\n0 2\n  3 0 \n4 1\n1 5\n\n4 5\n3 2\n# g 1\n"
+        assert parse_edgelist(text) == build_rcg(RcgParams(2, 1))
+
+    @pytest.mark.parametrize(
+        "rows", ["0 1\n0 1 2\n", "0 1 2\n", "0\n", "0 x\n", "0 99999999999999999999\n"]
+    )
+    def test_malformed_row_rejected(self, rows):
+        with pytest.raises(ValueError):
+            parse_edgelist("# q 2\n# g 0\n" + rows)
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [("0 0\n", "self-loop"), ("0 2\n", "out of range"), ("-1 1\n", "out of range")],
+    )
+    def test_invalid_edge_rejected(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            parse_edgelist("# q 2\n# g 0\n" + rows)
+
+    def test_header_edge_count_checked(self):
+        with pytest.raises(ValueError, match="header M"):
+            parse_edgelist("# q 2\n# g 0\n# M 2\n0 1\n")
 
 
 def _reference_texts(cg):

@@ -1,6 +1,8 @@
 import math
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from rcg import (
     spanning_trees_spectral,
 )
 from rcg.oracle import matrix_tree_count, symmetric_eigenvalues
+from rcg.spectra import MERGE_TOL
 
 GRID = [(q, g) for q in (2, 3, 4) for g in (0, 1, 2)] + [(2, 3)]
 # far beyond any explicit construction or digit expansion
@@ -37,20 +40,20 @@ def expand(spectrum):
 class TestChildPair:
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_laplacian_zero_parent(self, q):
-        pair = child_pair(0.0, q, "laplacian")
-        assert pair.plus_child == q + 1
-        assert pair.minus_child == 0.0
+        plus, minus = child_pair(0.0, q, "laplacian")
+        assert plus == q + 1
+        assert minus == 0.0
 
     def test_laplacian_parent_two_q_two(self):
-        pair = child_pair(2.0, 2, "laplacian")
+        plus, minus = child_pair(2.0, 2, "laplacian")
         root17 = math.sqrt(17)
-        assert pair.plus_child == pytest.approx((5 + root17) / 2, abs=1e-12)
-        assert pair.minus_child == pytest.approx((5 - root17) / 2, abs=1e-12)
+        assert plus == pytest.approx((5 + root17) / 2, abs=1e-12)
+        assert minus == pytest.approx((5 - root17) / 2, abs=1e-12)
 
     def test_adjacency_parent_one_q_two(self):
-        pair = child_pair(1.0, 2, "adjacency")
-        assert pair.plus_child == pytest.approx(1 + math.sqrt(2), abs=1e-12)
-        assert pair.minus_child == pytest.approx(1 - math.sqrt(2), abs=1e-12)
+        plus, minus = child_pair(1.0, 2, "adjacency")
+        assert plus == pytest.approx(1 + math.sqrt(2), abs=1e-12)
+        assert minus == pytest.approx(1 - math.sqrt(2), abs=1e-12)
 
     def test_negative_laplacian_parent_rejected(self):
         with pytest.raises(ValueError):
@@ -66,13 +69,12 @@ class TestChildPair:
         q=st.integers(2, 8),
     )
     def test_adjacency_vieta(self, parent, q):
-        pair = child_pair(parent, q, "adjacency")
-        assert pair.plus_child + pair.minus_child == pytest.approx(
-            parent + q - 1, abs=1e-12
-        )
-        assert pair.plus_child * pair.minus_child == pytest.approx(
-            parent * (q - 1) - q, abs=1e-12
-        )
+        plus, minus = child_pair(parent, q, "adjacency")
+        product = parent * (q - 1) - q
+        assert plus >= minus
+        assert plus + minus == pytest.approx(parent + q - 1, abs=1e-12)
+        assert plus * minus == pytest.approx(product, abs=1e-12)
+        assert plus * minus == pytest.approx(product, rel=1e-14, abs=0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -80,11 +82,111 @@ class TestChildPair:
         q=st.integers(2, 8),
     )
     def test_laplacian_vieta(self, parent, q):
-        pair = child_pair(parent, q, "laplacian")
-        assert pair.plus_child + pair.minus_child == pytest.approx(
-            parent + q + 1, abs=1e-12
-        )
-        assert pair.plus_child * pair.minus_child == pytest.approx(parent, abs=1e-12)
+        plus, minus = child_pair(parent, q, "laplacian")
+        assert plus >= minus
+        assert plus + minus == pytest.approx(parent + q + 1, abs=1e-12)
+        assert plus * minus == pytest.approx(parent, abs=1e-12)
+        if parent >= sys.float_info.min:  # a subnormal parent's child underflows
+            assert plus * minus == pytest.approx(parent, rel=1e-14, abs=0)
+
+
+class TestPrecision:
+    """The smallest nonzero Laplacian eigenvalue, a chain of minus children.
+
+    In the cancelling form (s - sqrt(s^2 - 4 lambda))/2 the minus child loses
+    digits as lambda shrinks: for q=2 the relative error is 2.0e-8 at g=20,
+    and the chain reaches a false zero at g=35.  The mpmath chain uses that
+    form at 80 digits, where the 20 or so digits it cancels leave plenty.
+    """
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_minus_chain_matches_mpmath(self, q):
+        with mpmath.workdps(80):
+            exact = mpmath.mpf(q)
+            value = float(q)
+            for g in range(1, 41):
+                s = exact + q + 1
+                exact = (s - mpmath.sqrt(s * s - 4 * exact)) / 2
+                value = child_pair(value, q, "laplacian")[1]
+                assert abs((value - exact) / exact) <= 1e-12, g
+
+    @pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_both_children_match_mpmath(self, q, kind):
+        # far from zero either root can be the one that cancels: for the
+        # adjacency matrix that is the plus child when parent + q - 1 < 0
+        parents = [0.0, 1e-9, 0.5, 2.0, 37.5, 1e6]
+        if kind == "adjacency":
+            parents += [-1e6, -37.5, -3.0, -1.0, -1e-9]
+        with mpmath.workdps(80):
+            for parent in parents:
+                x = mpmath.mpf(parent)
+                if kind == "adjacency":
+                    s, p = x + q - 1, (q - 1) * x - q
+                else:
+                    s, p = x + q + 1, x
+                root = mpmath.sqrt(s * s - 4 * p)
+                exact_pair = ((s + root) / 2, (s - root) / 2)
+                for value, exact in zip(child_pair(parent, q, kind), exact_pair):
+                    assert value == exact or abs((value - exact) / exact) <= 1e-14, parent
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_spectrum_holds_the_chain(self, q):
+        value = float(q)
+        for g in range(1, 9):
+            value = child_pair(value, q, "laplacian")[1]
+            entries = laplacian_spectrum(RcgParams(q, g)).entries
+            assert entries[-1] == (0.0, 1)
+            assert entries[-2][0] == value
+
+
+def reference_spectrum(q, g, kind):
+    """Reference route: cancelling children, interleaved, sorted by value, merged."""
+    if kind == "adjacency":
+        entries, extra = [(float(q - 1), 1), (-1.0, q - 1)], -1.0
+    else:
+        entries, extra = [(float(q), q - 1), (0.0, 1)], float(q + 1)
+    for step in range(1, g + 1):
+        children = []
+        for value, mult in entries:
+            if kind == "adjacency":
+                mid, disc = value + q - 1, (q - 1 - value) ** 2 + 4 * q
+            else:
+                mid, disc = value + q + 1, (value + q + 1) ** 2 - 4 * value
+            root = math.sqrt(disc)
+            children += [((mid + root) / 2, mult), ((mid - root) / 2, mult)]
+        children.append((extra, (q - 1) * q * (q + 1) ** (step - 1)))
+        children.sort(key=lambda e: -e[0])
+        entries = []
+        for value, mult in children:
+            if entries and abs(entries[-1][0] - value) <= MERGE_TOL:
+                entries[-1] = (entries[-1][0], entries[-1][1] + mult)
+            else:
+                entries.append((value, mult))
+    return entries
+
+
+REFERENCE_GRID = [
+    (q, g) for q in (2, 3, 4, 5, 6, 7) for g in range(12) if q * (q + 1) ** g <= 10**6
+]
+
+
+class TestReferenceRoute:
+    @pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
+    @pytest.mark.parametrize("q,g", REFERENCE_GRID)
+    def test_matches_reference(self, q, g, kind):
+        build = adjacency_spectrum if kind == "adjacency" else laplacian_spectrum
+        spectrum = build(RcgParams(q, g))
+        reference = reference_spectrum(q, g, kind)
+        assert [m for _, m in spectrum.entries] == [m for _, m in reference]
+        # the reference's cancelling minus child is off by about 1e-16 * s in
+        # absolute terms, up to 3.8e-11 relative near 6e-6 at (3, 9), so the
+        # values are compared within 1e-12 of max(|lambda|, 1)
+        values = [v for v, _ in spectrum.entries]
+        assert values == pytest.approx([v for v, _ in reference], rel=1e-12, abs=1e-12)
+        gaps = [a - b for a, b in zip(values, values[1:])]
+        assert all(gap > MERGE_TOL for gap in gaps)
+        assert len(values) <= 3 * 2**g - 1
 
 
 class TestAdjacencySpectrum:
@@ -111,6 +213,16 @@ class TestAdjacencySpectrum:
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
             adjacency_spectrum(RcgParams(2, 2), budget=10)
+
+
+class TestEntryBudget:
+    @pytest.mark.parametrize("build", [adjacency_spectrum, laplacian_spectrum])
+    def test_counts_distinct_entries(self, build):
+        # (2, 3) has N = 54 but at most 3 * 2^3 - 1 = 23 distinct eigenvalues
+        spectrum = build(RcgParams(2, 3), budget=23)
+        assert spectrum.total_multiplicity() == 54
+        with pytest.raises(ResourceLimitError, match="23 distinct"):
+            build(RcgParams(2, 3), budget=22)
 
 
 class TestLaplacianSpectrum:
