@@ -473,16 +473,19 @@ def _edgelist_header(text: str) -> dict[str, int]:
     """q, g, N and M from the `# key value` lines, wherever they stand.
 
     A comment line is one whose first non-blank character is `#`; only those
-    lines are visited, so a long edge list is not scanned line by line.
+    lines are visited, so a long edge list is not scanned line by line.  A
+    `#` after other text on its line is a malformed row.
     """
     header = {}
     at = text.find("#")
     while at >= 0:
         end = text.find("\n", at)
         end = len(text) if end < 0 else end
+        start = text.rfind("\n", 0, at) + 1
+        if text[start:at].strip():
+            raise ValueError(f"malformed edge list row {text[start:end].strip()!r}")
         parts = text[at + 1 : end].split()
-        first = not text[text.rfind("\n", 0, at) + 1 : at].strip()
-        if first and len(parts) == 2 and parts[0] in ("q", "g", "N", "M"):
+        if len(parts) == 2 and parts[0] in ("q", "g", "N", "M"):
             header[parts[0]] = int(parts[1])
         at = text.find("#", end)
     return header

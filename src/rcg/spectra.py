@@ -17,7 +17,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import neg
+from operator import itemgetter, neg
 
 from .errors import InternalInconsistencyError, ResourceLimitError
 from .formulas import FactoredCount
@@ -84,30 +84,20 @@ def child_pair(parent: float, q: int, kind: str) -> tuple[float, float]:
     return plus, minus
 
 
-def _merge(values: list[float], mults: list[int]) -> tuple[list[float], list[int]]:
-    """Fold each value within MERGE_TOL of the last kept one into it.
-
-    One pass over a descending list; the kept values descend with gaps
-    above MERGE_TOL.
-    """
-    kept: list[float] = []
-    counts: list[int] = []
-    last, tol = math.inf, MERGE_TOL
-    for value, mult in zip(values, mults):
-        if last - value <= tol:
-            counts[-1] += mult
-        else:
-            kept.append(value)
-            counts.append(mult)
-            last = value
-    return kept, counts
-
-
 def _recursive_spectrum(params, kind, budget):
-    """Plus run, minus run and the structural value, merged once per generation.
+    """Plus run, minus run and the structural value, once per generation.
 
     g = 0 has 2 distinct values and each generation at most doubles them and
     adds one, so the budget is checked against 3 * 2^g - 1 before any work.
+    The child maps are injective and the two runs are disjoint, so in exact
+    arithmetic only the structural value can repeat, as the child of a zero
+    parent.
+    It joins a neighbour within MERGE_TOL relative to itself; the children
+    are never compared, since near zero distinct ones lie far closer than
+    any absolute tolerance.  Distinct eigenvalues a few ulps apart can round
+    to equal values or, through the Vieta quotient, swap order; a single
+    sort at the end, run only when the list is out of order, restores the
+    descending order.
     """
     limit = DEFAULT_EIGENVALUE_BUDGET if budget is None else budget
     bound = 3 * 2**params.g - 1
@@ -121,14 +111,23 @@ def _recursive_spectrum(params, kind, budget):
         values, mults, extra = [float(q - 1), -1.0], [1, q - 1], -1.0
     else:
         values, mults, extra = [float(q), 0.0], [q - 1, 1], float(q + 1)
+    tol = MERGE_TOL * abs(extra)
     for step in range(1, params.g + 1):
         plus, minus = _children(values, q, kind)
         values, mults = plus + minus, mults + mults
-        at = bisect_right(values, -extra, key=neg)
-        values.insert(at, extra)
-        mults.insert(at, (q - 1) * q * (q + 1) ** (step - 1))
-        values, mults = _merge(values, mults)
-    return SpectrumMultiset(kind=kind, entries=tuple(zip(values, mults)), params=params)
+        m = (q - 1) * q * (q + 1) ** (step - 1)
+        at = bisect_right(values, -extra, key=neg)  # values[at - 1] >= extra
+        if at and values[at - 1] - extra <= tol:
+            mults[at - 1] += m
+        elif at < len(values) and extra - values[at] <= tol:
+            mults[at] += m
+        else:
+            values.insert(at, extra)
+            mults.insert(at, m)
+    entries = zip(values, mults)
+    if values != sorted(values, reverse=True):
+        entries = sorted(entries, key=itemgetter(0), reverse=True)
+    return SpectrumMultiset(kind=kind, entries=tuple(entries), params=params)
 
 
 def adjacency_spectrum(params: RcgParams, budget: int | None = None) -> SpectrumMultiset:

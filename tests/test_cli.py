@@ -152,8 +152,14 @@ class TestSpectrum:
         code, out, _ = run(capsys, "spectrum", "--q", "2", "--g", "16", "--matrix", matrix)
         assert code == 0
         payload = json.loads(out)
-        assert len(payload) <= 3 * 2**16 - 1
         assert sum(e["multiplicity"] for e in payload) == 2 * 3**16
+        # every child is distinct; only the Laplacian's structural q+1 joins
+        # a child, that of the zero eigenvalue, each generation
+        if matrix == "laplacian":
+            assert len(payload) == 2**17
+            assert payload[-1] == {"value": 0.0, "multiplicity": 1}
+        else:
+            assert len(payload) == 3 * 2**16 - 1
 
     def test_over_entry_budget_exits_resource(self, capsys):
         code, _, err = run(capsys, "spectrum", "--q", "2", "--g", "19", "--matrix", "laplacian")

@@ -360,7 +360,16 @@ class TestEdgelist:
         assert parse_edgelist(text) == build_rcg(RcgParams(2, 1))
 
     @pytest.mark.parametrize(
-        "rows", ["0 1\n0 1 2\n", "0 1 2\n", "0\n", "0 x\n", "0 99999999999999999999\n"]
+        "rows",
+        [
+            "0 1\n0 1 2\n",
+            "0 1 2\n",
+            "0\n",
+            "0 x\n",
+            "0 99999999999999999999\n",
+            "0 1 # q 9\n",
+            "0 # 1\n",
+        ],
     )
     def test_malformed_row_rejected(self, rows):
         with pytest.raises(ValueError):

@@ -2,7 +2,6 @@ import math
 import sys
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,8 +98,12 @@ class TestPrecision:
     form at 80 digits, where the 20 or so digits it cancels leave plenty.
     """
 
+    @pytest.fixture
+    def mpmath(self):
+        return pytest.importorskip("mpmath")
+
     @pytest.mark.parametrize("q", [2, 3, 5])
-    def test_minus_chain_matches_mpmath(self, q):
+    def test_minus_chain_matches_mpmath(self, q, mpmath):
         with mpmath.workdps(80):
             exact = mpmath.mpf(q)
             value = float(q)
@@ -112,7 +115,7 @@ class TestPrecision:
 
     @pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
     @pytest.mark.parametrize("q", [2, 3, 5])
-    def test_both_children_match_mpmath(self, q, kind):
+    def test_both_children_match_mpmath(self, q, kind, mpmath):
         # far from zero either root can be the one that cancels: for the
         # adjacency matrix that is the plus child when parent + q - 1 < 0
         parents = [0.0, 1e-9, 0.5, 2.0, 37.5, 1e6]
@@ -130,10 +133,12 @@ class TestPrecision:
                 for value, exact in zip(child_pair(parent, q, kind), exact_pair):
                     assert value == exact or abs((value - exact) / exact) <= 1e-14, parent
 
-    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("q", [2, 3, 5, 10])
     def test_spectrum_holds_the_chain(self, q):
+        # the chain falls below any absolute tolerance (1.8e-11 at (10, 11)),
+        # and the zero eigenvalue stays apart from it
         value = float(q)
-        for g in range(1, 9):
+        for g in range(1, 13):
             value = child_pair(value, q, "laplacian")[1]
             entries = laplacian_spectrum(RcgParams(q, g)).entries
             assert entries[-1] == (0.0, 1)
@@ -223,6 +228,31 @@ class TestEntryBudget:
         assert spectrum.total_multiplicity() == 54
         with pytest.raises(ResourceLimitError, match="23 distinct"):
             build(RcgParams(2, 3), budget=22)
+
+    @pytest.mark.parametrize("g", [16, 17])
+    def test_laplacian_keeps_every_child(self, g):
+        # distinct children near zero lie far closer than MERGE_TOL; none
+        # merge, and q+1 joins only the zero eigenvalue's child
+        spectrum = laplacian_spectrum(RcgParams(2, g))
+        assert len(spectrum.entries) == 2 ** (g + 1)
+        assert spectrum.entries[-1] == (0.0, 1)
+        assert spectrum.total_multiplicity() == 2 * 3**g
+
+    def test_zero_stays_apart_from_tiny_eigenvalue(self):
+        entries = laplacian_spectrum(RcgParams(10, 11)).entries
+        assert entries[-1] == (0.0, 1)
+        assert 0 < entries[-2][0] < 1e-10
+
+    @pytest.mark.parametrize(
+        "build,q", [(laplacian_spectrum, 1000), (adjacency_spectrum, 10**6)]
+    )
+    def test_descending_where_children_round_together(self, build, q):
+        # at large q distinct eigenvalues lie within a few ulps, where the
+        # Vieta quotient can swap the order of two children
+        spectrum = build(RcgParams(q, 14))
+        values = [v for v, _ in spectrum.entries]
+        assert all(a >= b for a, b in zip(values, values[1:]))
+        assert spectrum.total_multiplicity() == q * (q + 1) ** 14
 
 
 class TestLaplacianSpectrum:
