@@ -88,8 +88,20 @@ def _trees_cell(trees: dict) -> str:
     return "*".join(f"{base}^{exponent}" for base, exponent in trees["factors"])
 
 
+def _check_str_limit(params: RcgParams, quantity: str) -> None:
+    """Refuse, before any work, output that may pass the int->str digit limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and not formulas.fits_digits(params, quantity, limit):
+        raise ResourceLimitError(
+            f"{quantity} of (q={params.q}, g={params.g}) may hold integers of more "
+            f"than {limit} digits, the interpreter's int->str limit"
+        )
+
+
 def cmd_analyze(args) -> int:
-    report = formulas.structural_report(RcgParams(args.q, args.g))
+    params = RcgParams(args.q, args.g)
+    _check_str_limit(params, "structural_report")
+    report = formulas.structural_report(params)
     if args.csv:
         rows = ["key,value"]
         payload = report.to_json_dict()
@@ -120,7 +132,13 @@ def cmd_spectrum(args) -> int:
         spectrum = spectra.adjacency_spectrum(params, vertex_budget())
     else:
         spectrum = spectra.laplacian_spectrum(params, vertex_budget())
-    _emit(json.dumps(spectrum.to_json_list(), indent=2) + "\n", args.output)
+    # the bytes of json.dumps(spectrum.to_json_list(), indent=2), from one row
+    # template: the values are finite, and json writes a float as its repr
+    rows = ",\n".join(
+        f'  {{\n    "value": {value!r},\n    "multiplicity": {mult}\n  }}'
+        for value, mult in spectrum.entries
+    )
+    _emit(f"[\n{rows}\n]\n", args.output)
     return EXIT_OK
 
 
@@ -265,6 +283,8 @@ def cmd_curve(args) -> int:
         print("error: --q-list needs integers >= 2", file=sys.stderr)
         return EXIT_USAGE
     quantity = CURVE_QUANTITIES[args.quantity]
+    for q in q_values:  # the digit bounds grow with g, so g_max decides
+        _check_str_limit(RcgParams(q, args.g_max), quantity.__name__)
     rows = ["q,g,value"]
     for q in q_values:
         for g in range(args.g_max + 1):

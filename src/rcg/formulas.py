@@ -1,11 +1,15 @@
 """Closed-form structural quantities of recursive corona graphs.
 
-Everything rational is evaluated with exact arbitrary-precision arithmetic
-(Python ints and Fraction); floating point appears only in the Lerch
-transcendent and the asymptotic clustering limit.
+Every rational quantity is evaluated in exact integer arithmetic: a closed
+form with a known denominator is scaled by it (twice the total distance,
+(q+1)^2 times the Kirchhoff index, the clustering sum over the lcm of its
+class denominators), so each step works on Python ints and a Fraction is
+built once, at the return.  Floating point appears only in the Lerch
+transcendent, the asymptotic clustering limit and the log10 of counts.
 
 Where a quantity has both a closed form and a recursion, both are evaluated
-and compared, so a transcription error in either one cannot go unnoticed.
+and compared in integers, so a transcription error in either one cannot go
+unnoticed.
 """
 from __future__ import annotations
 
@@ -35,7 +39,11 @@ class FactoredCount:
 
     @property
     def log10(self) -> float:
-        return self.a * math.log10(self.q) + self.b * math.log10(self.q + 1)
+        """log10 of the count; inf once an exponent passes the largest float."""
+        try:
+            return self.a * math.log10(self.q) + self.b * math.log10(self.q + 1)
+        except OverflowError:
+            return math.inf
 
     @property
     def exact(self) -> bool:
@@ -71,22 +79,21 @@ def size(params: RcgParams) -> int:
 def average_degree(params: RcgParams) -> Fraction:
     """2M/N, equal to q + 1 - 2(q+1)^{-g}; tends to q+1 for large g."""
     q, g = params.q, params.g
-    mean = Fraction(2 * params.edge_count, params.vertex_count)
-    if mean != q + 1 - Fraction(2, (q + 1) ** g):
+    twice_edges, n, power = 2 * params.edge_count, params.vertex_count, (q + 1) ** g
+    if twice_edges * power != ((q + 1) * power - 2) * n:
         raise InternalInconsistencyError("average degree identities disagree")
-    return mean
+    return Fraction(twice_edges, n)
 
 
 def degree_multiset(params: RcgParams) -> list[DegreeClass]:
-    """All degree classes: degree q(g-b+1) for births b = 1..g, plus the
-    initial vertices of degree q(g+1)-1."""
+    """All degree classes in ascending degree: degree q(g-b+1) for births
+    b = g..1, then the initial vertices of degree q(g+1)-1, the largest."""
     q, g = params.q, params.g
     classes = [
         DegreeClass(degree=q * (g - b + 1), count=q * q * (q + 1) ** (b - 1), birth=b)
-        for b in range(1, g + 1)
+        for b in range(g, 0, -1)
     ]
     classes.append(DegreeClass(degree=q * (g + 1) - 1, count=q, birth=0))
-    classes.sort(key=lambda c: c.degree)
     return classes
 
 
@@ -125,27 +132,29 @@ def knn_approx(delta: int, q: int) -> float:
 def total_distance(params: RcgParams) -> int:
     """Sum of distances over unordered vertex pairs.
 
-    Evaluates both the closed form and the generation recursion and insists
-    they agree.
+    Evaluates both the closed form
+    q/2 (2g q^2 (q+1)^{2g-1} + (q+1)^g + (q-2)(q+1)^{2g}) and the generation
+    recursion, each in integers at twice its value, and insists they agree.
     """
     q, g = params.q, params.g
     qp = q + 1
-    closed = Fraction(q, 2) * (
-        2 * g * q * q * Fraction(qp ** (2 * g), qp) + qp**g + (q - 2) * qp ** (2 * g)
-    )
-    if closed.denominator != 1:
+    power = qp**g
+    # (q+1)^{2g-1} as power^2 // (q+1); its factor 2g is 0 at g = 0
+    twice_closed = q * power * (2 * g * q * q * power // qp + 1 + (q - 2) * power)
+    if twice_closed % 2:
         raise InternalInconsistencyError("distance closed form is not an integer")
-    recursive = q * (q - 1) // 2
-    for step in range(1, g + 1):
-        growth = Fraction(q * q, 2) * (2 * q * qp ** (step - 1) - 1) * qp**step
-        if growth.denominator != 1:
+    # p = (q+1)^{s-1} at step s, kept with its square by small multiplications
+    recursive, p, p2 = q * (q - 1) // 2, 1, 1
+    for _ in range(g):
+        # twice the growth q^2/2 (2q (q+1)^{s-1} - 1)(q+1)^s of step s
+        twice_growth = q * q * qp * (2 * q * p2 - p)
+        if twice_growth % 2:
             raise InternalInconsistencyError("distance growth term is not an integer")
-        recursive = qp * qp * recursive + growth.numerator
-    if recursive != closed.numerator:
-        raise InternalInconsistencyError(
-            f"distance recursion {recursive} != closed form {closed.numerator}"
-        )
-    return closed.numerator
+        recursive = qp * qp * recursive + twice_growth // 2
+        p, p2 = p * qp, p2 * qp * qp
+    if 2 * recursive != twice_closed:
+        raise InternalInconsistencyError("distance recursion != closed form")
+    return recursive
 
 
 def average_distance(params: RcgParams) -> Fraction:
@@ -178,13 +187,20 @@ def vertex_clustering(params: RcgParams, birth: int) -> Fraction:
 
 
 def global_clustering(params: RcgParams) -> Fraction:
-    """Exact network clustering coefficient: mean of c(v) over all vertices."""
+    """Exact network clustering coefficient: mean of c(v) over all vertices.
+
+    The q^2 (q+1)^{g-k} vertices with k = g-b+1 have c = (q-1)/(kq-1), and
+    the q initial ones c(0).  The sum is one integer over the lcm of the
+    denominators, accumulated by Horner's rule in q+1.
+    """
     q, g = params.q, params.g
-    acc = sum(
-        Fraction(q - 1, k * q - 1) * q * q * (q + 1) ** (g - k) for k in range(1, g + 1)
-    )
-    acc += q * vertex_clustering(params, 0)
-    return Fraction(acc, params.vertex_count)
+    initial = vertex_clustering(params, 0)
+    common = math.lcm(initial.denominator, *range(q - 1, g * q, q))
+    acc = 0
+    for k in range(1, g + 1):
+        acc = acc * (q + 1) + common // (k * q - 1)
+    numerator = (q - 1) * q * q * acc + q * initial.numerator * (common // initial.denominator)
+    return Fraction(numerator, common * params.vertex_count)
 
 
 def lerch_phi(z: float, a: float, tol: float = 1e-12) -> float:
@@ -235,21 +251,61 @@ def spanning_trees_closed(params: RcgParams) -> FactoredCount:
 def kirchhoff_closed(params: RcgParams) -> Fraction:
     """Kirchhoff index (q^3(2g+1) - 2q - 1)(q+1)^{2g-2} + q(q+1)^{g-1}.
 
-    Cross-checked against the resistance recursion from R(0) = q - 1.
+    Cross-checked against the resistance recursion from R(0) = q - 1, which
+    is integer throughout, by comparing (q+1)^2 times each.
     """
     q, g = params.q, params.g
     qp = q + 1
-    closed = (q**3 * (2 * g + 1) - 2 * q - 1) * Fraction(qp ** (2 * g), qp * qp) + q * Fraction(
-        qp**g, qp
-    )
-    recursive = Fraction(q - 1)
-    for step in range(g):
-        recursive = q * q * (2 * q * qp**step - 1) * qp**step + qp * qp * recursive
-    if recursive != closed:
-        raise InternalInconsistencyError(
-            f"kirchhoff recursion {recursive} != closed form {closed}"
-        )
-    return closed
+    power = qp**g
+    # (q+1)^2 times the closed form: an integer at every g, g = 0 included
+    scaled = (q**3 * (2 * g + 1) - 2 * q - 1) * power * power + q * power * qp
+    # p = (q+1)^s at step s, kept with its square by small multiplications
+    recursive, p, p2 = q - 1, 1, 1
+    for _ in range(g):
+        recursive = q * q * (2 * q * p2 - p) + qp * qp * recursive
+        p, p2 = p * qp, p2 * qp * qp
+    if qp * qp * recursive != scaled:
+        raise InternalInconsistencyError("kirchhoff recursion != closed form")
+    return Fraction(scaled // (qp * qp))
+
+
+def fits_digits(params: RcgParams, quantity: str, limit: int) -> bool:
+    """Whether every integer in the exact value of `quantity` has at most
+    `limit` decimal digits, decided from (q, g) before any of it is computed.
+
+    `quantity` names a function of this module, or "structural_report" for
+    all of them.  Each answer comes from an upper bound, at least N:
+    - 2M and every count lie below (q+1) N;
+    - the mean distance is T/(N-1) with T = 2 total_distance/(q (q+1)^g),
+      at most the diameter 2g+1, so its terms lie below (2g+1) N;
+    - the total distance, and the Kirchhoff index below it (a resistance is
+      at most the distance), lie below (g+1) N^2;
+    - the clustering denominator divides N lcm(kq-1, c(0)'s denominator),
+      and its numerator is smaller.
+    """
+    q, g = params.q, params.g
+    try:
+        log_n = math.log10(q) + g * math.log10(q + 1)
+    except OverflowError:
+        return False
+    if log_n >= limit - 1:  # every bound is at least N: skip the lcm
+        return False
+    distances = 2 * log_n + math.log10(g + 1)
+    if quantity == "average_degree":
+        bound = log_n + math.log10(q + 1)
+    elif quantity == "average_distance":
+        bound = log_n + math.log10(2 * g + 1)
+    elif quantity in ("total_distance", "kirchhoff_closed"):
+        bound = distances
+    elif quantity in ("global_clustering", "structural_report"):
+        common = math.lcm(vertex_clustering(params, 0).denominator, *range(q - 1, g * q, q))
+        bound = log_n + math.log10(common)
+        if quantity == "structural_report":
+            bound = max(bound, distances)
+    else:
+        raise ValueError(f"no digit bound for {quantity!r}")
+    # one digit of slack absorbs the rounding of the float logarithms
+    return bound < limit - 1
 
 
 @dataclass(frozen=True)
@@ -280,15 +336,15 @@ class StructuralReport:
             return {"num": str(x.numerator), "den": str(x.denominator)}
 
         trees = self.spanning_trees
+        log10 = trees.log10
         # decimal digits only where str() accepts them; a limit of 0 means none
         str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf
-        if trees.exact and trees.log10 < str_limit - 1:
+        if trees.exact and log10 < str_limit - 1:
             spanning_trees = {"digits": str(trees.value)}
         else:
-            spanning_trees = {
-                "log10": trees.log10,
-                "factors": [[trees.q, trees.a], [trees.q + 1, trees.b]],
-            }
+            # the exponents are exact; log10 is left out where it is not finite
+            spanning_trees = {"log10": log10} if math.isfinite(log10) else {}
+            spanning_trees["factors"] = [[trees.q, trees.a], [trees.q + 1, trees.b]]
         return {
             "q": self.params.q,
             "g": self.params.g,
@@ -308,14 +364,15 @@ class StructuralReport:
 
 
 def structural_report(params: RcgParams) -> StructuralReport:
+    n, distance = order(params), total_distance(params)
     return StructuralReport(
         params=params,
-        order=order(params),
+        order=n,
         size=size(params),
         average_degree=average_degree(params),
         degree_classes=degree_multiset(params),
-        total_distance=total_distance(params),
-        average_distance=average_distance(params),
+        total_distance=distance,
+        average_distance=Fraction(distance, n * (n - 1) // 2),
         global_clustering=global_clustering(params),
         asymptotic_clustering=asymptotic_clustering(params.q),
         spanning_trees=spanning_trees_closed(params),

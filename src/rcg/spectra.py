@@ -9,7 +9,7 @@ increase with the parent, and every plus child lies above every minus child,
 so a descending spectrum maps to two descending runs and no generation needs
 a sort.  Eigenvalues are stored as floats with exact integer multiplicities;
 the exact spectral quantities (spanning trees, Kirchhoff index) come from
-separate exponent and rational recursions, never from the float spectrum.
+separate exponent and integer recursions, never from the float spectrum.
 """
 from __future__ import annotations
 
@@ -175,6 +175,23 @@ def spanning_trees_spectral(params: RcgParams) -> FactoredCount:
     return FactoredCount(params.q, a, b)
 
 
+def _scaled_reciprocal_sum(params: RcgParams) -> tuple[int, int]:
+    """N_g and S_g = N_g R_g, an integer, for the reciprocal sum R_g below.
+
+    Scaling R_g = (N_{g-1} - 1) + (q+1) R_{g-1} + (1 + m_g)/(q+1) by
+    N_g = (q+1) N_{g-1} gives S_0 = q - 1 and
+    S_g = (q+1) N_{g-1} (N_{g-1} - 1) + (q+1)^2 S_{g-1} + (1 + m_g) N_{g-1}.
+    With m_g = (q-1) N_{g-1}, each step needs N_{g-1} and its square only,
+    both kept by small multiplications.
+    """
+    q = params.q
+    scaled, n, n2 = q - 1, q, q * q
+    for _ in range(params.g):
+        scaled = (q + 1) * (n2 - n) + (q + 1) ** 2 * scaled + n + (q - 1) * n2
+        n, n2 = n * (q + 1), n2 * (q + 1) ** 2
+    return scaled, n
+
+
 def laplacian_reciprocal_sum(params: RcgParams) -> Fraction:
     """Sum of 1/lambda over the nonzero Laplacian eigenvalues.
 
@@ -183,15 +200,10 @@ def laplacian_reciprocal_sum(params: RcgParams) -> Fraction:
     as do the m_g structural eigenvalues.  Hence
     R_g = (N_{g-1} - 1) + (q+1) R_{g-1} + (1 + m_g)/(q+1), R_0 = (q-1)/q.
     """
-    q = params.q
-    reciprocal_sum, n = Fraction(q - 1, q), q
-    for step in range(1, params.g + 1):
-        m = (q - 1) * q * (q + 1) ** (step - 1)
-        reciprocal_sum = (n - 1) + (q + 1) * reciprocal_sum + Fraction(1 + m, q + 1)
-        n *= q + 1
-    return reciprocal_sum
+    scaled, n = _scaled_reciprocal_sum(params)
+    return Fraction(scaled, n)
 
 
 def kirchhoff_spectral(params: RcgParams) -> Fraction:
     """Kirchhoff index as N * (sum of reciprocals of nonzero eigenvalues)."""
-    return params.vertex_count * laplacian_reciprocal_sum(params)
+    return Fraction(_scaled_reciprocal_sum(params)[0])

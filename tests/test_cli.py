@@ -5,11 +5,19 @@ import json
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
-from rcg import RcgParams, asymptotic_clustering, build_rcg, parse_edgelist
+from rcg import (
+    RcgParams,
+    adjacency_spectrum,
+    asymptotic_clustering,
+    build_rcg,
+    laplacian_spectrum,
+    parse_edgelist,
+)
 from rcg.cli import main
 
 
@@ -133,6 +141,28 @@ class TestAnalyze:
     def test_large_generation(self, capsys):
         assert run(capsys, "analyze", "--q", "2", "--g", "50")[0] == 0
 
+    def test_exponent_past_largest_float(self, capsys):
+        # the spanning-tree exponent 3^647 - 1 has no float; log10 is left out
+        code, out, _ = run(capsys, "analyze", "--q", "2", "--g", "647")
+        assert code == 0
+        assert "Infinity" not in out
+        trees = json.loads(out)["spanning_trees"]
+        assert trees == {"factors": [[2, 0], [3, 3**647 - 1]]}
+        code, out, _ = run(capsys, "analyze", "--q", "2", "--g", "647", "--csv")
+        assert code == 0
+        rows = dict(line.split(",", 1) for line in out.splitlines()[1:])
+        assert rows["spanning_trees"] == f"2^0*3^{3**647 - 1}"
+
+    @pytest.mark.parametrize("g", ["5000", "100000", str(10**400)])
+    @pytest.mark.parametrize("csv", [[], ["--csv"]])
+    def test_past_str_limit_exits_resource_at_once(self, capsys, g, csv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "--q", "2", "--g", g, *csv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "int->str limit" in err
+
 
 class TestSpectrum:
     def test_laplacian_q2_g1(self, capsys):
@@ -160,6 +190,14 @@ class TestSpectrum:
             assert payload[-1] == {"value": 0.0, "multiplicity": 1}
         else:
             assert len(payload) == 3 * 2**16 - 1
+
+    @pytest.mark.parametrize("build", [adjacency_spectrum, laplacian_spectrum])
+    @pytest.mark.parametrize("q,g", [(2, 0), (3, 2), (2, 8)])
+    def test_bytes_equal_json_dumps(self, capsys, build, q, g):
+        matrix = build.__name__.split("_")[0]
+        code, out, _ = run(capsys, "spectrum", "--q", str(q), "--g", str(g), "--matrix", matrix)
+        assert code == 0
+        assert out == json.dumps(build(RcgParams(q, g)).to_json_list(), indent=2) + "\n"
 
     def test_over_entry_budget_exits_resource(self, capsys):
         code, _, err = run(capsys, "spectrum", "--q", "2", "--g", "19", "--matrix", "laplacian")
@@ -237,6 +275,19 @@ class TestCurve:
         assert code == 0
         assert out.splitlines()[1:] == ["2,0,1/1", "2,1,7/3"]
 
+    @pytest.mark.parametrize(
+        "quantity,g_max", [("clustering", 5000), ("kirchhoff", 5000), ("avg-distance", 10000)]
+    )
+    def test_past_str_limit_exits_resource_at_once(self, capsys, quantity, g_max):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "curve", "--quantity", quantity, "--q-list", "2", "--g-max", str(g_max)
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "int->str limit" in err
+
     def test_bad_q_list(self, capsys):
         code, _, err = run(
             capsys, "curve", "--quantity", "clustering", "--q-list", "1,x", "--g-max", "2"
@@ -252,6 +303,11 @@ class TestImports:
             "import sys, rcg.formulas, rcg.spectra",
             "import sys, rcg.cli; rcg.cli.main(['analyze', '--q', '2', '--g', '3'])",
             "import sys, rcg.cli; rcg.cli.main(['--help'])",
+            # every call of an in-process sweep of closed forms and spectra
+            "import sys, rcg.formulas, rcg.spectra; from rcg.graphs import RcgParams; "
+            "p = RcgParams(3, 5); rcg.formulas.structural_report(p).to_json_dict(); "
+            "rcg.spectra.spanning_trees_spectral(p); rcg.spectra.kirchhoff_spectral(p); "
+            "rcg.spectra.laplacian_spectrum(p); rcg.spectra.adjacency_spectrum(p)",
             "import sys, rcg.cli; rcg.cli.main("
             "['spectrum', '--q', '3', '--g', '4', '--matrix', 'laplacian'])",
             "import sys, rcg.cli; rcg.cli.main("

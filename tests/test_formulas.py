@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rcg import (
+    FactoredCount,
     RcgParams,
     asymptotic_clustering,
     average_degree,
@@ -13,8 +14,10 @@ from rcg import (
     degree_multiset,
     global_clustering,
     kirchhoff_closed,
+    kirchhoff_spectral,
     knn_approx,
     knn_exact,
+    laplacian_reciprocal_sum,
     lerch_phi,
     order,
     size,
@@ -23,6 +26,7 @@ from rcg import (
     total_distance,
     vertex_clustering,
 )
+from rcg.formulas import fits_digits
 from rcg.oracle import (
     bfs_total_distance,
     degree_histogram,
@@ -325,3 +329,169 @@ class TestStructuralReport:
         payload = structural_report(RcgParams(3, 10)).to_json_dict()
         assert "log10" in payload["spanning_trees"]
         assert payload["spanning_trees"]["factors"] == [[3, 1], [4, 2 * (4**10 - 1)]]
+
+
+# -- reference routes: the same quantities evaluated step by step in Fraction
+
+
+def reference_total_distance(q, g):
+    qp = q + 1
+    closed = Fraction(q, 2) * (
+        2 * g * q * q * Fraction(qp ** (2 * g), qp) + qp**g + (q - 2) * qp ** (2 * g)
+    )
+    assert closed.denominator == 1
+    recursive = q * (q - 1) // 2
+    for step in range(1, g + 1):
+        growth = Fraction(q * q, 2) * (2 * q * qp ** (step - 1) - 1) * qp**step
+        assert growth.denominator == 1
+        recursive = qp * qp * recursive + growth.numerator
+    assert recursive == closed.numerator
+    return closed.numerator
+
+
+def reference_kirchhoff_closed(q, g):
+    qp = q + 1
+    closed = (q**3 * (2 * g + 1) - 2 * q - 1) * Fraction(qp ** (2 * g), qp * qp) + q * Fraction(
+        qp**g, qp
+    )
+    recursive = Fraction(q - 1)
+    for step in range(g):
+        recursive = q * q * (2 * q * qp**step - 1) * qp**step + qp * qp * recursive
+    assert recursive == closed
+    return closed
+
+
+def reference_average_degree(q, g):
+    params = RcgParams(q, g)
+    mean = Fraction(2 * params.edge_count, params.vertex_count)
+    assert mean == q + 1 - Fraction(2, (q + 1) ** g)
+    return mean
+
+
+def reference_global_clustering(q, g):
+    params = RcgParams(q, g)
+    acc = sum(
+        Fraction(q - 1, k * q - 1) * q * q * (q + 1) ** (g - k) for k in range(1, g + 1)
+    )
+    acc += q * vertex_clustering(params, 0)
+    return Fraction(acc, params.vertex_count)
+
+
+def reference_laplacian_reciprocal_sum(q, g):
+    reciprocal_sum, n = Fraction(q - 1, q), q
+    for step in range(1, g + 1):
+        m = (q - 1) * q * (q + 1) ** (step - 1)
+        reciprocal_sum = (n - 1) + (q + 1) * reciprocal_sum + Fraction(1 + m, q + 1)
+        n *= q + 1
+    return reciprocal_sum
+
+
+def reference_kirchhoff_spectral(q, g):
+    return RcgParams(q, g).vertex_count * reference_laplacian_reciprocal_sum(q, g)
+
+
+REFERENCES = {
+    total_distance: reference_total_distance,
+    kirchhoff_closed: reference_kirchhoff_closed,
+    average_degree: reference_average_degree,
+    global_clustering: reference_global_clustering,
+    laplacian_reciprocal_sum: reference_laplacian_reciprocal_sum,
+    kirchhoff_spectral: reference_kirchhoff_spectral,
+}
+
+
+class TestReferenceRoute:
+    # q 2-9 and g 0-60 hold every point of the benchmark's exact grid
+    @pytest.mark.parametrize("function", REFERENCES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("q", range(2, 10))
+    def test_matches_reference(self, function, q):
+        reference = REFERENCES[function]
+        for g in range(61):
+            value, expected = function(RcgParams(q, g)), reference(q, g)
+            assert value == expected, (q, g)
+            assert type(value) is type(expected), (q, g)
+
+    @pytest.mark.parametrize("q", range(2, 10))
+    def test_report_matches_separate_routes(self, q):
+        for g in range(0, 61, 5):
+            params = RcgParams(q, g)
+            report = structural_report(params)
+            assert report.total_distance == reference_total_distance(q, g)
+            assert report.average_distance == average_distance(params)
+            assert type(report.average_distance) is Fraction
+            classes = report.degree_classes
+            assert classes == sorted(classes, key=lambda c: c.degree)
+            assert len({c.degree for c in classes}) == g + 1
+
+
+class TestLargeGeneration:
+    def test_log10_past_the_largest_float(self):
+        # (2, 647): the exponent 3^647 - 1 passes the largest float, about 1.8e308
+        trees = spanning_trees_closed(RcgParams(2, 647))
+        assert trees.log10 == math.inf
+        assert not trees.exact and trees.value is None
+        assert FactoredCount(2, 0, 10**400).log10 == math.inf
+
+    def test_report_omits_infinite_log10(self):
+        payload = structural_report(RcgParams(2, 647)).to_json_dict()
+        assert payload["spanning_trees"] == {"factors": [[2, 0], [3, 3**647 - 1]]}
+
+    def test_report_keeps_finite_log10(self):
+        trees = structural_report(RcgParams(2, 646)).to_json_dict()["spanning_trees"]
+        assert trees["log10"] == pytest.approx((3**646 - 1) * math.log10(3), rel=1e-12)
+        assert trees["factors"] == [[2, 0], [3, 3**646 - 1]]
+
+
+def integers_in(value):
+    if isinstance(value, Fraction):
+        return [value.numerator, value.denominator]
+    return [value]
+
+
+class TestFitsDigits:
+    LIMIT = 640  # the smallest limit sys.set_int_max_str_digits accepts
+
+    @pytest.mark.parametrize(
+        "function",
+        [average_degree, average_distance, total_distance, kirchhoff_closed, global_clustering],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize("q", [2, 3, 5, 9])
+    def test_bound_holds_at_the_last_fitting_generation(self, function, q):
+        g = 0
+        while fits_digits(RcgParams(q, g + 1), function.__name__, self.LIMIT):
+            g += 1
+        assert g > 0
+        params = RcgParams(q, g)
+        longest = max(len(str(abs(x))) for x in integers_in(function(params)))
+        assert longest <= self.LIMIT
+
+    @staticmethod
+    def report_digits(params):
+        report = structural_report(params)
+        integers = [report.order, report.size, report.total_distance, report.spanning_trees.b]
+        integers += [c.count for c in report.degree_classes]
+        for value in (
+            report.average_degree,
+            report.average_distance,
+            report.global_clustering,
+            report.kirchhoff,
+        ):
+            integers += integers_in(value)
+        return max(len(str(x)) for x in integers)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 9])
+    def test_report_bound_holds(self, q):
+        g = 0
+        while fits_digits(RcgParams(q, g + 1), "structural_report", self.LIMIT):
+            g += 1
+        assert self.report_digits(RcgParams(q, g)) <= self.LIMIT
+        # the bound is tight: the first refused generation comes within 10 digits
+        assert self.report_digits(RcgParams(q, g + 1)) > self.LIMIT - 10
+
+    def test_huge_generation_does_not_fit(self):
+        assert not fits_digits(RcgParams(2, 10**400), "structural_report", 4300)
+
+    def test_unknown_quantity(self):
+        with pytest.raises(ValueError, match="no digit bound"):
+            fits_digits(RcgParams(2, 1), "order", 4300)
