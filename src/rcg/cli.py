@@ -1,9 +1,11 @@
 """Command-line interface: generate, analyze, spectrum, verify, curve.
 
-Exit codes: 0 success, 1 usage error, 2 resource limit exceeded,
-3 verification failure, 4 numerical error.  The environment variable
-CORONA_VERTEX_BUDGET overrides the default vertex budget of 10^6; for
-`spectrum` the budget caps the distinct eigenvalues instead.
+Exit codes: 0 success, 1 usage error (RcgParams rejects q < 2 or g < 0),
+2 resource limit exceeded, 3 verification failure (a failed check, or two
+routes of an internal cross-check that disagree), 4 numerical error.  The
+environment variable CORONA_VERTEX_BUDGET overrides the default vertex
+budget of 10^6; for `spectrum` the budget caps the distinct eigenvalues
+instead.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import formulas, oracle, spectra
-from .errors import NumericalError, RcgError, ResourceLimitError
+from .errors import InternalInconsistencyError, NumericalError, RcgError, ResourceLimitError
 from .graphs import (
     DEFAULT_VERTEX_BUDGET,
     RcgParams,
@@ -90,7 +92,7 @@ def _trees_cell(trees: dict) -> str:
 
 def _check_str_limit(params: RcgParams, quantity: str) -> None:
     """Refuse, before any work, output that may pass the int->str digit limit."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = formulas.str_digit_limit()
     if limit and not formulas.fits_digits(params, quantity, limit):
         raise ResourceLimitError(
             f"{quantity} of (q={params.q}, g={params.g}) may hold integers of more "
@@ -149,12 +151,7 @@ def _expand(spectrum: spectra.SpectrumMultiset) -> list[float]:
     return values
 
 
-def verification_checks(
-    params: RcgParams,
-    budget: int,
-    spectrum_tol: float = SPECTRUM_COMPARE_TOL,
-    resistance_tol: float = RESISTANCE_REL_TOL,
-) -> list[tuple[str, bool]]:
+def verification_checks(params: RcgParams, budget: int) -> list[tuple[str, bool]]:
     """Every oracle-vs-formula comparison for one (q, g).
 
     The size limits of the oracles are checked before any work starts.
@@ -219,7 +216,7 @@ def verification_checks(
         predicted = _expand(build(params, budget))
         measured = oracle.symmetric_eigenvalues(matrix_of(graph, kind))
         ok = len(predicted) == len(measured) and all(
-            abs(p - m) <= spectrum_tol for p, m in zip(predicted, measured)
+            abs(p - m) <= SPECTRUM_COMPARE_TOL for p, m in zip(predicted, measured)
         )
         checks.append((f"{kind} spectrum", ok))
 
@@ -239,19 +236,14 @@ def verification_checks(
     checks.append(
         (
             "kirchhoff vs resistance",
-            abs(measured_r - float(kirchhoff)) <= resistance_tol * float(kirchhoff),
+            abs(measured_r - float(kirchhoff)) <= RESISTANCE_REL_TOL * float(kirchhoff),
         )
     )
     return checks
 
 
 def cmd_verify(args) -> int:
-    checks = verification_checks(
-        RcgParams(args.q, args.g),
-        vertex_budget(),
-        spectrum_tol=args.spectrum_tol,
-        resistance_tol=args.resistance_tol,
-    )
+    checks = verification_checks(RcgParams(args.q, args.g), vertex_budget())
     width = max(len(name) for name, _ in checks)
     failed = 0
     for name, ok in checks:
@@ -279,11 +271,12 @@ def cmd_curve(args) -> int:
     except ValueError:
         print(f"error: bad --q-list {args.q_list!r}", file=sys.stderr)
         return EXIT_USAGE
-    if not q_values or any(q < 2 for q in q_values):
-        print("error: --q-list needs integers >= 2", file=sys.stderr)
+    if not q_values:
+        print("error: --q-list needs at least one q", file=sys.stderr)
         return EXIT_USAGE
     quantity = CURVE_QUANTITIES[args.quantity]
-    for q in q_values:  # the digit bounds grow with g, so g_max decides
+    # RcgParams validates each q and g_max; the digit bounds grow with g
+    for q in q_values:
         _check_str_limit(RcgParams(q, args.g_max), quantity.__name__)
     rows = ["q,g,value"]
     for q in q_values:
@@ -319,18 +312,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run every oracle-vs-formula check")
     common(p)
-    p.add_argument(
-        "--spectrum-tol",
-        type=float,
-        default=SPECTRUM_COMPARE_TOL,
-        help="pairwise eigenvalue comparison tolerance",
-    )
-    p.add_argument(
-        "--resistance-tol",
-        type=float,
-        default=RESISTANCE_REL_TOL,
-        help="relative tolerance for the resistance-sum check",
-    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("curve", help="emit (q, g, value) growth-curve CSV")
@@ -348,12 +329,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    if getattr(args, "q", 2) < 2 or getattr(args, "g", 0) < 0:
-        print("error: need q >= 2 and g >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "g_max", 0) < 0:
-        print("error: need --g-max >= 0", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except ResourceLimitError as exc:
@@ -362,6 +337,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except InternalInconsistencyError as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except (ValueError, RcgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

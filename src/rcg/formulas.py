@@ -165,9 +165,7 @@ def average_distance(params: RcgParams) -> Fraction:
     ratio mu/(2g*q/(q+1)) approaches 1 slowly for larger q (1.036 at
     q = 5, g = 10).
     """
-    n = params.vertex_count
-    if n < 2:
-        raise ValueError("average distance needs at least 2 vertices")
+    n = params.vertex_count  # N >= q >= 2, so there is at least one pair
     return Fraction(total_distance(params), n * (n - 1) // 2)
 
 
@@ -269,6 +267,11 @@ def kirchhoff_closed(params: RcgParams) -> Fraction:
     return Fraction(scaled // (qp * qp))
 
 
+def str_digit_limit() -> int:
+    """The interpreter's int->str digit limit; 0 where it sets none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def fits_digits(params: RcgParams, quantity: str, limit: int) -> bool:
     """Whether every integer in the exact value of `quantity` has at most
     `limit` decimal digits, decided from (q, g) before any of it is computed.
@@ -338,8 +341,7 @@ class StructuralReport:
         trees = self.spanning_trees
         log10 = trees.log10
         # decimal digits only where str() accepts them; a limit of 0 means none
-        str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf
-        if trees.exact and log10 < str_limit - 1:
+        if trees.exact and log10 < (str_digit_limit() or math.inf) - 1:
             spanning_trees = {"digits": str(trees.value)}
         else:
             # the exponents are exact; log10 is left out where it is not finite

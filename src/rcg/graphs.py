@@ -7,6 +7,7 @@ complete-graph copies are appended in order, so every construction is
 reproducible byte for byte.  In closed form, with N_b = q (q+1)^b, the
 vertices born at step b >= 1 are the blocks N_{b-1} + i*q .. N_{b-1} + i*q + q-1,
 one K_q per parent vertex i < N_{b-1}, each fully joined to i.
+`CoronaGraph.birth` reads every vertex's birth step off this layout.
 
 A `Graph` stores its edges as two int64 arrays u and v, strictly increasing
 in (u, v) with u < v; `Graph.from_edges` normalizes any edge iterable or
@@ -21,6 +22,7 @@ import io
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, TextIO
 
@@ -242,17 +244,22 @@ class RcgParams:
 
 @dataclass(frozen=True)
 class CoronaGraph:
-    """Explicit recursive corona graph with per-vertex birth generations."""
+    """Explicit recursive corona graph; (q, g) fixes every vertex's birth."""
 
     graph: Graph
     params: RcgParams
-    birth: tuple[int, ...]
 
     def __post_init__(self):
         if self.graph.vertex_count != self.params.vertex_count:
             raise ValueError("graph order does not match parameters")
-        if len(self.birth) != self.graph.vertex_count:
-            raise ValueError("birth metadata length mismatch")
+
+    @cached_property
+    def birth(self) -> tuple[int, ...]:
+        """Birth generation of every vertex: step b appends q * N_{b-1} vertices."""
+        birth = [0] * self.params.q
+        for step in range(1, self.params.g + 1):
+            birth.extend([step] * (len(birth) * self.params.q))
+        return tuple(birth)
 
 
 def complete_graph(n):
@@ -312,15 +319,7 @@ def build_rcg(params: RcgParams, vertex_budget: int | None = None) -> CoronaGrap
     key = np.sort(np.concatenate(keys))
     u, v = np.divmod(key, n_final)
     graph = Graph.from_arrays(n_final, u, v)
-    return CoronaGraph(graph=graph, params=params, birth=_layout_birth(params))
-
-
-def _layout_birth(params: RcgParams) -> tuple[int, ...]:
-    """Birth generation of every vertex: step b appends q * N_{b-1} vertices."""
-    birth = [0] * params.q
-    for step in range(1, params.g + 1):
-        birth.extend([step] * (len(birth) * params.q))
-    return tuple(birth)
+    return CoronaGraph(graph=graph, params=params)
 
 
 def birth_generation(v: int, params: RcgParams) -> int:
@@ -508,4 +507,4 @@ def parse_edgelist(text: str) -> CoronaGraph:
     graph = Graph.from_edges(params.vertex_count, rows)
     if "M" in header and graph.edge_count != header["M"]:
         raise ValueError("edge count does not match header M")
-    return CoronaGraph(graph=graph, params=params, birth=_layout_birth(params))
+    return CoronaGraph(graph=graph, params=params)

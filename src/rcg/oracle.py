@@ -9,7 +9,6 @@ it is meant to check.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConnectivityError, NumericalError, ResourceLimitError
@@ -167,31 +166,3 @@ def resistance_sum(graph: Graph) -> float:
         raise NumericalError(f"inv failed: {exc}") from exc
     # sum over pairs of P_uu + P_vv - 2 P_uv
     return float(n * np.trace(pinv) - pinv.sum())
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """All brute-force measurements for one explicit corona graph."""
-
-    degree_histogram: dict[int, int]
-    mean_neighbor_degree_by_class: dict[int, Fraction]
-    total_distance: int
-    local_clustering_by_vertex: list[Fraction]
-    adjacency_eigenvalues: list[float]
-    laplacian_eigenvalues: list[float]
-    spanning_tree_count: int
-    resistance_sum: float
-
-
-def oracle_report(cg: CoronaGraph) -> OracleReport:
-    graph = cg.graph
-    return OracleReport(
-        degree_histogram=degree_histogram(graph),
-        mean_neighbor_degree_by_class=mean_neighbor_degree_by_class(cg),
-        total_distance=bfs_total_distance(graph),
-        local_clustering_by_vertex=local_clustering(graph),
-        adjacency_eigenvalues=symmetric_eigenvalues(matrix_of(graph, "adjacency")),
-        laplacian_eigenvalues=symmetric_eigenvalues(matrix_of(graph, "laplacian")),
-        spanning_tree_count=matrix_tree_count(graph),
-        resistance_sum=resistance_sum(graph),
-    )

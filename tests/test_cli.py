@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -18,7 +19,7 @@ from rcg import (
     laplacian_spectrum,
     parse_edgelist,
 )
-from rcg.cli import main
+from rcg.cli import build_parser, main, verification_checks
 
 
 def run(capsys, *argv):
@@ -163,6 +164,20 @@ class TestAnalyze:
         assert out == ""
         assert "int->str limit" in err
 
+    def test_one_reader_of_str_limit(self, capsys, monkeypatch):
+        # the report's digits cell and the pre-check both read this helper
+        from rcg import formulas
+
+        _, out, _ = run(capsys, "analyze", "--q", "2", "--g", "7")
+        assert "digits" in json.loads(out)["spanning_trees"]  # 1043 digits
+        monkeypatch.setattr(formulas, "str_digit_limit", lambda: 640)
+        code, out, _ = run(capsys, "analyze", "--q", "2", "--g", "7")
+        assert code == 0
+        assert json.loads(out)["spanning_trees"]["factors"] == [[2, 0], [3, 3**7 - 1]]
+        code, out, err = run(capsys, "analyze", "--q", "2", "--g", "1000")
+        assert code == 2
+        assert "more than 640 digits" in err
+
 
 class TestSpectrum:
     def test_laplacian_q2_g1(self, capsys):
@@ -236,6 +251,25 @@ class TestVerify:
         assert code == 4
         assert "numerical error" in err
 
+    def test_check_names_are_pinned(self):
+        # the benchmark's verify gate reads these rows, in this order
+        checks = verification_checks(RcgParams(2, 1), 10**6)
+        assert [name for name, _ in checks] == [
+            "order",
+            "size",
+            "degree histogram",
+            "total distance",
+            "mean neighbor degree",
+            "local clustering",
+            "global clustering",
+            "adjacency spectrum",
+            "laplacian spectrum",
+            "spanning trees",
+            "kirchhoff closed=spectral",
+            "kirchhoff vs resistance",
+        ]
+        assert all(ok for _, ok in checks)
+
     def test_over_oracle_budget_exits_before_work(self):
         # N = 1458 exceeds the matrix-tree oracle's limit; the refusal must
         # come before construction, BFS or any eigensolver pass
@@ -294,6 +328,14 @@ class TestCurve:
         )
         assert code == 1
 
+    def test_empty_q_list(self, capsys):
+        code, out, err = run(
+            capsys, "curve", "--quantity", "clustering", "--q-list", ",", "--g-max", "2"
+        )
+        assert code == 1
+        assert out == ""
+        assert "--q-list" in err
+
 
 class TestImports:
     @pytest.mark.parametrize(
@@ -328,6 +370,53 @@ class TestImports:
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--q", "0", "--g", "1"],
+            ["spectrum", "--q", "2", "--g", "-3", "--matrix", "laplacian"],
+            ["verify", "--q", "2", "--g", "-1"],
+            ["curve", "--quantity", "clustering", "--q-list", "2,1", "--g-max", "2"],
+            ["curve", "--quantity", "clustering", "--q-list", "2", "--g-max", "-1"],
+        ],
+    )
+    def test_params_rejected_by_rcg_params(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_internal_inconsistency_exits_verify(self, capsys, monkeypatch):
+        from rcg import formulas
+
+        def drop_one_class(params):
+            return degree_multiset_true(params)[1:]
+
+        degree_multiset_true = formulas.degree_multiset
+        monkeypatch.setattr(formulas, "degree_multiset", drop_one_class)
+        code, out, err = run(capsys, "analyze", "--q", "2", "--g", "2")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal inconsistency:")
+        assert "degree sum != 2M" in err
+
+    def test_option_strings_are_pinned(self):
+        # a new option, or the return of a deleted one, shows up here
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            name: [opt for action in p._actions for opt in action.option_strings]
+            for name, p in sub.choices.items()
+        }
+        common = ["-h", "--help", "--q", "--g", "--output"]
+        assert options == {
+            "generate": [*common, "--format"],
+            "analyze": [*common, "--csv"],
+            "spectrum": [*common, "--matrix"],
+            "verify": common,
+            "curve": ["-h", "--help", "--quantity", "--q-list", "--g-max", "--output"],
+        }
 
     def test_q_too_small(self, capsys):
         code, _, err = run(capsys, "analyze", "--q", "1", "--g", "0")

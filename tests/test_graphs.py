@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -270,10 +271,18 @@ class TestBuildRcg:
         with pytest.raises(ResourceLimitError, match="18"):
             build_rcg(RcgParams(2, 2), vertex_budget=10)
 
-    def test_birth_metadata_mismatch_rejected(self):
+    def test_graph_order_mismatch_rejected(self):
         cg = build_rcg(RcgParams(2, 1))
-        with pytest.raises(ValueError):
-            CoronaGraph(cg.graph, cg.params, cg.birth[:-1])
+        with pytest.raises(ValueError, match="graph order"):
+            CoronaGraph(cg.graph, RcgParams(2, 2))
+
+    def test_birth_is_derived_from_params(self):
+        # (q, g) fixes every birth, so a CoronaGraph holds only the two
+        assert [f.name for f in dataclasses.fields(CoronaGraph)] == ["graph", "params"]
+        cg = build_rcg(RcgParams(2, 3))
+        write_edgelist(cg)
+        assert "birth" not in vars(cg)  # the edge list never builds it
+        assert cg.birth is cg.birth
 
 
 class TestBirthGeneration:

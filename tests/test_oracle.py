@@ -22,7 +22,6 @@ from rcg.oracle import (
     local_clustering,
     matrix_tree_count,
     mean_neighbor_degree_by_class,
-    oracle_report,
     resistance_sum,
     symmetric_eigenvalues,
 )
@@ -220,12 +219,3 @@ class TestResistanceSum:
         with pytest.raises(NumericalError):
             resistance_sum(complete_graph(3))
 
-
-def test_oracle_report_is_self_consistent():
-    cg = build_rcg(RcgParams(2, 1))
-    report = oracle_report(cg)
-    assert report.total_distance == 27
-    assert report.spanning_tree_count == 9
-    assert report.resistance_sum == pytest.approx(21.0, abs=1e-6)
-    assert sum(report.degree_histogram.values()) == cg.graph.vertex_count
-    assert len(report.adjacency_eigenvalues) == cg.graph.vertex_count
