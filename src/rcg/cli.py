@@ -1,5 +1,6 @@
 """Command-line interface: generate, analyze, spectrum, verify, curve.
 
+Each command writes its output to --output, or to stdout without one.
 Exit codes: 0 success, 1 usage error (RcgParams rejects q < 2 or g < 0),
 2 resource limit exceeded, 3 verification failure (a failed check, or two
 routes of an internal cross-check that disagree), 4 numerical error.  The
@@ -10,7 +11,9 @@ instead.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -44,14 +47,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
 def vertex_budget() -> int:
     raw = os.environ.get("CORONA_VERTEX_BUDGET")
     if raw is None:
@@ -62,32 +57,23 @@ def vertex_budget() -> int:
         raise ValueError(f"CORONA_VERTEX_BUDGET must be an integer, got {raw!r}")
 
 
-def _emit(text: str, output: str | None):
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _open(output: str | None):
+    """The --output file opened for writing, or stdout (left open) without one."""
+    return open(output, "w") if output else contextlib.nullcontext(sys.stdout)
+
+
+def _emit(text: str, output: str | None) -> None:
+    with _open(output) as out:
+        out.write(text)
 
 
 def cmd_generate(args) -> int:
     cg = build_rcg(RcgParams(args.q, args.g), vertex_budget())
     # built per call, so a rebinding of these names (a monkeypatch, a tracer) holds
     writers = {"edgelist": write_edgelist, "dot": write_dot, "json": write_json}
-    writer = writers[args.format]
-    if args.output:
-        with open(args.output, "w") as fh:
-            writer(cg, fh)
-    else:
-        writer(cg, sys.stdout)
+    with _open(args.output) as out:
+        writers[args.format](cg, out)
     return EXIT_OK
-
-
-def _trees_cell(trees: dict) -> str:
-    """Decimal digits where they fit, else the exact factored form q^a*(q+1)^b."""
-    if "digits" in trees:
-        return trees["digits"]
-    return "*".join(f"{base}^{exponent}" for base, exponent in trees["factors"])
 
 
 def _check_str_limit(params: RcgParams, quantity: str) -> None:
@@ -103,37 +89,32 @@ def _check_str_limit(params: RcgParams, quantity: str) -> None:
 def cmd_analyze(args) -> int:
     params = RcgParams(args.q, args.g)
     _check_str_limit(params, "structural_report")
-    report = formulas.structural_report(params)
+    payload = formulas.structural_report(params).to_json_dict()
     if args.csv:
-        rows = ["key,value"]
-        payload = report.to_json_dict()
-        flat = {
-            "q": payload["q"],
-            "g": payload["g"],
-            "order": payload["order"],
-            "size": payload["size"],
-            "average_degree": _fmt(report.average_degree),
-            "total_distance": payload["total_distance"],
-            "average_distance": _fmt(report.average_distance),
-            "global_clustering": _fmt(report.global_clustering),
-            "asymptotic_clustering": _fmt(report.asymptotic_clustering),
-            "spanning_trees": _trees_cell(payload["spanning_trees"]),
-            "kirchhoff": _fmt(report.kirchhoff),
-        }
-        rows.extend(f"{key},{value}" for key, value in flat.items())
-        text = "\n".join(rows) + "\n"
+        del payload["degree_classes"]
+        text = "key,value\n" + "".join(f"{key},{_cell(value)}\n" for key, value in payload.items())
     else:
-        text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+        text = json.dumps(payload, indent=2) + "\n"
     _emit(text, args.output)
     return EXIT_OK
 
 
+def _cell(value) -> str:
+    """A JSON payload value as a CSV cell; {num, den} as num/den, {factors} as q^a*(q+1)^b."""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if not isinstance(value, dict):
+        return str(value)
+    if "num" in value:
+        return f"{value['num']}/{value['den']}"
+    if "digits" in value:
+        return value["digits"]
+    return "*".join(f"{base}^{exponent}" for base, exponent in value["factors"])
+
+
 def cmd_spectrum(args) -> int:
-    params = RcgParams(args.q, args.g)
-    if args.matrix == "adjacency":
-        spectrum = spectra.adjacency_spectrum(params, vertex_budget())
-    else:
-        spectrum = spectra.laplacian_spectrum(params, vertex_budget())
+    build = getattr(spectra, f"{args.matrix}_spectrum")
+    spectrum = build(RcgParams(args.q, args.g), vertex_budget())
     # the bytes of json.dumps(spectrum.to_json_list(), indent=2), from one row
     # template: the values are finite, and json writes a float as its repr
     rows = ",\n".join(
@@ -144,17 +125,25 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _expand(spectrum: spectra.SpectrumMultiset) -> list[float]:
-    values = []
-    for value, mult in spectrum.entries:
-        values.extend([value] * mult)
-    return values
+def _spectra_agree(spectrum: spectra.SpectrumMultiset, measured: list[float]) -> bool:
+    predicted = [value for value, mult in spectrum.entries for _ in range(mult)]
+    return len(predicted) == len(measured) and all(
+        abs(p - m) <= SPECTRUM_COMPARE_TOL for p, m in zip(predicted, measured)
+    )
+
+
+def _resistance_agrees(kirchhoff: Fraction, measured: float) -> bool:
+    closed = float(kirchhoff)
+    return abs(measured - closed) <= RESISTANCE_REL_TOL * closed
 
 
 def verification_checks(params: RcgParams, budget: int) -> list[tuple[str, bool]]:
     """Every oracle-vs-formula comparison for one (q, g).
 
-    The size limits of the oracles are checked before any work starts.
+    Each row is (name, formula route, oracle route, agreement); the exact
+    rows compare by ==, the spectra per eigenvalue within SPECTRUM_COMPARE_TOL
+    and the resistance sum within RESISTANCE_REL_TOL of the closed form.  The
+    size limits of the oracles are checked before any work starts.
     """
     for oracle_name, limit in (
         ("matrix-tree", oracle.MATRIX_TREE_SIZE_LIMIT),
@@ -168,93 +157,66 @@ def verification_checks(params: RcgParams, budget: int) -> list[tuple[str, bool]
             )
     cg = build_rcg(params, budget)
     graph = cg.graph
-    checks: list[tuple[str, bool]] = []
-
-    checks.append(("order", graph.vertex_count == params.vertex_count))
-    checks.append(("size", graph.edge_count == params.edge_count))
-
-    expected_hist = {
-        c.degree: c.count for c in formulas.degree_multiset(params)
-    }
-    checks.append(("degree histogram", oracle.degree_histogram(graph) == expected_hist))
-
-    checks.append(
+    local = oracle.local_clustering(graph)
+    trees = formulas.spanning_trees_closed(params)
+    kirchhoff = formulas.kirchhoff_closed(params)
+    eq = operator.eq
+    rows = (
+        ("order", params.vertex_count, graph.vertex_count, eq),
+        ("size", params.edge_count, graph.edge_count, eq),
         (
-            "total distance",
-            oracle.bfs_total_distance(graph) == formulas.total_distance(params),
-        )
-    )
-
-    measured_knn = oracle.mean_neighbor_degree_by_class(cg)
-    checks.append(
+            "degree histogram",
+            {c.degree: c.count for c in formulas.degree_multiset(params)},
+            oracle.degree_histogram(graph),
+            eq,
+        ),
+        ("total distance", formulas.total_distance(params), oracle.bfs_total_distance(graph), eq),
         (
             "mean neighbor degree",
-            all(
-                measured_knn[b] == formulas.knn_exact(params, b)
-                for b in range(params.g + 1)
-            ),
-        )
-    )
-
-    local = oracle.local_clustering(graph)
-    checks.append(
+            {b: formulas.knn_exact(params, b) for b in range(params.g + 1)},
+            oracle.mean_neighbor_degree_by_class(cg),
+            eq,
+        ),
+        ("local clustering", [formulas.vertex_clustering(params, b) for b in cg.birth], local, eq),
         (
-            "local clustering",
-            all(
-                local[v] == formulas.vertex_clustering(params, cg.birth[v])
-                for v in range(graph.vertex_count)
-            ),
-        )
-    )
-    mean_local = sum(local, Fraction(0)) / graph.vertex_count
-    checks.append(("global clustering", mean_local == formulas.global_clustering(params)))
-
-    for kind, build in (
-        ("adjacency", spectra.adjacency_spectrum),
-        ("laplacian", spectra.laplacian_spectrum),
-    ):
-        predicted = _expand(build(params, budget))
-        measured = oracle.symmetric_eigenvalues(matrix_of(graph, kind))
-        ok = len(predicted) == len(measured) and all(
-            abs(p - m) <= SPECTRUM_COMPARE_TOL for p, m in zip(predicted, measured)
-        )
-        checks.append((f"{kind} spectrum", ok))
-
-    trees_closed = formulas.spanning_trees_closed(params)
-    trees_spectral = spectra.spanning_trees_spectral(params)
-    trees_oracle = oracle.matrix_tree_count(graph)
-    checks.append(
+            "global clustering",
+            formulas.global_clustering(params),
+            sum(local, Fraction(0)) / graph.vertex_count,
+            eq,
+        ),
+        (
+            "adjacency spectrum",
+            spectra.adjacency_spectrum(params, budget),
+            oracle.symmetric_eigenvalues(matrix_of(graph, "adjacency")),
+            _spectra_agree,
+        ),
+        (
+            "laplacian spectrum",
+            spectra.laplacian_spectrum(params, budget),
+            oracle.symmetric_eigenvalues(matrix_of(graph, "laplacian")),
+            _spectra_agree,
+        ),
         (
             "spanning trees",
-            trees_closed == trees_spectral and trees_closed.value == trees_oracle,
-        )
+            (trees, trees.value),
+            (spectra.spanning_trees_spectral(params), oracle.matrix_tree_count(graph)),
+            eq,
+        ),
+        ("kirchhoff closed=spectral", kirchhoff, spectra.kirchhoff_spectral(params), eq),
+        ("kirchhoff vs resistance", kirchhoff, oracle.resistance_sum(graph), _resistance_agrees),
     )
-
-    kirchhoff = formulas.kirchhoff_closed(params)
-    checks.append(("kirchhoff closed=spectral", kirchhoff == spectra.kirchhoff_spectral(params)))
-    measured_r = oracle.resistance_sum(graph)
-    checks.append(
-        (
-            "kirchhoff vs resistance",
-            abs(measured_r - float(kirchhoff)) <= RESISTANCE_REL_TOL * float(kirchhoff),
-        )
-    )
-    return checks
+    return [(name, agree(formula, measured)) for name, formula, measured, agree in rows]
 
 
 def cmd_verify(args) -> int:
     checks = verification_checks(RcgParams(args.q, args.g), vertex_budget())
     width = max(len(name) for name, _ in checks)
-    failed = 0
-    for name, ok in checks:
-        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            failed += 1
-    if failed:
-        print(f"{failed} of {len(checks)} checks failed")
-        return EXIT_VERIFY
-    print(f"all {len(checks)} checks passed")
-    return EXIT_OK
+    rows = [f"{name:<{width}}  {'PASS' if ok else 'FAIL'}\n" for name, ok in checks]
+    failed = sum(not ok for _, ok in checks)
+    n = len(checks)
+    rows.append(f"{failed} of {n} checks failed\n" if failed else f"all {n} checks passed\n")
+    _emit("".join(rows), args.output)
+    return EXIT_VERIFY if failed else EXIT_OK
 
 
 CURVE_QUANTITIES = {
@@ -265,23 +227,27 @@ CURVE_QUANTITIES = {
 }
 
 
-def cmd_curve(args) -> int:
+def _q_list(text: str) -> list[int]:
+    """--q-list: comma-separated integers, at least one."""
     try:
-        q_values = [int(part) for part in args.q_list.split(",") if part]
+        q_values = [int(part) for part in text.split(",") if part]
     except ValueError:
-        print(f"error: bad --q-list {args.q_list!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
     if not q_values:
-        print("error: --q-list needs at least one q", file=sys.stderr)
-        return EXIT_USAGE
+        raise argparse.ArgumentTypeError("needs at least one q")
+    return q_values
+
+
+def cmd_curve(args) -> int:
     quantity = CURVE_QUANTITIES[args.quantity]
     # RcgParams validates each q and g_max; the digit bounds grow with g
-    for q in q_values:
+    for q in args.q_list:
         _check_str_limit(RcgParams(q, args.g_max), quantity.__name__)
     rows = ["q,g,value"]
-    for q in q_values:
+    for q in args.q_list:
         for g in range(args.g_max + 1):
-            rows.append(f"{q},{g},{_fmt(quantity(RcgParams(q, g)))}")
+            value = quantity(RcgParams(q, g))
+            rows.append(f"{q},{g},{value.numerator}/{value.denominator}")
     _emit("\n".join(rows) + "\n", args.output)
     return EXIT_OK
 
@@ -316,7 +282,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("curve", help="emit (q, g, value) growth-curve CSV")
     p.add_argument("--quantity", choices=sorted(CURVE_QUANTITIES), required=True)
-    p.add_argument("--q-list", required=True, help="comma-separated q values")
+    p.add_argument("--q-list", type=_q_list, required=True, help="comma-separated q values")
     p.add_argument("--g-max", type=int, required=True)
     p.add_argument("--output", help="write to file instead of stdout")
     p.set_defaults(func=cmd_curve)

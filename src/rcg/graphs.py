@@ -13,17 +13,18 @@ A `Graph` stores its edges as two int64 arrays u and v, strictly increasing
 in (u, v) with u < v; `Graph.from_edges` normalizes any edge iterable or
 array into that form, and `parse_edgelist` reads a text edge list through
 it.  numpy is imported on first use, never at module import.  The
-edge-list, dot and JSON writers build their text with one vectorized
-decimal-row kernel and stream it in chunks.
+edge-list, dot and JSON writers take a text stream, `writer(cg, out)`; they
+build their text with one vectorized decimal-row kernel and write it to
+`out` in chunks of at most CHUNK_ROWS rows.  Read the text back as a str
+through `io.StringIO`.
 """
 from __future__ import annotations
 
 import io
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import TYPE_CHECKING, TextIO
 
 from .errors import ResourceLimitError
@@ -336,10 +337,10 @@ def birth_generation(v: int, params: RcgParams) -> int:
 
 
 def matrix_of(graph: Graph, kind: str) -> np.ndarray:
-    """Dense integer adjacency, degree, or laplacian matrix."""
+    """Dense integer adjacency or laplacian matrix."""
     import numpy as np
 
-    if kind not in ("adjacency", "degree", "laplacian"):
+    if kind not in ("adjacency", "laplacian"):
         raise ValueError(f"unknown matrix kind {kind!r}")
     n = graph.vertex_count
     if n > MATRIX_VERTEX_LIMIT:
@@ -351,10 +352,7 @@ def matrix_of(graph: Graph, kind: str) -> np.ndarray:
     a[graph.v, graph.u] = 1
     if kind == "adjacency":
         return a
-    d = np.diag(a.sum(axis=1))
-    if kind == "degree":
-        return d
-    return d - a
+    return np.diag(a.sum(axis=1)) - a
 
 
 def _decimal_rows(parts, separator: str = "") -> Iterator[str]:
@@ -402,70 +400,46 @@ def _decimal_rows(parts, separator: str = "") -> Iterator[str]:
         yield text[: len(text) - len(separator)] if hi == count else text
 
 
-def _emit(out: TextIO | None, chunks: Iterable[str]) -> str | None:
-    """Write the chunks to `out` one by one, or return them joined if it is None."""
-    if out is None:
-        return "".join(chunks)
-    for chunk in chunks:
-        out.write(chunk)
-    return None
-
-
-def write_edgelist(cg: CoronaGraph, out: TextIO | None = None) -> str | None:
-    """Text edge list with header comments recording q, g, N, M.
-
-    Streamed to `out` in chunks when it is given, else returned as one str.
-    """
+def write_edgelist(cg: CoronaGraph, out: TextIO) -> None:
+    """Text edge list with header comments recording q, g, N, M."""
     graph = cg.graph
-    header = (
+    out.write(
         f"# q {cg.params.q}\n# g {cg.params.g}\n"
         f"# N {graph.vertex_count}\n# M {graph.edge_count}\n"
     )
-    return _emit(out, chain((header,), _decimal_rows((graph.u, " ", graph.v, "\n"))))
+    out.writelines(_decimal_rows((graph.u, " ", graph.v, "\n")))
 
 
-def write_dot(cg: CoronaGraph, out: TextIO | None = None) -> str | None:
-    """Graphviz text, each vertex labelled with its birth generation.
-
-    Streamed to `out` in chunks when it is given, else returned as one str.
-    """
+def write_dot(cg: CoronaGraph, out: TextIO) -> None:
+    """Graphviz text, each vertex labelled with its birth generation."""
     import numpy as np
 
     graph = cg.graph
     vertices = np.arange(graph.vertex_count, dtype=np.int64)
     birth = np.array(cg.birth, dtype=np.int64)
-    chunks = chain(
-        ("graph rcg {\n",),
-        _decimal_rows(("  ", vertices, ' [label="', birth, '"];\n')),
-        _decimal_rows(("  ", graph.u, " -- ", graph.v, ";\n")),
-        ("}\n",),
-    )
-    return _emit(out, chunks)
+    out.write("graph rcg {\n")
+    out.writelines(_decimal_rows(("  ", vertices, ' [label="', birth, '"];\n')))
+    out.writelines(_decimal_rows(("  ", graph.u, " -- ", graph.v, ";\n")))
+    out.write("}\n")
 
 
-def write_json(cg: CoronaGraph, out: TextIO | None = None) -> str | None:
+def write_json(cg: CoronaGraph, out: TextIO) -> None:
     """JSON object with q, g, N, M, edges and birth.
 
-    The bytes are those of `json.dumps(payload, indent=2)` plus a newline;
-    streamed to `out` in chunks when it is given, else returned as one str.
+    The bytes are those of `json.dumps(payload, indent=2)` plus a newline.
     """
     import numpy as np
 
     params, graph = cg.params, cg.graph
-    birth = np.array(cg.birth, dtype=np.int64)
-    chunks = chain(
-        (
-            f'{{\n  "q": {params.q},\n  "g": {params.g},\n'
-            f'  "N": {graph.vertex_count},\n  "M": {graph.edge_count},\n  "edges": [',
-        ),
-        _decimal_rows(
-            ("\n    [\n      ", graph.u, ",\n      ", graph.v, "\n    ]"), separator=","
-        ),
-        ('\n  ],\n  "birth": [',),
-        _decimal_rows(("\n    ", birth), separator=","),
-        ("\n  ]\n}\n",),
+    out.write(
+        f'{{\n  "q": {params.q},\n  "g": {params.g},\n'
+        f'  "N": {graph.vertex_count},\n  "M": {graph.edge_count},\n  "edges": ['
     )
-    return _emit(out, chunks)
+    edge = ("\n    [\n      ", graph.u, ",\n      ", graph.v, "\n    ]")
+    out.writelines(_decimal_rows(edge, separator=","))
+    out.write('\n  ],\n  "birth": [')
+    out.writelines(_decimal_rows(("\n    ", np.array(cg.birth, dtype=np.int64)), separator=","))
+    out.write("\n  ]\n}\n")
 
 
 def _edgelist_header(text: str) -> dict[str, int]:

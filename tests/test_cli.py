@@ -19,13 +19,18 @@ from rcg import (
     laplacian_spectrum,
     parse_edgelist,
 )
-from rcg.cli import build_parser, main, verification_checks
+from rcg.cli import CURVE_QUANTITIES, build_parser, main, verification_checks
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def failed_rows(table):
+    """Names of the FAIL rows of a `verify` table."""
+    return {line[: -len("FAIL")].rstrip() for line in table.splitlines() if line.endswith("FAIL")}
 
 
 class TestGenerate:
@@ -128,6 +133,34 @@ class TestAnalyze:
         exponent = 3**9 - 1
         assert trees["factors"] == [[2, 0], [3, exponent]]
         assert trees["log10"] == pytest.approx(exponent * math.log10(3), rel=1e-12)
+
+    def test_csv_bytes_are_pinned(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--q", "2", "--g", "1", "--csv")
+        assert code == 0
+        assert out == (
+            "key,value\nq,2\ng,1\norder,6\nsize,7\naverage_degree,7/3\n"
+            "total_distance,27\naverage_distance,9/5\nglobal_clustering,7/9\n"
+            "asymptotic_clustering,0.760345996301\nspanning_trees,9\nkirchhoff,21/1\n"
+        )
+
+    @pytest.mark.parametrize(
+        "q,g,digest",
+        [
+            (2, 9, "8010a587472f954216bd83d2ae22a9c05f538f96704e05d4d97e84bf3cd6e9d9"),
+            (5, 4, "cc52a68e800d2dda8fa5ca57361a32cfb88e7226ae9f15e0e54a078cfbd861fa"),
+            (2, 647, "40d51e9cc6292c2241911623609aa0367561e9e27bea70c3764d3e5542fa31a9"),
+        ],
+    )
+    def test_csv_hash_is_pinned(self, capsys, q, g, digest):
+        code, out, _ = run(capsys, "analyze", "--q", str(q), "--g", str(g), "--csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_csv_rows_are_json_keys(self, capsys):
+        _, out, _ = run(capsys, "analyze", "--q", "3", "--g", "2")
+        keys = [key for key in json.loads(out) if key != "degree_classes"]
+        _, out, _ = run(capsys, "analyze", "--q", "3", "--g", "2", "--csv")
+        assert [line.split(",", 1)[0] for line in out.splitlines()] == ["key", *keys]
 
     def test_csv_beyond_str_limit(self, capsys):
         code, out, _ = run(capsys, "analyze", "--q", "2", "--g", "9", "--csv")
@@ -238,7 +271,86 @@ class TestVerify:
         monkeypatch.setattr(cli.formulas, "total_distance", wrong_total_distance)
         code, out, _ = run(capsys, "verify", "--q", "2", "--g", "1")
         assert code == 3
-        assert "total distance        FAIL" in out or "FAIL" in out
+        assert failed_rows(out) == {"total distance"}
+        assert out.splitlines()[-1] == "1 of 12 checks failed"
+
+    # each formula route, perturbed, fails exactly these rows at (2, 2);
+    # global_clustering reads vertex_clustering(params, 0)
+    @pytest.mark.parametrize(
+        "module,name,failed",
+        [
+            ("formulas", "degree_multiset", {"degree histogram"}),
+            ("formulas", "total_distance", {"total distance"}),
+            ("formulas", "knn_exact", {"mean neighbor degree"}),
+            ("formulas", "vertex_clustering", {"local clustering", "global clustering"}),
+            ("formulas", "global_clustering", {"global clustering"}),
+            ("spectra", "adjacency_spectrum", {"adjacency spectrum"}),
+            ("spectra", "laplacian_spectrum", {"laplacian spectrum"}),
+            ("formulas", "spanning_trees_closed", {"spanning trees"}),
+            ("spectra", "spanning_trees_spectral", {"spanning trees"}),
+            ("spectra", "kirchhoff_spectral", {"kirchhoff closed=spectral"}),
+            (
+                "formulas",
+                "kirchhoff_closed",
+                {"kirchhoff closed=spectral", "kirchhoff vs resistance"},
+            ),
+        ],
+    )
+    def test_every_row_bites(self, capsys, monkeypatch, module, name, failed):
+        import dataclasses
+
+        from rcg import formulas, spectra
+
+        def perturb(value):
+            if isinstance(value, list):
+                return value[1:]
+            if isinstance(value, spectra.SpectrumMultiset):
+                shifted = tuple((v + 1, m) for v, m in value.entries)
+                return dataclasses.replace(value, entries=shifted)
+            if isinstance(value, formulas.FactoredCount):
+                return dataclasses.replace(value, b=value.b + 1)
+            return value + 1
+
+        target = {"formulas": formulas, "spectra": spectra}[module]
+        true_route = getattr(target, name)
+        monkeypatch.setattr(target, name, lambda *args: perturb(true_route(*args)))
+        code, out, _ = run(capsys, "verify", "--q", "2", "--g", "2")
+        assert code == 3
+        assert failed_rows(out) == failed
+        assert out.splitlines()[-1] == f"{len(failed)} of 12 checks failed"
+
+    def test_table_bytes_are_pinned(self, capsys):
+        code, out, _ = run(capsys, "verify", "--q", "2", "--g", "1")
+        assert code == 0
+        assert out == (
+            "order                      PASS\n"
+            "size                       PASS\n"
+            "degree histogram           PASS\n"
+            "total distance             PASS\n"
+            "mean neighbor degree       PASS\n"
+            "local clustering           PASS\n"
+            "global clustering          PASS\n"
+            "adjacency spectrum         PASS\n"
+            "laplacian spectrum         PASS\n"
+            "spanning trees             PASS\n"
+            "kirchhoff closed=spectral  PASS\n"
+            "kirchhoff vs resistance    PASS\n"
+            "all 12 checks passed\n"
+        )
+
+    def test_output_file(self, capsys, monkeypatch, tmp_path):
+        from rcg import formulas
+
+        target = tmp_path / "verify.txt"
+        argv = ["verify", "--q", "2", "--g", "1"]
+        _, table, _ = run(capsys, *argv)
+        assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+        assert target.read_text() == table
+        true_distance = formulas.total_distance
+        monkeypatch.setattr(formulas, "total_distance", lambda params: true_distance(params) + 1)
+        assert run(capsys, *argv, "--output", str(target)) == (3, "", "")
+        assert failed_rows(target.read_text()) == {"total distance"}
+        assert target.read_text().splitlines()[-1] == "1 of 12 checks failed"
 
     def test_solver_failure_exits_numerical(self, capsys, monkeypatch):
         import numpy as np
@@ -310,7 +422,13 @@ class TestCurve:
         assert out.splitlines()[1:] == ["2,0,1/1", "2,1,7/3"]
 
     @pytest.mark.parametrize(
-        "quantity,g_max", [("clustering", 5000), ("kirchhoff", 5000), ("avg-distance", 10000)]
+        "quantity,g_max",
+        [
+            ("clustering", 5000),
+            ("kirchhoff", 5000),
+            ("avg-distance", 10000),
+            ("avg-degree", 20000),
+        ],
     )
     def test_past_str_limit_exits_resource_at_once(self, capsys, quantity, g_max):
         start = time.perf_counter()
@@ -322,11 +440,20 @@ class TestCurve:
         assert out == ""
         assert "int->str limit" in err
 
+    def test_every_quantity_has_a_digit_bound(self):
+        # an unbounded name would surface as a ValueError, exit 1
+        from rcg import formulas
+
+        for quantity in CURVE_QUANTITIES.values():
+            assert formulas.fits_digits(RcgParams(2, 3), quantity.__name__, 4300)
+
     def test_bad_q_list(self, capsys):
-        code, _, err = run(
+        code, out, err = run(
             capsys, "curve", "--quantity", "clustering", "--q-list", "1,x", "--g-max", "2"
         )
         assert code == 1
+        assert out == ""
+        assert "argument --q-list" in err
 
     def test_empty_q_list(self, capsys):
         code, out, err = run(

@@ -27,6 +27,12 @@ from rcg import (
 )
 
 
+def _text(writer, cg):
+    """What `writer` streams for `cg`, as one str."""
+    out = io.StringIO()
+    writer(cg, out)
+    return out.getvalue()
+
 
 class TestGraph:
     def test_rejects_self_loop(self):
@@ -255,7 +261,7 @@ class TestBuildRcg:
     def test_edgelist_hash_is_pinned(self):
         # sha256 of `rcg generate --q 3 --g 6`, taken from the per-generation
         # corona_product construction
-        text = write_edgelist(build_rcg(RcgParams(3, 6)))
+        text = _text(write_edgelist, build_rcg(RcgParams(3, 6)))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "bb94c17447cf568f9f8eef5eaa6d1308fd43cd128ca2ee06fd4d2c3b1377f33c"
         )
@@ -280,7 +286,7 @@ class TestBuildRcg:
         # (q, g) fixes every birth, so a CoronaGraph holds only the two
         assert [f.name for f in dataclasses.fields(CoronaGraph)] == ["graph", "params"]
         cg = build_rcg(RcgParams(2, 3))
-        write_edgelist(cg)
+        write_edgelist(cg, io.StringIO())
         assert "birth" not in vars(cg)  # the edge list never builds it
         assert cg.birth is cg.birth
 
@@ -330,24 +336,25 @@ class TestMatrixOf:
         assert matrix_of(graph, "adjacency").tolist() == reference
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            matrix_of(complete_graph(2), "incidence")
+        for kind in ("incidence", "degree"):
+            with pytest.raises(ValueError):
+                matrix_of(complete_graph(2), kind)
 
 
 class TestEdgelist:
     def test_k2_output(self):
-        text = write_edgelist(build_rcg(RcgParams(2, 0)))
+        text = _text(write_edgelist, build_rcg(RcgParams(2, 0)))
         assert text.splitlines()[:4] == ["# q 2", "# g 0", "# N 2", "# M 1"]
         assert text.splitlines()[4] == "0 1"
 
     @pytest.mark.parametrize("q,g", [(2, 0), (2, 2), (3, 1)])
     def test_round_trip(self, q, g):
         cg = build_rcg(RcgParams(q, g))
-        assert parse_edgelist(write_edgelist(cg)) == cg
+        assert parse_edgelist(_text(write_edgelist, cg)) == cg
 
     def test_parse_edgelist_birth_matches_layout(self):
         params = RcgParams(3, 2)
-        cg = parse_edgelist(write_edgelist(build_rcg(params)))
+        cg = parse_edgelist(_text(write_edgelist, build_rcg(params)))
         assert cg.birth == tuple(
             birth_generation(v, params) for v in range(params.vertex_count)
         )
@@ -360,7 +367,7 @@ class TestEdgelist:
 
     def test_round_trip_large(self):
         cg = build_rcg(RcgParams(2, 11))
-        assert parse_edgelist(write_edgelist(cg)) == cg
+        assert parse_edgelist(_text(write_edgelist, cg)) == cg
 
     def test_rows_in_any_order(self):
         # reversed, repeated and shuffled rows, blank lines and a header
@@ -436,7 +443,7 @@ class TestWriters:
     def test_match_reference(self, q, g):
         cg = build_rcg(RcgParams(q, g))
         for writer, expected in _reference_texts(cg).items():
-            assert writer(cg) == expected
+            assert _text(writer, cg) == expected
 
     @pytest.mark.parametrize("writer", [write_edgelist, write_dot, write_json])
     def test_streams_bounded_chunks(self, writer, monkeypatch):
