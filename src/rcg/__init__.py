@@ -21,8 +21,6 @@ from .formulas import (
     knn_approx,
     knn_exact,
     lerch_phi,
-    order,
-    size,
     spanning_trees_closed,
     structural_report,
     total_distance,
@@ -32,10 +30,7 @@ from .graphs import (
     CoronaGraph,
     Graph,
     RcgParams,
-    birth_generation,
     build_rcg,
-    complete_graph,
-    corona_product,
     matrix_of,
     parse_edgelist,
     write_dot,
@@ -47,7 +42,6 @@ from .spectra import (
     adjacency_spectrum,
     child_pair,
     kirchhoff_spectral,
-    laplacian_reciprocal_sum,
     laplacian_spectrum,
     nonzero_product,
     spanning_trees_spectral,

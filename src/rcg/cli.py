@@ -1,8 +1,11 @@
 """Command-line interface: generate, analyze, spectrum, verify, curve.
 
-Each command writes its output to --output, or to stdout without one.
-Exit codes: 0 success, 1 usage error (RcgParams rejects q < 2 or g < 0),
-2 resource limit exceeded, 3 verification failure (a failed check, or two
+Each command writes its output to --output FILE, or to stdout without one.
+FILE is opened before any work, so a path that cannot be opened fails at
+once; a command that fails later leaves FILE empty or partial, as `> FILE`
+does.  Exit codes: 0 success, 1 usage error (RcgParams rejects q < 2 or
+g < 0) or an --output FILE that cannot be opened or written, 2 resource
+limit exceeded, 3 verification failure (a failed check, or two
 routes of an internal cross-check that disagree), 4 numerical error.  The
 environment variable CORONA_VERTEX_BUDGET overrides the default vertex
 budget of 10^6; for `spectrum` the budget caps the distinct eigenvalues
@@ -17,6 +20,7 @@ import operator
 import os
 import sys
 from fractions import Fraction
+from typing import TextIO
 
 from . import formulas, oracle, spectra
 from .errors import InternalInconsistencyError, NumericalError, RcgError, ResourceLimitError
@@ -57,22 +61,11 @@ def vertex_budget() -> int:
         raise ValueError(f"CORONA_VERTEX_BUDGET must be an integer, got {raw!r}")
 
 
-def _open(output: str | None):
-    """The --output file opened for writing, or stdout (left open) without one."""
-    return open(output, "w") if output else contextlib.nullcontext(sys.stdout)
-
-
-def _emit(text: str, output: str | None) -> None:
-    with _open(output) as out:
-        out.write(text)
-
-
-def cmd_generate(args) -> int:
+def cmd_generate(args, out: TextIO) -> int:
     cg = build_rcg(RcgParams(args.q, args.g), vertex_budget())
     # built per call, so a rebinding of these names (a monkeypatch, a tracer) holds
     writers = {"edgelist": write_edgelist, "dot": write_dot, "json": write_json}
-    with _open(args.output) as out:
-        writers[args.format](cg, out)
+    writers[args.format](cg, out)
     return EXIT_OK
 
 
@@ -86,7 +79,7 @@ def _check_str_limit(params: RcgParams, quantity: str) -> None:
         )
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, out: TextIO) -> int:
     params = RcgParams(args.q, args.g)
     _check_str_limit(params, "structural_report")
     payload = formulas.structural_report(params).to_json_dict()
@@ -95,7 +88,7 @@ def cmd_analyze(args) -> int:
         text = "key,value\n" + "".join(f"{key},{_cell(value)}\n" for key, value in payload.items())
     else:
         text = json.dumps(payload, indent=2) + "\n"
-    _emit(text, args.output)
+    out.write(text)
     return EXIT_OK
 
 
@@ -112,16 +105,17 @@ def _cell(value) -> str:
     return "*".join(f"{base}^{exponent}" for base, exponent in value["factors"])
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args, out: TextIO) -> int:
     build = getattr(spectra, f"{args.matrix}_spectrum")
     spectrum = build(RcgParams(args.q, args.g), vertex_budget())
-    # the bytes of json.dumps(spectrum.to_json_list(), indent=2), from one row
-    # template: the values are finite, and json writes a float as its repr
+    # the bytes of json.dumps of the [{"value", "multiplicity"}] list with
+    # indent=2, from one row template: the values are finite, and json
+    # writes a float as its repr
     rows = ",\n".join(
         f'  {{\n    "value": {value!r},\n    "multiplicity": {mult}\n  }}'
         for value, mult in spectrum.entries
     )
-    _emit(f"[\n{rows}\n]\n", args.output)
+    out.write(f"[\n{rows}\n]\n")
     return EXIT_OK
 
 
@@ -208,14 +202,14 @@ def verification_checks(params: RcgParams, budget: int) -> list[tuple[str, bool]
     return [(name, agree(formula, measured)) for name, formula, measured, agree in rows]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out: TextIO) -> int:
     checks = verification_checks(RcgParams(args.q, args.g), vertex_budget())
     width = max(len(name) for name, _ in checks)
     rows = [f"{name:<{width}}  {'PASS' if ok else 'FAIL'}\n" for name, ok in checks]
     failed = sum(not ok for _, ok in checks)
     n = len(checks)
     rows.append(f"{failed} of {n} checks failed\n" if failed else f"all {n} checks passed\n")
-    _emit("".join(rows), args.output)
+    out.write("".join(rows))
     return EXIT_VERIFY if failed else EXIT_OK
 
 
@@ -238,7 +232,7 @@ def _q_list(text: str) -> list[int]:
     return q_values
 
 
-def cmd_curve(args) -> int:
+def cmd_curve(args, out: TextIO) -> int:
     quantity = CURVE_QUANTITIES[args.quantity]
     # RcgParams validates each q and g_max; the digit bounds grow with g
     for q in args.q_list:
@@ -248,7 +242,7 @@ def cmd_curve(args) -> int:
         for g in range(args.g_max + 1):
             value = quantity(RcgParams(q, g))
             rows.append(f"{q},{g},{value.numerator}/{value.denominator}")
-    _emit("\n".join(rows) + "\n", args.output)
+    out.write("\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -296,7 +290,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        return args.func(args)
+        with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as out:
+            return args.func(args, out)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -306,7 +301,7 @@ def main(argv=None) -> int:
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ValueError, RcgError) as exc:
+    except (ValueError, RcgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -68,14 +68,6 @@ class DegreeClass:
     birth: int
 
 
-def order(params: RcgParams) -> int:
-    return params.vertex_count
-
-
-def size(params: RcgParams) -> int:
-    return params.edge_count
-
-
 def average_degree(params: RcgParams) -> Fraction:
     """2M/N, equal to q + 1 - 2(q+1)^{-g}; tends to q+1 for large g."""
     q, g = params.q, params.g
@@ -201,25 +193,19 @@ def global_clustering(params: RcgParams) -> Fraction:
     return Fraction(numerator, common * params.vertex_count)
 
 
-def lerch_phi(z: float, a: float, tol: float = 1e-12) -> float:
+def lerch_phi(z: float, a: float) -> float:
     """Lerch transcendent at s = 1: sum of z^k/(k+a) for k >= 0.
 
-    Truncated when the geometric tail bound z^{K+1}/((K+1+a)(1-z)) drops
-    below tol.
+    Summed until a term no longer changes the float total; the terms fall
+    geometrically, so the tail left out is a few ulps of the sum at most.
     """
     if not (0 <= z < 1):
         raise ValueError("z must lie in [0, 1)")
     if a <= 0:
         raise ValueError("a must be positive")
-    total = 0.0
-    term_z = 1.0
-    k = 0
-    while True:
-        total += term_z / (k + a)
-        term_z *= z
-        k += 1
-        if term_z / ((k + a) * (1.0 - z)) < tol:
-            break
+    total, power, k = 0.0, 1.0, 0
+    while (step := total + power / (k + a)) != total:
+        total, power, k = step, power * z, k + 1
     return total
 
 
@@ -366,11 +352,11 @@ class StructuralReport:
 
 
 def structural_report(params: RcgParams) -> StructuralReport:
-    n, distance = order(params), total_distance(params)
+    n, distance = params.vertex_count, total_distance(params)
     return StructuralReport(
         params=params,
         order=n,
-        size=size(params),
+        size=params.edge_count,
         average_degree=average_degree(params),
         degree_classes=degree_multiset(params),
         total_distance=distance,

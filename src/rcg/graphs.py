@@ -1,4 +1,4 @@
-"""Simple undirected graphs, corona products, and the recursive corona family.
+"""Simple undirected graphs and the recursive corona family.
 
 The recursive corona graph with parameters (q, g) is the g-fold iterated
 corona of the complete graph K_q with K_q.  Vertex indices are deterministic:
@@ -51,7 +51,7 @@ class Graph:
     array); `Graph.from_arrays` adopts the two arrays directly.
     """
 
-    __slots__ = ("_n", "_u", "_v", "_edges", "_hash")
+    __slots__ = ("_n", "_u", "_v")
 
     def __init__(self, vertex_count: int, edges=()):
         pairs = _pair_array(edges)
@@ -94,7 +94,6 @@ class Graph:
         u.flags.writeable = False
         v.flags.writeable = False
         self._n, self._u, self._v = n, u, v
-        self._edges = self._hash = None
 
     @classmethod
     def from_edges(cls, vertex_count, edges):
@@ -130,13 +129,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self._u)
 
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The edges as a tuple of int pairs, built on first use (small graphs)."""
-        if self._edges is None:
-            self._edges = tuple(zip(self._u.tolist(), self._v.tolist()))
-        return self._edges
-
     def __eq__(self, other):
         import numpy as np
 
@@ -148,22 +140,8 @@ class Graph:
             and np.array_equal(self._v, other._v)
         )
 
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self._n, self._u.tobytes(), self._v.tobytes()))
-        return self._hash
-
     def __repr__(self):
         return f"Graph(vertex_count={self._n}, edge_count={self.edge_count})"
-
-    def has_edge(self, a: int, b: int) -> bool:
-        """Whether {a, b} is an edge, by binary search on the sorted arrays."""
-        import numpy as np
-
-        a, b = min(a, b), max(a, b)
-        lo, hi = np.searchsorted(self._u, (a, a + 1))
-        i = lo + np.searchsorted(self._v[lo:hi], b)
-        return bool(i < hi and self._v[i] == b)
 
     def adjacency_lists(self):
         """Neighbor lists, sorted ascending, read off a CSR layout.
@@ -263,37 +241,13 @@ class CoronaGraph:
         return tuple(birth)
 
 
-def complete_graph(n):
-    """K_n."""
-    return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
-
-
-def corona_product(g1: Graph, g2: Graph) -> Graph:
-    """Corona product: one copy of g1 plus one copy of g2 per g1 vertex.
-
-    Vertex i of g1 keeps index i; its private copy of g2 occupies the block
-    N1 + i*N2 .. N1 + (i+1)*N2 - 1 and is fully joined to vertex i.
-    """
-    n1, n2 = g1.vertex_count, g2.vertex_count
-    if n1 < 1:
-        raise ValueError("corona product needs a nonempty first factor")
-    if n2 < 1:
-        raise ValueError("corona product with an empty graph is degenerate")
-    edges = list(g1.edges)
-    for i in range(n1):
-        base = n1 + i * n2
-        edges.extend((base + a, base + b) for a, b in g2.edges)
-        edges.extend((i, base + j) for j in range(n2))
-    return Graph.from_edges(n1 + n1 * n2, edges)
-
-
 def build_rcg(params: RcgParams, vertex_budget: int | None = None) -> CoronaGraph:
     """Construct the explicit recursive corona graph for (q, g).
 
     The edges come straight from the block layout (see the module docstring):
     the initial K_q, then for each step b and parent i < N_{b-1} the q spokes
     (i, N_{b-1} + i*q + j) and the clique edges of that block.  They are sorted
-    once by u*N + v, so the result equals the iterated `corona_product` of K_q
+    once by u*N + v, so the result equals the iterated corona product of K_q
     with K_q index for index, and the Graph validates them once.
     """
     import numpy as np
@@ -321,19 +275,6 @@ def build_rcg(params: RcgParams, vertex_budget: int | None = None) -> CoronaGrap
     u, v = np.divmod(key, n_final)
     graph = Graph.from_arrays(n_final, u, v)
     return CoronaGraph(graph=graph, params=params)
-
-
-def birth_generation(v: int, params: RcgParams) -> int:
-    """Generation at which vertex v appears, from the deterministic layout."""
-    if not (0 <= v < params.vertex_count):
-        raise ValueError(f"vertex {v} out of range for {params}")
-    q = params.q
-    n = q
-    b = 0
-    while v >= n:
-        n *= q + 1
-        b += 1
-    return b
 
 
 def matrix_of(graph: Graph, kind: str) -> np.ndarray:

@@ -37,18 +37,6 @@ class SpectrumMultiset:
     entries: tuple[tuple[float, int], ...]
     params: RcgParams
 
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    def moment(self, power: int) -> float:
-        return sum(v**power * m for v, m in self.entries)
-
-    def multiplicity_of(self, value: float, tol: float = MERGE_TOL) -> int:
-        return sum(m for v, m in self.entries if abs(v - value) <= tol)
-
-    def to_json_list(self) -> list[dict]:
-        return [{"value": v, "multiplicity": m} for v, m in self.entries]
-
 
 def _children(parents: list[float], q: int, kind: str) -> tuple[list[float], list[float]]:
     """Plus and minus children of a descending list of parents, each run descending.
@@ -175,35 +163,23 @@ def spanning_trees_spectral(params: RcgParams) -> FactoredCount:
     return FactoredCount(params.q, a, b)
 
 
-def _scaled_reciprocal_sum(params: RcgParams) -> tuple[int, int]:
-    """N_g and S_g = N_g R_g, an integer, for the reciprocal sum R_g below.
+def kirchhoff_spectral(params: RcgParams) -> Fraction:
+    """Kirchhoff index as N_g R_g, with R_g the sum of 1/lambda over the
+    nonzero Laplacian eigenvalues.
 
-    Scaling R_g = (N_{g-1} - 1) + (q+1) R_{g-1} + (1 + m_g)/(q+1) by
-    N_g = (q+1) N_{g-1} gives S_0 = q - 1 and
-    S_g = (q+1) N_{g-1} (N_{g-1} - 1) + (q+1)^2 S_{g-1} + (1 + m_g) N_{g-1}.
-    With m_g = (q-1) N_{g-1}, each step needs N_{g-1} and its square only,
-    both kept by small multiplications.
+    By Vieta, a nonzero parent lambda spawns children with
+    1/lambda_+ + 1/lambda_- = 1 + (q+1)/lambda; the zero parent spawns q+1,
+    as do the m_g = (q-1) N_{g-1} structural eigenvalues.  Hence
+    R_g = (N_{g-1} - 1) + (q+1) R_{g-1} + (1 + m_g)/(q+1), R_0 = (q-1)/q.
+    Scaled by N_g = (q+1) N_{g-1}, S_g = N_g R_g is an integer, with
+    S_0 = q - 1 and
+    S_g = (q+1) N_{g-1} (N_{g-1} - 1) + (q+1)^2 S_{g-1} + (1 + m_g) N_{g-1};
+    each step needs N_{g-1} and its square only, both kept by small
+    multiplications.
     """
     q = params.q
     scaled, n, n2 = q - 1, q, q * q
     for _ in range(params.g):
         scaled = (q + 1) * (n2 - n) + (q + 1) ** 2 * scaled + n + (q - 1) * n2
         n, n2 = n * (q + 1), n2 * (q + 1) ** 2
-    return scaled, n
-
-
-def laplacian_reciprocal_sum(params: RcgParams) -> Fraction:
-    """Sum of 1/lambda over the nonzero Laplacian eigenvalues.
-
-    By Vieta, a nonzero parent lambda spawns children with
-    1/lambda_+ + 1/lambda_- = 1 + (q+1)/lambda; the zero parent spawns q+1,
-    as do the m_g structural eigenvalues.  Hence
-    R_g = (N_{g-1} - 1) + (q+1) R_{g-1} + (1 + m_g)/(q+1), R_0 = (q-1)/q.
-    """
-    scaled, n = _scaled_reciprocal_sum(params)
-    return Fraction(scaled, n)
-
-
-def kirchhoff_spectral(params: RcgParams) -> Fraction:
-    """Kirchhoff index as N * (sum of reciprocals of nonzero eigenvalues)."""
-    return Fraction(_scaled_reciprocal_sum(params)[0])
+    return Fraction(scaled)

@@ -1,0 +1,42 @@
+"""The benchmark harness in `perfbench/` still runs against this package.
+
+The harness reaches into `rcg` by name: its gates read attributes of what
+the library returns, and its tracer wraps every public function and looks
+up `formulas.BigCount`.  Deleting or renaming a name it uses makes its ops
+fail, which this test shows before a benchmark run does.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    """A perfbench module, loaded by path under a name of its own."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_ops_pass_their_gates(tmp_path):
+    workloads, tracing = load("workloads"), load("tracing")
+    exact = workloads.Exact(tmp_path)
+    exact.prepare()
+    explicit = workloads.Explicit(tmp_path)
+    ops = [(exact, op) for op in exact.ops if (op.q, op.g) in ((2, 3), (3, 2))]
+    ops += [(explicit, op) for op in explicit.ops if op.name == "generate dot q3 g6"]
+    assert len(ops) == 11
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        outcomes = [
+            (op.name, workload.run(op, True, tracer, op_id))
+            for op_id, (workload, op) in enumerate(ops)
+        ]
+    finally:
+        tracer.uninstall()
+    assert [(name, o.error, o.wrong) for name, o in outcomes if o.failed] == []
+    assert tracer.spans

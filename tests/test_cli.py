@@ -245,7 +245,9 @@ class TestSpectrum:
         matrix = build.__name__.split("_")[0]
         code, out, _ = run(capsys, "spectrum", "--q", str(q), "--g", str(g), "--matrix", matrix)
         assert code == 0
-        assert out == json.dumps(build(RcgParams(q, g)).to_json_list(), indent=2) + "\n"
+        entries = build(RcgParams(q, g)).entries
+        payload = [{"value": value, "multiplicity": mult} for value, mult in entries]
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_over_entry_budget_exits_resource(self, capsys):
         code, _, err = run(capsys, "spectrum", "--q", "2", "--g", "19", "--matrix", "laplacian")
@@ -544,6 +546,32 @@ class TestUsage:
             "verify": common,
             "curve": ["-h", "--help", "--quantity", "--q-list", "--g-max", "--output"],
         }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--q", "2", "--g", "1"],
+            ["analyze", "--q", "2", "--g", "1"],
+            ["spectrum", "--q", "2", "--g", "1", "--matrix", "laplacian"],
+            ["verify", "--q", "2", "--g", "1"],
+            ["curve", "--quantity", "clustering", "--q-list", "2", "--g-max", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["missing-dir", "dir"])
+    def test_unwritable_output_exits_before_work(self, capsys, monkeypatch, tmp_path, argv, target):
+        from rcg import cli
+
+        def no_work(*args):
+            raise AssertionError("work started before --output was opened")
+
+        monkeypatch.setattr(cli, "build_rcg", no_work)
+        code, out, err = run(capsys, *argv, "--output", str(tmp_path / target))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
 
     def test_q_too_small(self, capsys):
         code, _, err = run(capsys, "analyze", "--q", "1", "--g", "0")

@@ -17,10 +17,7 @@ from rcg import (
     kirchhoff_spectral,
     knn_approx,
     knn_exact,
-    laplacian_reciprocal_sum,
     lerch_phi,
-    order,
-    size,
     spanning_trees_closed,
     structural_report,
     total_distance,
@@ -36,6 +33,8 @@ from rcg.oracle import (
     resistance_sum,
 )
 
+from reference import laplacian_reciprocal_sum
+
 GRID = [(q, g) for q in (2, 3, 4, 5) for g in (0, 1, 2)] + [(2, 3)]
 
 
@@ -50,16 +49,16 @@ class TestOrderSize:
     )
     def test_examples(self, q, g, n, m, mean):
         params = RcgParams(q, g)
-        assert order(params) == n
-        assert size(params) == m
+        assert params.vertex_count == n
+        assert params.edge_count == m
         assert average_degree(params) == mean
 
     @pytest.mark.parametrize("q,g", GRID)
     def test_matches_construction(self, q, g):
         params = RcgParams(q, g)
         cg = build_rcg(params)
-        assert order(params) == cg.graph.vertex_count
-        assert size(params) == cg.graph.edge_count
+        assert params.vertex_count == cg.graph.vertex_count
+        assert params.edge_count == cg.graph.edge_count
 
 
 class TestDegreeMultiset:
@@ -225,10 +224,11 @@ class TestLerchPhi:
 
     @pytest.mark.parametrize("z,a", [(0.5, 1.0), (1 / 3, 0.5), (0.9, 2.5)])
     def test_truncation_bound_against_longer_reference(self, z, a):
-        value = lerch_phi(z, a)
-        # reference: run the tail 10x tighter
-        reference = lerch_phi(z, a, tol=1e-13 / 10)
-        assert abs(value - reference) <= 1e-12
+        # reference: the full series to 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            reference = float(mpmath.lerchphi(z, 1, a))
+        assert abs(lerch_phi(z, a) - reference) <= 4 * math.ulp(reference)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -252,6 +252,12 @@ class TestAsymptoticClustering:
 
     def test_tends_to_one(self):
         assert asymptotic_clustering(200) > 0.99
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 10])
+    def test_equals_exact_value_at_large_g(self, q):
+        # the exact value at g = 200 is the limit to far below one ulp
+        exact = float(global_clustering(RcgParams(q, 200)))
+        assert abs(asymptotic_clustering(q) - exact) <= 4 * math.ulp(exact)
 
 
 class TestSpanningTrees:

@@ -9,6 +9,8 @@ from rcg.formulas import (
     total_distance,
 )
 
+from reference import edge_pairs
+
 nx = pytest.importorskip("networkx")
 
 POINTS = [(2, 3), (3, 2), (5, 2), (2, 4)]
@@ -18,7 +20,7 @@ def nx_graph(params):
     graph = build_rcg(params).graph
     result = nx.Graph()
     result.add_nodes_from(range(graph.vertex_count))
-    result.add_edges_from(graph.edges)
+    result.add_edges_from(edge_pairs(graph))
     return result
 
 

@@ -11,7 +11,6 @@ from rcg import (
     RcgParams,
     ResourceLimitError,
     build_rcg,
-    complete_graph,
     matrix_of,
 )
 from rcg.formulas import spanning_trees_closed
@@ -25,6 +24,8 @@ from rcg.oracle import (
     resistance_sum,
     symmetric_eigenvalues,
 )
+
+from reference import complete_graph
 
 
 def star(n):
