@@ -32,7 +32,6 @@ from .graphs import (
     RcgParams,
     build_rcg,
     matrix_of,
-    parse_edgelist,
     write_dot,
     write_edgelist,
     write_json,

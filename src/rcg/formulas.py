@@ -133,16 +133,11 @@ def total_distance(params: RcgParams) -> int:
     power = qp**g
     # (q+1)^{2g-1} as power^2 // (q+1); its factor 2g is 0 at g = 0
     twice_closed = q * power * (2 * g * q * q * power // qp + 1 + (q - 2) * power)
-    if twice_closed % 2:
-        raise InternalInconsistencyError("distance closed form is not an integer")
     # p = (q+1)^{s-1} at step s, kept with its square by small multiplications
     recursive, p, p2 = q * (q - 1) // 2, 1, 1
     for _ in range(g):
-        # twice the growth q^2/2 (2q (q+1)^{s-1} - 1)(q+1)^s of step s
-        twice_growth = q * q * qp * (2 * q * p2 - p)
-        if twice_growth % 2:
-            raise InternalInconsistencyError("distance growth term is not an integer")
-        recursive = qp * qp * recursive + twice_growth // 2
+        # the growth q^2/2 (2q (q+1)^{s-1} - 1)(q+1)^s of step s; q(q+1) is even
+        recursive = qp * qp * recursive + q * q * qp * (2 * q * p2 - p) // 2
         p, p2 = p * qp, p2 * qp * qp
     if 2 * recursive != twice_closed:
         raise InternalInconsistencyError("distance recursion != closed form")
@@ -176,6 +171,12 @@ def vertex_clustering(params: RcgParams, birth: int) -> Fraction:
     return Fraction(q - 1, k * q - 1)
 
 
+def _clustering_denominator(params: RcgParams) -> int:
+    """lcm of c(0)'s denominator and of kq - 1 for k = 1..g: every c(v) divides it."""
+    q, g = params.q, params.g
+    return math.lcm(vertex_clustering(params, 0).denominator, *range(q - 1, g * q, q))
+
+
 def global_clustering(params: RcgParams) -> Fraction:
     """Exact network clustering coefficient: mean of c(v) over all vertices.
 
@@ -185,7 +186,7 @@ def global_clustering(params: RcgParams) -> Fraction:
     """
     q, g = params.q, params.g
     initial = vertex_clustering(params, 0)
-    common = math.lcm(initial.denominator, *range(q - 1, g * q, q))
+    common = _clustering_denominator(params)
     acc = 0
     for k in range(1, g + 1):
         acc = acc * (q + 1) + common // (k * q - 1)
@@ -287,8 +288,7 @@ def fits_digits(params: RcgParams, quantity: str, limit: int) -> bool:
     elif quantity in ("total_distance", "kirchhoff_closed"):
         bound = distances
     elif quantity in ("global_clustering", "structural_report"):
-        common = math.lcm(vertex_clustering(params, 0).denominator, *range(q - 1, g * q, q))
-        bound = log_n + math.log10(common)
+        bound = log_n + math.log10(_clustering_denominator(params))
         if quantity == "structural_report":
             bound = max(bound, distances)
     else:

@@ -10,17 +10,15 @@ one K_q per parent vertex i < N_{b-1}, each fully joined to i.
 `CoronaGraph.birth` reads every vertex's birth step off this layout.
 
 A `Graph` stores its edges as two int64 arrays u and v, strictly increasing
-in (u, v) with u < v; `Graph.from_edges` normalizes any edge iterable or
-array into that form, and `parse_edgelist` reads a text edge list through
-it.  numpy is imported on first use, never at module import.  The
-edge-list, dot and JSON writers take a text stream, `writer(cg, out)`; they
-build their text with one vectorized decimal-row kernel and write it to
-`out` in chunks of at most CHUNK_ROWS rows.  Read the text back as a str
-through `io.StringIO`.
+in (u, v) with u < v; `Graph(n, u, v)` is the one constructor, and
+`build_rcg` is the one caller in the package.  numpy is imported on first
+use, never at module import.  The edge-list, dot and JSON writers take a
+text stream, `writer(cg, out)`; they build their text with one vectorized
+decimal-row kernel and write it to `out` in chunks of at most CHUNK_ROWS
+rows.
 """
 from __future__ import annotations
 
-import io
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -44,32 +42,19 @@ CHUNK_ROWS = 1 << 16
 class Graph:
     """Immutable simple undirected graph on vertices 0..vertex_count-1.
 
-    The edges are two read-only int64 arrays `u` and `v`, strictly
+    `Graph(n, u, v)` has the edges (u[i], v[i]).  They must be strictly
     increasing in (u, v) with u < v, which rules out self-loops and
     duplicates; one vectorized pass checks it and names the first offending
-    edge.  `Graph(n, edges)` takes (u, v) pairs (a sequence or an (M, 2)
-    array); `Graph.from_arrays` adopts the two arrays directly.
+    edge.  Contiguous int64 arrays are kept without a copy and made
+    read-only.
     """
 
     __slots__ = ("_n", "_u", "_v")
 
-    def __init__(self, vertex_count: int, edges=()):
-        pairs = _pair_array(edges)
-        self._adopt(vertex_count, pairs[:, 0].copy(), pairs[:, 1].copy())
-
-    @classmethod
-    def from_arrays(cls, vertex_count: int, u: np.ndarray, v: np.ndarray) -> Graph:
-        """Graph whose edges are (u[i], v[i]).
-
-        Contiguous int64 arrays are kept without a copy and made read-only.
-        """
-        graph = cls.__new__(cls)
-        graph._adopt(vertex_count, u, v)
-        return graph
-
-    def _adopt(self, n, u, v):
+    def __init__(self, vertex_count: int, u: np.ndarray, v: np.ndarray):
         import numpy as np
 
+        n = vertex_count
         if n < 0:
             raise ValueError("vertex_count must be nonnegative")
         u = np.ascontiguousarray(u, dtype=np.int64)
@@ -94,24 +79,6 @@ class Graph:
         u.flags.writeable = False
         v.flags.writeable = False
         self._n, self._u, self._v = n, u, v
-
-    @classmethod
-    def from_edges(cls, vertex_count, edges):
-        """Build a graph from any iterable of (u, v) pairs or an (M, 2) array.
-
-        The pairs may come in any order and orientation, and repeats are
-        dropped: each pair becomes (min, max), and a lexicographic sort and
-        one comparison of neighbours leave the arrays `from_arrays` takes.
-        """
-        import numpy as np
-
-        pairs = _pair_array(edges if isinstance(edges, np.ndarray) else list(edges))
-        u, v = pairs.min(axis=1), pairs.max(axis=1)
-        order = np.lexsort((v, u))
-        u, v = u[order], v[order]
-        keep = np.ones(len(u), dtype=bool)
-        keep[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-        return cls.from_arrays(vertex_count, u[keep], v[keep])
 
     @property
     def vertex_count(self) -> int:
@@ -181,21 +148,6 @@ class Graph:
                     count += 1
                     queue.append(v)
         return count == self.vertex_count
-
-
-def _pair_array(edges) -> np.ndarray:
-    """(u, v) pairs, a sequence or an (M, 2) array, as an (M, 2) int64 array."""
-    import numpy as np
-
-    try:
-        pairs = np.asarray(edges, dtype=np.int64)
-    except OverflowError as exc:
-        raise ValueError("edge endpoint out of range") from exc
-    if pairs.size == 0:
-        pairs = pairs.reshape(0, 2)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("edges must be (u, v) pairs")
-    return pairs
 
 
 @dataclass(frozen=True)
@@ -273,7 +225,7 @@ def build_rcg(params: RcgParams, vertex_budget: int | None = None) -> CoronaGrap
     # u*N + v < N^2 fits int64 for every N whose edge arrays fit in memory
     key = np.sort(np.concatenate(keys))
     u, v = np.divmod(key, n_final)
-    graph = Graph.from_arrays(n_final, u, v)
+    graph = Graph(n_final, u, v)
     return CoronaGraph(graph=graph, params=params)
 
 
@@ -381,45 +333,3 @@ def write_json(cg: CoronaGraph, out: TextIO) -> None:
     out.write('\n  ],\n  "birth": [')
     out.writelines(_decimal_rows(("\n    ", np.array(cg.birth, dtype=np.int64)), separator=","))
     out.write("\n  ]\n}\n")
-
-
-def _edgelist_header(text: str) -> dict[str, int]:
-    """q, g, N and M from the `# key value` lines, wherever they stand.
-
-    A comment line is one whose first non-blank character is `#`; only those
-    lines are visited, so a long edge list is not scanned line by line.  A
-    `#` after other text on its line is a malformed row.
-    """
-    header = {}
-    at = text.find("#")
-    while at >= 0:
-        end = text.find("\n", at)
-        end = len(text) if end < 0 else end
-        start = text.rfind("\n", 0, at) + 1
-        if text[start:at].strip():
-            raise ValueError(f"malformed edge list row {text[start:end].strip()!r}")
-        parts = text[at + 1 : end].split()
-        if len(parts) == 2 and parts[0] in ("q", "g", "N", "M"):
-            header[parts[0]] = int(parts[1])
-        at = text.find("#", end)
-    return header
-
-
-def parse_edgelist(text: str) -> CoronaGraph:
-    """Inverse of write_edgelist.
-
-    The header must record q and g, and M, when present, must match.  Every
-    other nonblank line is one `u v` edge; numpy's text reader parses them
-    all in one call and raises ValueError on a malformed row.
-    """
-    import numpy as np
-
-    header = _edgelist_header(text)
-    if "q" not in header or "g" not in header:
-        raise ValueError("edge list header must record q and g")
-    params = RcgParams(header["q"], header["g"])
-    rows = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
-    graph = Graph.from_edges(params.vertex_count, rows)
-    if "M" in header and graph.edge_count != header["M"]:
-        raise ValueError("edge count does not match header M")
-    return CoronaGraph(graph=graph, params=params)

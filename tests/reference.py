@@ -1,15 +1,28 @@
 """Definitional routes that the tests compare the library against.
 
+`graph_of` builds a `Graph` from (u, v) pairs in any order or orientation;
 `corona_product` builds the corona product straight from its definition,
 so iterating it from K_q gives C_q(g) with the vertex indices of
 `rcg.build_rcg`; `birth_generation` reads one vertex's birth step off that
 layout, vertex by vertex, where `CoronaGraph.birth` builds all of them at
 once; `laplacian_reciprocal_sum` reads the reciprocal eigenvalue sum off
-the Kirchhoff index.  None of these is used by the `rcg` package itself.
+the Kirchhoff index; `reference_text` renders each output format line by
+line with f-strings, or with `json.dumps`.  None of these is used by the
+`rcg` package itself.
 """
+import json
 from fractions import Fraction
 
-from rcg import Graph, RcgParams, kirchhoff_spectral
+import numpy as np
+
+from rcg import Graph, RcgParams, kirchhoff_spectral, write_dot, write_edgelist, write_json
+
+
+def graph_of(n: int, pairs) -> Graph:
+    """Graph on n vertices with the edges `pairs`, in any order and orientation."""
+    edges = sorted({(min(pair), max(pair)) for pair in pairs})
+    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    return Graph(n, u, v)
 
 
 def edge_pairs(graph: Graph) -> list[tuple[int, int]]:
@@ -19,7 +32,7 @@ def edge_pairs(graph: Graph) -> list[tuple[int, int]]:
 
 def complete_graph(n: int) -> Graph:
     """K_n."""
-    return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+    return graph_of(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def corona_product(g1: Graph, g2: Graph) -> Graph:
@@ -38,7 +51,7 @@ def corona_product(g1: Graph, g2: Graph) -> Graph:
         base = n1 + i * n2
         edges.extend((base + a, base + b) for a, b in edge_pairs(g2))
         edges.extend((i, base + j) for j in range(n2))
-    return Graph.from_edges(n1 + n1 * n2, edges)
+    return graph_of(n1 + n1 * n2, edges)
 
 
 def birth_generation(v: int, params: RcgParams) -> int:
@@ -57,3 +70,25 @@ def birth_generation(v: int, params: RcgParams) -> int:
 def laplacian_reciprocal_sum(params: RcgParams) -> Fraction:
     """Sum of 1/lambda over the nonzero Laplacian eigenvalues, Kf / N."""
     return kirchhoff_spectral(params) / params.vertex_count
+
+
+def reference_text(writer, cg) -> str:
+    """What `writer` streams for `cg`, rendered by per-line f-strings or json.dumps."""
+    graph, pairs = cg.graph, edge_pairs(cg.graph)
+    if writer is write_edgelist:
+        lines = [f"# q {cg.params.q}", f"# g {cg.params.g}"]
+        lines += [f"# N {graph.vertex_count}", f"# M {graph.edge_count}"]
+        return "\n".join(lines + [f"{u} {v}" for u, v in pairs]) + "\n"
+    if writer is write_dot:
+        lines = ["graph rcg {"]
+        lines += [f'  {v} [label="{b}"];' for v, b in enumerate(cg.birth)]
+        return "\n".join(lines + [f"  {u} -- {v};" for u, v in pairs] + ["}"]) + "\n"
+    payload = {
+        "q": cg.params.q,
+        "g": cg.params.g,
+        "N": graph.vertex_count,
+        "M": graph.edge_count,
+        "edges": [list(pair) for pair in pairs],
+        "birth": list(cg.birth),
+    }
+    return json.dumps(payload, indent=2) + "\n"

@@ -28,11 +28,11 @@ from rcg import (
     laplacian_spectrum,
     matrix_of,
     nonzero_product,
-    parse_edgelist,
     spanning_trees_closed,
     spanning_trees_spectral,
     total_distance,
     vertex_clustering,
+    write_edgelist,
 )
 from rcg.oracle import (
     bfs_total_distance,
@@ -44,6 +44,8 @@ from rcg.oracle import (
     symmetric_eigenvalues,
 )
 from rcg.spectra import MERGE_TOL
+
+from reference import reference_text
 
 GRID = [(q, g) for q in (2, 3, 4, 5) for g in (0, 1, 2)] + [(2, 3)]
 
@@ -220,7 +222,7 @@ class TestCriterion7CliContract:
         for q, g in [(2, 2), (3, 1)]:
             result = self.run_cli("generate", "--q", str(q), "--g", str(g))
             ok &= result.returncode == 0
-            ok &= parse_edgelist(result.stdout) == build_rcg(RcgParams(q, g))
+            ok &= result.stdout == reference_text(write_edgelist, build_rcg(RcgParams(q, g)))
         report("7 cli generate round-trip", ok)
 
     def test_curve_monotone_plateau(self):

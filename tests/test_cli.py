@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -11,15 +12,19 @@ from fractions import Fraction
 
 import pytest
 
+import rcg
 from rcg import (
+    Graph,
     RcgParams,
     adjacency_spectrum,
     asymptotic_clustering,
     build_rcg,
     laplacian_spectrum,
-    parse_edgelist,
+    write_edgelist,
 )
 from rcg.cli import CURVE_QUANTITIES, build_parser, main, verification_checks
+
+from reference import reference_text
 
 
 def run(capsys, *argv):
@@ -43,7 +48,7 @@ class TestGenerate:
     def test_round_trip(self, capsys, q, g):
         code, out, _ = run(capsys, "generate", "--q", str(q), "--g", str(g))
         assert code == 0
-        assert parse_edgelist(out) == build_rcg(RcgParams(q, g))
+        assert out == reference_text(write_edgelist, build_rcg(RcgParams(q, g)))
 
     def test_dot_labels_births(self, capsys):
         code, out, _ = run(capsys, "generate", "--q", "2", "--g", "1", "--format", "dot")
@@ -104,7 +109,7 @@ class TestGenerate:
             capsys, "generate", "--q", "2", "--g", "1", "--output", str(target)
         )
         assert code == 0 and out == ""
-        assert parse_edgelist(target.read_text()) == build_rcg(RcgParams(2, 1))
+        assert target.read_text() == reference_text(write_edgelist, build_rcg(RcgParams(2, 1)))
 
 
 class TestAnalyze:
@@ -424,6 +429,23 @@ class TestCurve:
         assert out.splitlines()[1:] == ["2,0,1/1", "2,1,7/3"]
 
     @pytest.mark.parametrize(
+        "quantity,digest",
+        [
+            ("clustering", "91ff42fd0b178bd112f7315c7dc86190637c75464be424b58dbdbd59c7102f12"),
+            ("avg-distance", "ec1e69438ba166078b7985c63d7d4cbfa626cfd304f5783d93121bfaf287cc53"),
+            ("kirchhoff", "178c42e54d901ae73ea5667c295a20fb8bf26dfd4cd2b0844c089eece26e5009"),
+            ("avg-degree", "1ca22a0d93835d359401cd21a1b00b8ba2f0d16f28234eae064a919f15478d6a"),
+        ],
+    )
+    def test_bytes_are_pinned(self, capsys, quantity, digest):
+        # sha256 of every row to g = 200, taken from the per-g closed forms
+        argv = ["curve", "--quantity", quantity, "--q-list", "2,3,5", "--g-max", "200"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 3 * 201
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "quantity,g_max",
         [
             ("clustering", 5000),
@@ -467,6 +489,30 @@ class TestCurve:
 
 
 class TestImports:
+    def test_public_names_are_pinned(self):
+        # the library surface is what the CLI and the checks use; a name
+        # added to or deleted from `rcg` or `Graph` shows up here
+        public = vars(rcg).items()
+        names = sorted(n for n, x in public if not n.startswith("_") and not inspect.ismodule(x))
+        assert names == [
+            "ConnectivityError", "CoronaGraph", "DegreeClass", "FactoredCount", "Graph",
+            "InternalInconsistencyError", "NumericalError", "RcgError", "RcgParams",
+            "ResourceLimitError", "SpectrumMultiset", "StructuralReport",
+            "adjacency_spectrum", "asymptotic_clustering", "average_degree",
+            "average_distance", "build_rcg", "child_pair", "cumulative_degree",
+            "degree_multiset", "global_clustering", "kirchhoff_closed",
+            "kirchhoff_spectral", "knn_approx", "knn_exact", "laplacian_spectrum",
+            "lerch_phi", "matrix_of", "nonzero_product", "spanning_trees_closed",
+            "spanning_trees_spectral", "structural_report", "total_distance",
+            "vertex_clustering", "write_dot", "write_edgelist", "write_json",
+        ]
+        assert sorted(n for n in dir(Graph) if not n.startswith("_")) == [
+            "adjacency_lists", "degrees", "edge_count", "is_connected", "u", "v",
+            "vertex_count",
+        ]
+        # one way in: Graph(n, u, v)
+        assert list(inspect.signature(Graph).parameters) == ["vertex_count", "u", "v"]
+
     @pytest.mark.parametrize(
         "code",
         [
