@@ -5,11 +5,12 @@ FILE is opened before any work, so a path that cannot be opened fails at
 once; a command that fails later leaves FILE empty or partial, as `> FILE`
 does.  Exit codes: 0 success, 1 usage error (RcgParams rejects q < 2 or
 g < 0) or an --output FILE that cannot be opened or written, 2 resource
-limit exceeded, 3 verification failure (a failed check, or two
-routes of an internal cross-check that disagree), 4 numerical error.  The
-environment variable CORONA_VERTEX_BUDGET overrides the default vertex
-budget of 10^6; for `spectrum` the budget caps the distinct eigenvalues
-instead.
+limit exceeded (a budget or limit, or the interpreter out of memory), 3
+verification failure (a failed check, or two routes of an internal
+cross-check that disagree), 4 numerical error.  The environment variable
+CORONA_VERTEX_BUDGET overrides the default vertex budget of 10^6; for
+`spectrum` the budget caps the distinct eigenvalues instead.  `generate`
+also refuses graphs of more than 2*10^7 edges.
 """
 from __future__ import annotations
 
@@ -294,6 +295,10 @@ def main(argv=None) -> int:
             return args.func(args, out)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        # numpy names the allocation it refused; a bare MemoryError has no text
+        print(f"resource limit: out of memory {exc}".rstrip(), file=sys.stderr)
         return EXIT_RESOURCE
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

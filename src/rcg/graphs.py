@@ -7,13 +7,15 @@ complete-graph copies are appended in order, so every construction is
 reproducible byte for byte.  In closed form, with N_b = q (q+1)^b, the
 vertices born at step b >= 1 are the blocks N_{b-1} + i*q .. N_{b-1} + i*q + q-1,
 one K_q per parent vertex i < N_{b-1}, each fully joined to i.
-`CoronaGraph.birth` reads every vertex's birth step off this layout.
+`CoronaGraph.birth` and the dot and JSON writers read every vertex's birth
+step off this layout, through one helper.
 
 A `Graph` stores its edges as two int64 arrays u and v, strictly increasing
 in (u, v) with u < v; `Graph(n, u, v)` is the one constructor, and
-`build_rcg` is the one caller in the package.  numpy is imported on first
-use, never at module import.  The edge-list, dot and JSON writers take a
-text stream, `writer(cg, out)`; they build their text with one vectorized
+`build_rcg` is the one caller in the package; it writes each edge straight
+to its final place in u and v, so nothing sorts them.  numpy is imported on
+first use, never at module import.  The edge-list, dot and JSON writers take
+a text stream, `writer(cg, out)`; they build their text with one vectorized
 decimal-row kernel and write it to `out` in chunks of at most CHUNK_ROWS
 rows.
 """
@@ -34,6 +36,9 @@ DEFAULT_VERTEX_BUDGET = 10**6
 
 # matrix_of materializes an N x N dense array; refuse above this many vertices
 MATRIX_VERTEX_LIMIT = 10**4
+
+# build_rcg keeps 16 bytes per edge in u and v; refuse above this many edges
+EDGE_LIMIT = 2 * 10**7
 
 # the writers emit their text in chunks of at most this many rows
 CHUNK_ROWS = 1 << 16
@@ -186,21 +191,34 @@ class CoronaGraph:
 
     @cached_property
     def birth(self) -> tuple[int, ...]:
-        """Birth generation of every vertex: step b appends q * N_{b-1} vertices."""
-        birth = [0] * self.params.q
-        for step in range(1, self.params.g + 1):
-            birth.extend([step] * (len(birth) * self.params.q))
-        return tuple(birth)
+        """Birth generation of every vertex, as Python ints."""
+        return tuple(_birth_column(self.params).tolist())
+
+
+def _birth_column(params: RcgParams) -> np.ndarray:
+    """Birth generation of every vertex: step b appends q * N_{b-1} vertices."""
+    import numpy as np
+
+    q, g = params.q, params.g
+    sizes = [q, *(q * q * (q + 1) ** (b - 1) for b in range(1, g + 1))]
+    return np.repeat(np.arange(g + 1), sizes)
 
 
 def build_rcg(params: RcgParams, vertex_budget: int | None = None) -> CoronaGraph:
     """Construct the explicit recursive corona graph for (q, g).
 
-    The edges come straight from the block layout (see the module docstring):
-    the initial K_q, then for each step b and parent i < N_{b-1} the q spokes
-    (i, N_{b-1} + i*q + j) and the clique edges of that block.  They are sorted
-    once by u*N + v, so the result equals the iterated corona product of K_q
-    with K_q index for index, and the Graph validates them once.
+    The edges come from the block layout (see the module docstring), written
+    straight into two preallocated arrays in their final (u, v) order.  The
+    initial K_q is the one block of birth class 0; the block N_{b-1} + i*q
+    of parent i is a block of class b.  Member j of a block has as larger
+    neighbours its clique mates base + k for k > j, then, at each later step
+    s, its q children N_{s-1} + q*(base + j) + k.  So the blocks of a class
+    share one row of columns c, with u = base + j_c and
+    v = a_c + scale_c * base (scale 1 for a mate, q for a child); they are
+    consecutive in u, and one broadcast per class fills their rows.  The
+    result equals the iterated corona product of K_q with K_q index for
+    index, and the Graph validates it once.  The vertex budget and
+    EDGE_LIMIT are checked before any array is made.
     """
     import numpy as np
 
@@ -211,20 +229,36 @@ def build_rcg(params: RcgParams, vertex_budget: int | None = None) -> CoronaGrap
             f"(q={params.q}, g={params.g}) requires {n_final} vertices, "
             f"budget is {budget}"
         )
-    q = params.q
-    clique_u, clique_v = np.triu_indices(q, 1)
-    keys = [clique_u * n_final + clique_v]
-    previous = q
-    for _ in range(params.g):
-        parents = np.arange(previous, dtype=np.int64)
-        children = previous + np.arange(previous * q, dtype=np.int64)
-        keys.append(np.repeat(parents, q) * n_final + children)
-        bases = children[::q, None]
-        keys.append(((bases + clique_u) * n_final + bases + clique_v).ravel())
-        previous += previous * q
-    # u*N + v < N^2 fits int64 for every N whose edge arrays fit in memory
-    key = np.sort(np.concatenate(keys))
-    u, v = np.divmod(key, n_final)
+    m = params.edge_count
+    if m > EDGE_LIMIT:
+        raise ResourceLimitError(
+            f"(q={params.q}, g={params.g}) has {m} edges, the limit is {EDGE_LIMIT}"
+        )
+    q, g = params.q, params.g
+    # bounds[b] = N_{b-1}, with N_{-1} = 0: class b is bounds[b] .. bounds[b+1]-1
+    bounds = [0, *(q * (q + 1) ** b for b in range(g + 1))]
+    u = np.empty(m, dtype=np.int64)
+    v = np.empty(m, dtype=np.int64)
+    k = np.arange(q)
+    j = k[:, None, None]
+    row = 0
+    for b in range(g + 1):
+        # axes (j, t, k): t = 0 holds the clique mates, t >= 1 the children
+        # born at step b + t, whose blocks start at N_{b+t-1}
+        offset = np.array([0, *bounds[b + 1 : g + 1]])[:, None]
+        child = np.arange(g - b + 1)[:, None] > 0
+        keep = child | (k > j)
+        shape = keep.shape
+        a = (offset + k + q * j * child)[keep]
+        scale = np.broadcast_to(np.where(child, q, 1), shape)[keep]
+        member = np.broadcast_to(j, shape)[keep]
+        bases = np.arange(bounds[b], bounds[b + 1], q)[:, None]
+        end = row + len(bases) * len(a)
+        np.add(bases, member, out=u[row:end].reshape(len(bases), -1))
+        block_v = v[row:end].reshape(len(bases), -1)
+        np.multiply(bases, scale, out=block_v)
+        block_v += a
+        row = end
     graph = Graph(n_final, u, v)
     return CoronaGraph(graph=graph, params=params)
 
@@ -268,7 +302,6 @@ def _decimal_rows(parts, separator: str = "") -> Iterator[str]:
         else:
             count = len(part)
             top = int(part.max()) if count else 0
-            part = part.astype(np.uint32 if top < 2**32 else np.uint64)
             cells.append((part, len(str(top))))
     width = sum(len(part) if digits is None else digits for part, digits in cells)
     for lo in range(0, count, CHUNK_ROWS):
@@ -280,7 +313,8 @@ def _decimal_rows(parts, separator: str = "") -> Iterator[str]:
                 block[:, start : start + len(part)] = part
                 start += len(part)
                 continue
-            rest = part[lo:hi].copy()
+            # converted a chunk at a time; nine digits fit in uint32
+            rest = part[lo:hi].astype(np.uint32 if digits < 10 else np.uint64)
             last = start + digits - 1
             np.add(rest % 10, ord("0"), out=block[:, last], casting="unsafe")
             for j in range(last - 1, start - 1, -1):
@@ -309,9 +343,10 @@ def write_dot(cg: CoronaGraph, out: TextIO) -> None:
 
     graph = cg.graph
     vertices = np.arange(graph.vertex_count, dtype=np.int64)
-    birth = np.array(cg.birth, dtype=np.int64)
     out.write("graph rcg {\n")
-    out.writelines(_decimal_rows(("  ", vertices, ' [label="', birth, '"];\n')))
+    out.writelines(
+        _decimal_rows(("  ", vertices, ' [label="', _birth_column(cg.params), '"];\n'))
+    )
     out.writelines(_decimal_rows(("  ", graph.u, " -- ", graph.v, ";\n")))
     out.write("}\n")
 
@@ -321,8 +356,6 @@ def write_json(cg: CoronaGraph, out: TextIO) -> None:
 
     The bytes are those of `json.dumps(payload, indent=2)` plus a newline.
     """
-    import numpy as np
-
     params, graph = cg.params, cg.graph
     out.write(
         f'{{\n  "q": {params.q},\n  "g": {params.g},\n'
@@ -331,5 +364,5 @@ def write_json(cg: CoronaGraph, out: TextIO) -> None:
     edge = ("\n    [\n      ", graph.u, ",\n      ", graph.v, "\n    ]")
     out.writelines(_decimal_rows(edge, separator=","))
     out.write('\n  ],\n  "birth": [')
-    out.writelines(_decimal_rows(("\n    ", np.array(cg.birth, dtype=np.int64)), separator=","))
+    out.writelines(_decimal_rows(("\n    ", _birth_column(params)), separator=","))
     out.write("\n  ]\n}\n")

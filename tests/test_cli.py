@@ -98,6 +98,32 @@ class TestGenerate:
         assert code == 2
         assert "resource" in err
 
+    @pytest.mark.parametrize("q,g,edges", [(999, 1, 499_499_001), (10**6, 0, 499_999_500_000)])
+    def test_edge_limit_exit_code(self, capsys, q, g, edges):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "generate", "--q", str(q), "--g", str(g))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"resource limit: (q={q}, g={g}) has {edges} edges, the limit is 20000000\n"
+
+    @pytest.mark.parametrize(
+        "message,line",
+        [
+            ("Unable to allocate 3.72 GiB", "resource limit: out of memory Unable to allocate 3.72 GiB"),
+            ("", "resource limit: out of memory"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_memory_error_exit_code(self, capsys, monkeypatch, message, line):
+        from rcg import cli
+
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "build_rcg", out_of_memory)
+        code, out, err = run(capsys, "generate", "--q", "2", "--g", "1")
+        assert (code, out, err) == (2, "", line + "\n")
+
     def test_env_budget_override(self, capsys, monkeypatch):
         monkeypatch.setenv("CORONA_VERTEX_BUDGET", "5")
         code, _, _ = run(capsys, "generate", "--q", "2", "--g", "1")

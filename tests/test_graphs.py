@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,23 @@ def _text(writer, cg):
     out = io.StringIO()
     writer(cg, out)
     return out.getvalue()
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees allocated while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that keeps nothing, so a writer's peak is its own."""
+
+    def write(self, text):
+        return len(text)
 
 
 class TestGraph:
@@ -223,11 +241,16 @@ class TestBuildRcg:
         assert cg.graph.is_connected()
 
     @pytest.mark.parametrize(
-        "q,g", [(2, 2), (3, 2), (2, 3), (4, 2), (5, 2), (3, 3), (2, 5)]
+        "q,g",
+        [(2, 2), (3, 2), (2, 3), (4, 2), (5, 2), (3, 3), (2, 5)]
+        + [(q, g) for q in range(2, 13) for g in (0, 1)],
     )
     def test_iteration_is_index_identical(self, q, g):
-        previous = build_rcg(RcgParams(q, g - 1))
-        expected = corona_product(previous.graph, complete_graph(q))
+        if g == 0:
+            expected = complete_graph(q)
+        else:
+            previous = build_rcg(RcgParams(q, g - 1))
+            expected = corona_product(previous.graph, complete_graph(q))
         assert expected == build_rcg(RcgParams(q, g)).graph
 
     @pytest.mark.parametrize("q,g", [(2, 5), (3, 3), (5, 2)])
@@ -261,6 +284,29 @@ class TestBuildRcg:
     def test_budget_refusal_names_required_count(self):
         with pytest.raises(ResourceLimitError, match="18"):
             build_rcg(RcgParams(2, 2), vertex_budget=10)
+
+    @pytest.mark.parametrize("q,g,edges", [(999, 1, 499_499_001), (10**6, 0, 499_999_500_000)])
+    def test_edge_limit_refuses_before_any_array(self, q, g, edges):
+        # both points are within the default vertex budget
+        def refused():
+            with pytest.raises(ResourceLimitError, match=f"has {edges} edges"):
+                build_rcg(RcgParams(q, g))
+
+        assert _traced_peak(refused) < 10**5
+
+    def test_edge_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(graphs, "EDGE_LIMIT", 7)
+        assert build_rcg(RcgParams(2, 1)).graph.edge_count == 7
+        monkeypatch.setattr(graphs, "EDGE_LIMIT", 6)
+        with pytest.raises(ResourceLimitError, match=r"\(q=2, g=1\) has 7 edges, the limit is 6"):
+            build_rcg(RcgParams(2, 1))
+
+    @pytest.mark.parametrize("q,g", [(5, 6), (2, 11)])
+    def test_peak_is_near_the_edge_arrays(self, q, g):
+        # u and v hold 16 bytes per edge; the rest of the peak is the
+        # boolean temporaries of the Graph's check
+        params = RcgParams(q, g)
+        assert _traced_peak(lambda: build_rcg(params)) <= 1.5 * 16 * params.edge_count
 
     def test_graph_order_mismatch_rejected(self):
         cg = build_rcg(RcgParams(2, 1))
@@ -367,6 +413,15 @@ class TestWriters:
         cg = build_rcg(RcgParams(q, g))
         for writer in (write_edgelist, write_dot, write_json):
             assert _text(writer, cg) == reference_text(writer, cg)
+
+    def test_edgelist_peak_does_not_grow_with_the_graph(self):
+        # (2, 10) and (2, 11) have 177145 and 531439 edges, both above
+        # CHUNK_ROWS: the writer holds a few chunks, never a whole column
+        peaks = []
+        for g in (10, 11):
+            cg = build_rcg(RcgParams(2, g))
+            peaks.append(_traced_peak(lambda: write_edgelist(cg, _Discard())))
+        assert peaks[1] - peaks[0] <= 10**6
 
     @pytest.mark.parametrize("writer", [write_edgelist, write_dot, write_json])
     def test_streams_bounded_chunks(self, writer, monkeypatch):
