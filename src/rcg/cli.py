@@ -29,6 +29,7 @@ from .graphs import (
     DEFAULT_VERTEX_BUDGET,
     RcgParams,
     build_rcg,
+    check_limits,
     matrix_of,
     write_dot,
     write_edgelist,
@@ -63,10 +64,11 @@ def vertex_budget() -> int:
 
 
 def cmd_generate(args, out: TextIO) -> int:
-    cg = build_rcg(RcgParams(args.q, args.g), vertex_budget())
+    params = RcgParams(args.q, args.g)
+    check_limits(params, vertex_budget())
     # built per call, so a rebinding of these names (a monkeypatch, a tracer) holds
     writers = {"edgelist": write_edgelist, "dot": write_dot, "json": write_json}
-    writers[args.format](cg, out)
+    writers[args.format](params, out)
     return EXIT_OK
 
 

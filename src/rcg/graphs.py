@@ -8,16 +8,18 @@ reproducible byte for byte.  In closed form, with N_b = q (q+1)^b, the
 vertices born at step b >= 1 are the blocks N_{b-1} + i*q .. N_{b-1} + i*q + q-1,
 one K_q per parent vertex i < N_{b-1}, each fully joined to i.
 `CoronaGraph.birth` and the dot and JSON writers read every vertex's birth
-step off this layout, through one helper.
+step off this layout, through one helper, a vertex range at a time.
 
 A `Graph` stores its edges as two int64 arrays u and v, strictly increasing
-in (u, v) with u < v; `Graph(n, u, v)` is the one constructor, and
-`build_rcg` is the one caller in the package; it writes each edge straight
-to its final place in u and v, so nothing sorts them.  numpy is imported on
-first use, never at module import.  The edge-list, dot and JSON writers take
-a text stream, `writer(cg, out)`; they build their text with one vectorized
-decimal-row kernel and write it to `out` in chunks of at most CHUNK_ROWS
-rows.
+in (u, v) with u < v; `Graph(n, u, v)` is the one constructor, and one
+helper checks that rule a chunk at a time, given the edge before the chunk.
+One generator, `_edge_chunks`, yields the edges of C_q(g) straight from the
+block layout in their final (u, v) order, in chunks of at most CHUNK_ROWS
+(16 384) rows: `build_rcg` copies them into two preallocated arrays, and
+the edge-list, dot and JSON writers, `writer(params, out)`, check each chunk
+(seam included) and the final row count, and write its text to the stream
+`out`, so the writers never hold a whole-graph array.  numpy is imported on
+first use, never at module import.
 """
 from __future__ import annotations
 
@@ -40,8 +42,9 @@ MATRIX_VERTEX_LIMIT = 10**4
 # build_rcg keeps 16 bytes per edge in u and v; refuse above this many edges
 EDGE_LIMIT = 2 * 10**7
 
-# the writers emit their text in chunks of at most this many rows
-CHUNK_ROWS = 1 << 16
+# edges, vertices and their text go in chunks of at most this many rows, or
+# of one block member's row, at most q (g+1) edges, where that is longer
+CHUNK_ROWS = 1 << 14
 
 
 class Graph:
@@ -49,9 +52,9 @@ class Graph:
 
     `Graph(n, u, v)` has the edges (u[i], v[i]).  They must be strictly
     increasing in (u, v) with u < v, which rules out self-loops and
-    duplicates; one vectorized pass checks it and names the first offending
-    edge.  Contiguous int64 arrays are kept without a copy and made
-    read-only.
+    duplicates; `_check_edges` checks it a chunk at a time and names the
+    first offending edge.  Contiguous int64 arrays are kept without a copy
+    and made read-only.
     """
 
     __slots__ = ("_n", "_u", "_v")
@@ -66,21 +69,10 @@ class Graph:
         v = np.ascontiguousarray(v, dtype=np.int64)
         if u.ndim != 1 or u.shape != v.shape:
             raise ValueError("u and v must be one-dimensional and of equal length")
-        bad = (u < 0) | (u >= v) | (v >= n)
-        bad[1:] |= (u[1:] < u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] <= v[:-1]))
-        if bad.any():
-            i = int(bad.argmax())
-            a, b = int(u[i]), int(v[i])
-            if a == b:
-                raise ValueError(f"self-loop at vertex {a}")
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge ({a}, {b}) out of range")
-            if a > b:
-                raise ValueError(f"edge ({a}, {b}) not normalized (need u < v)")
-            previous = (int(u[i - 1]), int(v[i - 1]))
-            if (a, b) == previous:
-                raise ValueError(f"duplicate edge ({a}, {b})")
-            raise ValueError(f"edge ({a}, {b}) out of order after {previous}")
+        previous = None
+        for lo in range(0, len(u), CHUNK_ROWS):
+            hi = lo + CHUNK_ROWS
+            previous = _check_edges(n, u[lo:hi], v[lo:hi], previous)
         u.flags.writeable = False
         v.flags.writeable = False
         self._n, self._u, self._v = n, u, v
@@ -155,6 +147,36 @@ class Graph:
         return count == self.vertex_count
 
 
+def _check_edges(n: int, u: np.ndarray, v: np.ndarray, previous: tuple[int, int] | None):
+    """Check edges (u[i], v[i]) on n vertices that follow the edge `previous`.
+
+    The edges must be strictly increasing in (u, v) with u < v, from
+    `previous` on (None before the first edge); one vectorized pass checks
+    it, and the ValueError names the first offending edge.  Returns the last
+    edge, the `previous` of the next chunk.
+    """
+    if not len(u):
+        return previous
+    bad = (u < 0) | (u >= v) | (v >= n)
+    bad[1:] |= (u[1:] < u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] <= v[:-1]))
+    if previous is not None and (int(u[0]), int(v[0])) <= previous:
+        bad[0] = True
+    if bad.any():
+        i = int(bad.argmax())
+        a, b = int(u[i]), int(v[i])
+        if a == b:
+            raise ValueError(f"self-loop at vertex {a}")
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"edge ({a}, {b}) out of range")
+        if a > b:
+            raise ValueError(f"edge ({a}, {b}) not normalized (need u < v)")
+        before = (int(u[i - 1]), int(v[i - 1])) if i else previous
+        if (a, b) == before:
+            raise ValueError(f"duplicate edge ({a}, {b})")
+        raise ValueError(f"edge ({a}, {b}) out of order after {before}")
+    return int(u[-1]), int(v[-1])
+
+
 @dataclass(frozen=True)
 class RcgParams:
     """Parameters (q, g) of a recursive corona graph: K_q coronated g times."""
@@ -192,75 +214,150 @@ class CoronaGraph:
     @cached_property
     def birth(self) -> tuple[int, ...]:
         """Birth generation of every vertex, as Python ints."""
-        return tuple(_birth_column(self.params).tolist())
+        return tuple(_vertex_columns(self.params, 0, self.params.vertex_count)[1].tolist())
 
 
-def _birth_column(params: RcgParams) -> np.ndarray:
-    """Birth generation of every vertex: step b appends q * N_{b-1} vertices."""
-    import numpy as np
+def _vertex_columns(params: RcgParams, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices lo..hi-1 and their birth generations.
 
-    q, g = params.q, params.g
-    sizes = [q, *(q * q * (q + 1) ** (b - 1) for b in range(1, g + 1))]
-    return np.repeat(np.arange(g + 1), sizes)
-
-
-def build_rcg(params: RcgParams, vertex_budget: int | None = None) -> CoronaGraph:
-    """Construct the explicit recursive corona graph for (q, g).
-
-    The edges come from the block layout (see the module docstring), written
-    straight into two preallocated arrays in their final (u, v) order.  The
-    initial K_q is the one block of birth class 0; the block N_{b-1} + i*q
-    of parent i is a block of class b.  Member j of a block has as larger
-    neighbours its clique mates base + k for k > j, then, at each later step
-    s, its q children N_{s-1} + q*(base + j) + k.  So the blocks of a class
-    share one row of columns c, with u = base + j_c and
-    v = a_c + scale_c * base (scale 1 for a mate, q for a child); they are
-    consecutive in u, and one broadcast per class fills their rows.  The
-    result equals the iterated corona product of K_q with K_q index for
-    index, and the Graph validates it once.  The vertex budget and
-    EDGE_LIMIT are checked before any array is made.
+    Step b appends q * N_{b-1} vertices, so those born at steps 0..b end at
+    N_b = q (q+1)^b, and a vertex's birth is the number of N_b at or below it.
     """
     import numpy as np
 
+    q = params.q
+    vertices = np.arange(lo, hi, dtype=np.int64)
+    ends = np.array([q * (q + 1) ** b for b in range(params.g)], dtype=np.int64)
+    return vertices, np.searchsorted(ends, vertices, side="right")
+
+
+def _vertex_chunks(params: RcgParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """`_vertex_columns` over all vertices, CHUNK_ROWS vertices at a time."""
+    n = params.vertex_count
+    for lo in range(0, n, CHUNK_ROWS):
+        yield _vertex_columns(params, lo, min(lo + CHUNK_ROWS, n))
+
+
+def check_limits(params: RcgParams, vertex_budget: int | None = None) -> None:
+    """Refuse (q, g) past the vertex budget or EDGE_LIMIT, before any work."""
     budget = DEFAULT_VERTEX_BUDGET if vertex_budget is None else vertex_budget
-    n_final = params.vertex_count
-    if n_final > budget:
+    n = params.vertex_count
+    if n > budget:
         raise ResourceLimitError(
-            f"(q={params.q}, g={params.g}) requires {n_final} vertices, "
-            f"budget is {budget}"
+            f"(q={params.q}, g={params.g}) requires {n} vertices, budget is {budget}"
         )
     m = params.edge_count
     if m > EDGE_LIMIT:
         raise ResourceLimitError(
             f"(q={params.q}, g={params.g}) has {m} edges, the limit is {EDGE_LIMIT}"
         )
+
+
+def _member_rows(q: int, offset: np.ndarray, j0: int, j1: int):
+    """The columns of members j0..j1-1 in every block of one birth class.
+
+    Returns (member, a, scale): the block at base has the edges
+    (base + member, a + scale * base), in order.  Member j's larger
+    neighbours are its clique mates base + k for k > j (t = 0), then, at each
+    later step s, its q children N_{s-1} + q*(base + j) + k (t >= 1, with
+    offset[t] = N_{s-1}).  They are read off a (j, t, k) grid of
+    (j1 - j0) * len(offset) * q entries through a mask.
+    """
+    import numpy as np
+
+    k = np.arange(q)
+    j = np.arange(j0, j1)[:, None, None]
+    child = np.arange(len(offset))[:, None] > 0
+    keep = child | (k > j)
+    a = (offset[:, None] + k + q * j * child)[keep]
+    scale = np.broadcast_to(np.where(child, q, 1), keep.shape)[keep]
+    member = np.broadcast_to(j, keep.shape)[keep]
+    return member, a, scale
+
+
+def _edge_chunks(params: RcgParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The edges of C_q(g) in their final (u, v) order, as int64 (u, v) chunks.
+
+    The initial K_q is the one block of birth class 0; the block
+    N_{b-1} + i*q of parent i is a block of class b.  The blocks of a class
+    are consecutive in u and share one row of columns (`_member_rows`), so a
+    chunk is that row broadcast over a run of block bases.  Where the grid
+    of a whole block's row would pass CHUNK_ROWS entries, the row is split
+    by members and each block goes out one member range at a time.  So no
+    chunk and no row array has more than max(CHUNK_ROWS, q (g+1)) entries.
+    """
+    import numpy as np
+
     q, g = params.q, params.g
     # bounds[b] = N_{b-1}, with N_{-1} = 0: class b is bounds[b] .. bounds[b+1]-1
     bounds = [0, *(q * (q + 1) ** b for b in range(g + 1))]
+    for b in range(g + 1):
+        offset = np.array([0, *bounds[b + 1 : g + 1]], dtype=np.int64)
+        start, stop = bounds[b], bounds[b + 1]
+        # members per row, so that the row's (j, t, k) grid fits in a chunk
+        step = min(q, max(1, CHUNK_ROWS // (q * len(offset))))
+        if step < q:
+            for base in range(start, stop, q):
+                for j0 in range(0, q, step):
+                    member, a, scale = _member_rows(q, offset, j0, min(j0 + step, q))
+                    if len(a):
+                        yield base + member, a + scale * base
+            continue
+        member, a, scale = _member_rows(q, offset, 0, q)
+        stride = q * (CHUNK_ROWS // len(a))
+        for lo in range(start, stop, stride):
+            bases = np.arange(lo, min(lo + stride, stop), q)[:, None]
+            v = bases * scale
+            v += a
+            yield (bases + member).ravel(), v.ravel()
+
+
+def _check_count(params: RcgParams, rows: int) -> None:
+    """Refuse a number of edge rows other than M."""
+    if rows != params.edge_count:
+        raise ValueError(
+            f"{rows} edges made, (q={params.q}, g={params.g}) has {params.edge_count}"
+        )
+
+
+def _checked_edges(params: RcgParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The chunks of `_edge_chunks`, each checked as `Graph` checks its edges.
+
+    The check of each chunk starts from the last edge of the one before, so
+    the seams are checked too; at the end the rows must number M.
+    """
+    n, previous, rows = params.vertex_count, None, 0
+    for u, v in _edge_chunks(params):
+        previous = _check_edges(n, u, v, previous)
+        rows += len(u)
+        yield u, v
+    _check_count(params, rows)
+
+
+def build_rcg(params: RcgParams, vertex_budget: int | None = None) -> CoronaGraph:
+    """Construct the explicit recursive corona graph for (q, g).
+
+    `check_limits` refuses (q, g) before any array is made.  The chunks of
+    `_edge_chunks`, the one construction of the edges, are copied into two
+    preallocated arrays of M edges, and the Graph checks them once.  The
+    result equals the iterated corona product of K_q with K_q index for
+    index.
+    """
+    import numpy as np
+
+    check_limits(params, vertex_budget)
+    m = params.edge_count
     u = np.empty(m, dtype=np.int64)
     v = np.empty(m, dtype=np.int64)
-    k = np.arange(q)
-    j = k[:, None, None]
     row = 0
-    for b in range(g + 1):
-        # axes (j, t, k): t = 0 holds the clique mates, t >= 1 the children
-        # born at step b + t, whose blocks start at N_{b+t-1}
-        offset = np.array([0, *bounds[b + 1 : g + 1]])[:, None]
-        child = np.arange(g - b + 1)[:, None] > 0
-        keep = child | (k > j)
-        shape = keep.shape
-        a = (offset + k + q * j * child)[keep]
-        scale = np.broadcast_to(np.where(child, q, 1), shape)[keep]
-        member = np.broadcast_to(j, shape)[keep]
-        bases = np.arange(bounds[b], bounds[b + 1], q)[:, None]
-        end = row + len(bases) * len(a)
-        np.add(bases, member, out=u[row:end].reshape(len(bases), -1))
-        block_v = v[row:end].reshape(len(bases), -1)
-        np.multiply(bases, scale, out=block_v)
-        block_v += a
+    for chunk_u, chunk_v in _edge_chunks(params):
+        end = row + len(chunk_u)
+        if end <= m:
+            u[row:end] = chunk_u
+            v[row:end] = chunk_v
         row = end
-    graph = Graph(n_final, u, v)
-    return CoronaGraph(graph=graph, params=params)
+    _check_count(params, row)
+    return CoronaGraph(graph=Graph(params.vertex_count, u, v), params=params)
 
 
 def matrix_of(graph: Graph, kind: str) -> np.ndarray:
@@ -282,39 +379,38 @@ def matrix_of(graph: Graph, kind: str) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
-def _decimal_rows(parts, separator: str = "") -> Iterator[str]:
-    """Text rows from columns of integers, in chunks of at most CHUNK_ROWS rows.
+def _decimal_rows(chunks, separator: str = "") -> Iterator[str]:
+    """Text rows from chunks of integer columns, one str per chunk.
 
-    `parts` mixes str literals and equal-length arrays of nonnegative
-    integers; row i joins the literals with the decimal digits of each
-    array's element i, and `separator` ends every row but the last.  A chunk
-    is one uint8 block with a fixed-width cell per part: digits sit
-    right-aligned in their cell, the unused leading bytes are 0, and dropping
-    the 0 bytes (which no literal contains) leaves the text.
+    Each chunk mixes str literals and equal-length, nonempty arrays of
+    nonnegative integers; row i joins the literals with the decimal digits
+    of each array's element i, and `separator` starts every row but the
+    first.  A chunk is one uint8 block with a fixed-width cell per part:
+    digits sit right-aligned in their cell, the unused leading bytes are 0,
+    and dropping the 0 bytes (which no literal contains) leaves the text.
     """
     import numpy as np
 
-    cells = []
-    for part in (*parts, separator):
-        if isinstance(part, str):
-            if part:
-                cells.append((np.frombuffer(part.encode(), np.uint8), None))
-        else:
-            count = len(part)
-            top = int(part.max()) if count else 0
-            cells.append((part, len(str(top))))
-    width = sum(len(part) if digits is None else digits for part, digits in cells)
-    for lo in range(0, count, CHUNK_ROWS):
-        hi = min(lo + CHUNK_ROWS, count)
-        block = np.empty((hi - lo, width), dtype=np.uint8)
+    skip = len(separator)
+    for parts in chunks:
+        cells = []
+        for part in (separator, *parts):
+            if isinstance(part, str):
+                if part:
+                    cells.append((np.frombuffer(part.encode(), np.uint8), None))
+            else:
+                count = len(part)
+                cells.append((part, len(str(int(part.max())))))
+        width = sum(len(part) if digits is None else digits for part, digits in cells)
+        block = np.empty((count, width), dtype=np.uint8)
         start = 0
         for part, digits in cells:
             if digits is None:
                 block[:, start : start + len(part)] = part
                 start += len(part)
                 continue
-            # converted a chunk at a time; nine digits fit in uint32
-            rest = part[lo:hi].astype(np.uint32 if digits < 10 else np.uint64)
+            # nine digits fit in uint32
+            rest = part.astype(np.uint32 if digits < 10 else np.uint64)
             last = start + digits - 1
             np.add(rest % 10, ord("0"), out=block[:, last], casting="unsafe")
             for j in range(last - 1, start - 1, -1):
@@ -323,46 +419,40 @@ def _decimal_rows(parts, separator: str = "") -> Iterator[str]:
                 digit = rest % 10 + ord("0")
                 np.multiply(digit, rest != 0, out=block[:, j], casting="unsafe")
             start += digits
-        text = block[block != 0].tobytes().decode("ascii")
-        yield text[: len(text) - len(separator)] if hi == count else text
+        yield block[block != 0].tobytes().decode("ascii")[skip:]
+        skip = 0
 
 
-def write_edgelist(cg: CoronaGraph, out: TextIO) -> None:
+def write_edgelist(params: RcgParams, out: TextIO) -> None:
     """Text edge list with header comments recording q, g, N, M."""
-    graph = cg.graph
     out.write(
-        f"# q {cg.params.q}\n# g {cg.params.g}\n"
-        f"# N {graph.vertex_count}\n# M {graph.edge_count}\n"
+        f"# q {params.q}\n# g {params.g}\n"
+        f"# N {params.vertex_count}\n# M {params.edge_count}\n"
     )
-    out.writelines(_decimal_rows((graph.u, " ", graph.v, "\n")))
+    out.writelines(_decimal_rows((u, " ", v, "\n") for u, v in _checked_edges(params)))
 
 
-def write_dot(cg: CoronaGraph, out: TextIO) -> None:
+def write_dot(params: RcgParams, out: TextIO) -> None:
     """Graphviz text, each vertex labelled with its birth generation."""
-    import numpy as np
-
-    graph = cg.graph
-    vertices = np.arange(graph.vertex_count, dtype=np.int64)
     out.write("graph rcg {\n")
-    out.writelines(
-        _decimal_rows(("  ", vertices, ' [label="', _birth_column(cg.params), '"];\n'))
-    )
-    out.writelines(_decimal_rows(("  ", graph.u, " -- ", graph.v, ";\n")))
+    vertices = _vertex_chunks(params)
+    out.writelines(_decimal_rows(("  ", w, ' [label="', b, '"];\n') for w, b in vertices))
+    out.writelines(_decimal_rows(("  ", u, " -- ", v, ";\n") for u, v in _checked_edges(params)))
     out.write("}\n")
 
 
-def write_json(cg: CoronaGraph, out: TextIO) -> None:
+def write_json(params: RcgParams, out: TextIO) -> None:
     """JSON object with q, g, N, M, edges and birth.
 
     The bytes are those of `json.dumps(payload, indent=2)` plus a newline.
     """
-    params, graph = cg.params, cg.graph
     out.write(
         f'{{\n  "q": {params.q},\n  "g": {params.g},\n'
-        f'  "N": {graph.vertex_count},\n  "M": {graph.edge_count},\n  "edges": ['
+        f'  "N": {params.vertex_count},\n  "M": {params.edge_count},\n  "edges": ['
     )
-    edge = ("\n    [\n      ", graph.u, ",\n      ", graph.v, "\n    ]")
-    out.writelines(_decimal_rows(edge, separator=","))
+    edges = (("\n    [\n      ", u, ",\n      ", v, "\n    ]") for u, v in _checked_edges(params))
+    out.writelines(_decimal_rows(edges, separator=","))
     out.write('\n  ],\n  "birth": [')
-    out.writelines(_decimal_rows(("\n    ", _birth_column(params)), separator=","))
+    births = (("\n    ", b) for _, b in _vertex_chunks(params))
+    out.writelines(_decimal_rows(births, separator=","))
     out.write("\n  ]\n}\n")

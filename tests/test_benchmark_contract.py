@@ -27,10 +27,11 @@ def test_traced_ops_pass_their_gates(tmp_path):
     exact.prepare()
     explicit = workloads.Explicit(tmp_path)
     ops = [(exact, op) for op in exact.ops if (op.q, op.g) in ((2, 3), (3, 2))]
-    # the dot op reads birth; the (5, 6) edge list sets the workload's peak RSS
-    claimed = ("generate dot q3 g6", "generate edgelist q5 g6")
+    # the dot op reads birth; the JSON op sets the workload's peak RSS, and
+    # the (5, 6) edge list set it before the writers streamed from (q, g)
+    claimed = ("generate dot q3 g6", "generate edgelist q5 g6", "generate json q2 g9")
     ops += [(explicit, op) for op in explicit.ops if op.name in claimed]
-    assert len(ops) == 12
+    assert len(ops) == 13
     tracer = tracing.Tracer()
     tracer.install()
     try:

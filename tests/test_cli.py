@@ -120,7 +120,7 @@ class TestGenerate:
         def out_of_memory(*args):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "build_rcg", out_of_memory)
+        monkeypatch.setattr(cli, "write_edgelist", out_of_memory)
         code, out, err = run(capsys, "generate", "--q", "2", "--g", "1")
         assert (code, out, err) == (2, "", line + "\n")
 
@@ -632,12 +632,13 @@ class TestUsage:
     )
     @pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["missing-dir", "dir"])
     def test_unwritable_output_exits_before_work(self, capsys, monkeypatch, tmp_path, argv, target):
-        from rcg import cli
+        from rcg import cli, graphs
 
         def no_work(*args):
             raise AssertionError("work started before --output was opened")
 
         monkeypatch.setattr(cli, "build_rcg", no_work)
+        monkeypatch.setattr(graphs, "_edge_chunks", no_work)
         code, out, err = run(capsys, *argv, "--output", str(tmp_path / target))
         assert code == 1
         assert out == ""

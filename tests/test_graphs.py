@@ -33,9 +33,9 @@ from reference import (
 
 
 def _text(writer, cg):
-    """What `writer` streams for `cg`, as one str."""
+    """What `writer` streams for the parameters of `cg`, as one str."""
     out = io.StringIO()
-    writer(cg, out)
+    writer(cg.params, out)
     return out.getvalue()
 
 
@@ -138,6 +138,15 @@ class TestGraph:
         pairs[-1] = (graph.vertex_count, graph.vertex_count + 1)
         with pytest.raises(ValueError, match=re.escape(message)):
             Graph(graph.vertex_count, pairs[:, 0], pairs[:, 1])
+
+    @pytest.mark.parametrize(
+        "u,v,message", [([0, 0], [1, 1], "duplicate edge"), ([1, 0], [2, 1], "out of order")]
+    )
+    def test_checks_the_seams_between_chunks(self, u, v, message, monkeypatch):
+        # one edge per chunk: every fault sits on a seam
+        monkeypatch.setattr(graphs, "CHUNK_ROWS", 1)
+        with pytest.raises(ValueError, match=message):
+            Graph(3, u, v)
 
     def test_adjacency_and_degrees_match_edge_loop(self):
         graph = build_rcg(RcgParams(3, 3)).graph
@@ -301,10 +310,33 @@ class TestBuildRcg:
         with pytest.raises(ResourceLimitError, match=r"\(q=2, g=1\) has 7 edges, the limit is 6"):
             build_rcg(RcgParams(2, 1))
 
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 50])
+    @pytest.mark.parametrize("q,g", [(2, 4), (5, 2), (12, 1), (40, 0)])
+    def test_chunk_size_leaves_the_graph_unchanged(self, q, g, chunk_rows, monkeypatch):
+        # small chunks split block rows by members, even a single member's row
+        expected = build_rcg(RcgParams(q, g)).graph
+        monkeypatch.setattr(graphs, "CHUNK_ROWS", chunk_rows)
+        assert build_rcg(RcgParams(q, g)).graph == expected
+
+    @pytest.mark.parametrize("q,g", [(2, 8), (7, 3), (2000, 0)])
+    def test_chunks_are_bounded(self, q, g):
+        params = RcgParams(q, g)
+        bound = max(graphs.CHUNK_ROWS, q * (g + 1))
+        sizes = [len(u) for u, v in graphs._edge_chunks(params)]
+        assert 0 < max(sizes) <= bound and sum(sizes) == params.edge_count
+
+    def test_generation_zero_peak(self):
+        # at g = 0 one block's row is the whole graph: it is split by members,
+        # so beside u and v only chunk-sized arrays exist
+        params = RcgParams(2000, 0)
+        edge_bytes = 16 * params.edge_count
+        assert _traced_peak(lambda: build_rcg(params)) <= 1.2 * edge_bytes
+        assert _traced_peak(lambda: write_edgelist(params, _Discard())) <= 4 * 10**6
+
     @pytest.mark.parametrize("q,g", [(5, 6), (2, 11)])
     def test_peak_is_near_the_edge_arrays(self, q, g):
-        # u and v hold 16 bytes per edge; the rest of the peak is the
-        # boolean temporaries of the Graph's check
+        # u and v hold 16 bytes per edge; the rest of the peak is one chunk
+        # and the boolean temporaries of the Graph's check of one chunk
         params = RcgParams(q, g)
         assert _traced_peak(lambda: build_rcg(params)) <= 1.5 * 16 * params.edge_count
 
@@ -317,8 +349,7 @@ class TestBuildRcg:
         # (q, g) fixes every birth, so a CoronaGraph holds only the two
         assert [f.name for f in dataclasses.fields(CoronaGraph)] == ["graph", "params"]
         cg = build_rcg(RcgParams(2, 3))
-        write_edgelist(cg, io.StringIO())
-        assert "birth" not in vars(cg)  # the edge list never builds it
+        assert "birth" not in vars(cg)  # built on first use
         assert cg.birth is cg.birth
 
 
@@ -408,30 +439,67 @@ class _Recorder(io.StringIO):
 
 
 class TestWriters:
-    @pytest.mark.parametrize("q,g", [(2, 0), (2, 2), (3, 1), (4, 2), (2, 4)])
+    @pytest.mark.parametrize(
+        "q,g", [(2, 0), (2, 2), (3, 1), (4, 2), (2, 4), (5, 3), (7, 2), (2, 8)]
+    )
     def test_match_reference(self, q, g):
         cg = build_rcg(RcgParams(q, g))
         for writer in (write_edgelist, write_dot, write_json):
             assert _text(writer, cg) == reference_text(writer, cg)
 
-    def test_edgelist_peak_does_not_grow_with_the_graph(self):
-        # (2, 10) and (2, 11) have 177145 and 531439 edges, both above
-        # CHUNK_ROWS: the writer holds a few chunks, never a whole column
-        peaks = []
-        for g in (10, 11):
-            cg = build_rcg(RcgParams(2, g))
-            peaks.append(_traced_peak(lambda: write_edgelist(cg, _Discard())))
-        assert peaks[1] - peaks[0] <= 10**6
+    def test_edgelist_peak_is_bounded(self):
+        # the writer streams the edges from (q, g): at (2, 8) and (2, 11),
+        # 19681 and 531439 edges, it holds a few chunks, never a whole column
+        def peak(q, g):
+            return _traced_peak(lambda: write_edgelist(RcgParams(q, g), _Discard()))
+
+        assert peak(2, 11) - peak(2, 8) <= 10**6
+        assert peak(5, 6) <= 3 * 10**6
 
     @pytest.mark.parametrize("writer", [write_edgelist, write_dot, write_json])
     def test_streams_bounded_chunks(self, writer, monkeypatch):
         # rows reach the stream in chunks of CHUNK_ROWS, and chunk seams,
-        # including the dropped final separator, leave the text unchanged
+        # including the separator left off the first row, leave the text unchanged
         monkeypatch.setattr(graphs, "CHUNK_ROWS", 7)
-        cg = build_rcg(RcgParams(2, 3))
+        params = RcgParams(2, 3)
         out = _Recorder()
-        assert writer(cg, out) is None
-        assert out.getvalue() == reference_text(writer, cg)
+        assert writer(params, out) is None
+        assert out.getvalue() == reference_text(writer, build_rcg(params))
         lines_per_row = {write_edgelist: 1, write_dot: 1, write_json: 4}[writer]
         assert len(out.sizes) > 10
         assert max(out.sizes) <= 7 * lines_per_row + 4
+
+    @pytest.mark.parametrize("fault", ["duplicate", "swap", "drop"])
+    def test_faulty_chunks_are_refused(self, fault, monkeypatch, capsys):
+        # one fault at a seam between two chunks of (2, 5); the writers and
+        # `generate` refuse it with the text that Graph (or, for a missing
+        # chunk, build_rcg's count) gives for the same edges
+        from rcg import cli
+
+        params = RcgParams(2, 5)
+        monkeypatch.setattr(graphs, "CHUNK_ROWS", 7)
+        chunks = list(graphs._edge_chunks(params))
+        k = len(chunks) // 2
+        if fault == "duplicate":
+            (u, v), (next_u, next_v) = chunks[k - 1 : k + 1]
+            chunks[k] = (np.r_[u[-1], next_u], np.r_[v[-1], next_v])
+        elif fault == "swap":
+            chunks[k - 1], chunks[k] = chunks[k], chunks[k - 1]
+        else:
+            chunks.pop()
+        monkeypatch.setattr(graphs, "_edge_chunks", lambda params: iter(chunks))
+        if fault == "drop":
+            with pytest.raises(ValueError) as expected:
+                build_rcg(params)
+            assert "edges made" in str(expected.value)
+        else:
+            u, v = (np.concatenate(column) for column in zip(*chunks))
+            with pytest.raises(ValueError) as expected:
+                Graph(params.vertex_count, u, v)
+            assert fault.replace("swap", "out of order") in str(expected.value)
+        message = str(expected.value)
+        for writer in (write_edgelist, write_dot, write_json):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                writer(params, _Discard())
+        assert cli.main(["generate", "--q", "2", "--g", "5"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
