@@ -6,9 +6,10 @@ the vertices of the previous generation keep their indices and the new
 complete-graph copies are appended in order, so every construction is
 reproducible byte for byte.  In closed form, with N_b = q (q+1)^b, the
 vertices born at step b >= 1 are the blocks N_{b-1} + i*q .. N_{b-1} + i*q + q-1,
-one K_q per parent vertex i < N_{b-1}, each fully joined to i.
-`CoronaGraph.birth` and the dot and JSON writers read every vertex's birth
-step off this layout, through one helper, a vertex range at a time.
+one K_q per parent vertex i < N_{b-1}, each fully joined to i.  One walk
+over the birth classes, `_classes`, is the only place that computes these
+bounds: the edges, `CoronaGraph.birth` and the births that the dot and JSON
+writers write, run by run, are all read off it.
 
 A `Graph` stores its edges as two int64 arrays u and v, strictly increasing
 in (u, v) with u < v; `Graph(n, u, v)` is the one constructor, and one
@@ -23,7 +24,6 @@ first use, never at module import.
 """
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -129,23 +129,6 @@ class Graph:
         degree = np.bincount(self._u, minlength=n) + np.bincount(self._v, minlength=n)
         return degree.tolist()
 
-    def is_connected(self):
-        if self.vertex_count == 0:
-            return True
-        adj = self.adjacency_lists()
-        seen = [False] * self.vertex_count
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    queue.append(v)
-        return count == self.vertex_count
-
 
 def _check_edges(n: int, u: np.ndarray, v: np.ndarray, previous: tuple[int, int] | None):
     """Check edges (u[i], v[i]) on n vertices that follow the edge `previous`.
@@ -214,28 +197,26 @@ class CoronaGraph:
     @cached_property
     def birth(self) -> tuple[int, ...]:
         """Birth generation of every vertex, as Python ints."""
-        return tuple(_vertex_columns(self.params, 0, self.params.vertex_count)[1].tolist())
+        return tuple(b for b, lo, hi in _classes(self.params) for _ in range(hi - lo))
 
 
-def _vertex_columns(params: RcgParams, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices lo..hi-1 and their birth generations.
+def _classes(params: RcgParams) -> Iterator[tuple[int, int, int]]:
+    """(b, lo, hi) per birth class: the vertices lo..hi-1 are born at step b.
 
-    Step b appends q * N_{b-1} vertices, so those born at steps 0..b end at
-    N_b = q (q+1)^b, and a vertex's birth is the number of N_b at or below it.
+    Class 0 is the initial K_q; step b >= 1 appends q * N_{b-1} vertices, so
+    class b is N_{b-1} .. N_b - 1 with N_b = q (q+1)^b.
     """
-    import numpy as np
-
-    q = params.q
-    vertices = np.arange(lo, hi, dtype=np.int64)
-    ends = np.array([q * (q + 1) ** b for b in range(params.g)], dtype=np.int64)
-    return vertices, np.searchsorted(ends, vertices, side="right")
+    q, lo, hi = params.q, 0, params.q
+    for b in range(params.g + 1):
+        yield b, lo, hi
+        lo, hi = hi, hi * (q + 1)
 
 
-def _vertex_chunks(params: RcgParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """`_vertex_columns` over all vertices, CHUNK_ROWS vertices at a time."""
-    n = params.vertex_count
-    for lo in range(0, n, CHUNK_ROWS):
-        yield _vertex_columns(params, lo, min(lo + CHUNK_ROWS, n))
+def _runs(params: RcgParams) -> Iterator[tuple[int, int, int]]:
+    """(b, lo, hi) for runs of at most CHUNK_ROWS vertices lo..hi-1 of class b."""
+    for b, lo, hi in _classes(params):
+        for start in range(lo, hi, CHUNK_ROWS):
+            yield b, start, min(start + CHUNK_ROWS, hi)
 
 
 def check_limits(params: RcgParams, vertex_budget: int | None = None) -> None:
@@ -278,38 +259,32 @@ def _member_rows(q: int, offset: np.ndarray, j0: int, j1: int):
 def _edge_chunks(params: RcgParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The edges of C_q(g) in their final (u, v) order, as int64 (u, v) chunks.
 
-    The initial K_q is the one block of birth class 0; the block
-    N_{b-1} + i*q of parent i is a block of class b.  The blocks of a class
-    are consecutive in u and share one row of columns (`_member_rows`), so a
-    chunk is that row broadcast over a run of block bases.  Where the grid
-    of a whole block's row would pass CHUNK_ROWS entries, the row is split
-    by members and each block goes out one member range at a time.  So no
-    chunk and no row array has more than max(CHUNK_ROWS, q (g+1)) entries.
+    The blocks of class b (the initial K_q for b = 0, else one K_q per parent)
+    are consecutive in u and share one row of columns (`_member_rows`), whose
+    child offsets are the starts of the later classes.  Where the (j, t, k)
+    grid of a whole block's row fits CHUNK_ROWS, that row is built once per
+    class and broadcast over runs of block bases; otherwise one block goes
+    out at a time, one member range after another.  So no chunk and no row
+    array has more than max(CHUNK_ROWS, q (g+1)) entries.
     """
     import numpy as np
 
-    q, g = params.q, params.g
-    # bounds[b] = N_{b-1}, with N_{-1} = 0: class b is bounds[b] .. bounds[b+1]-1
-    bounds = [0, *(q * (q + 1) ** b for b in range(g + 1))]
-    for b in range(g + 1):
-        offset = np.array([0, *bounds[b + 1 : g + 1]], dtype=np.int64)
-        start, stop = bounds[b], bounds[b + 1]
-        # members per row, so that the row's (j, t, k) grid fits in a chunk
+    q = params.q
+    classes = list(_classes(params))
+    for b, start, stop in classes:
+        offset = np.array([0, *(lo for _, lo, _ in classes[b + 1 :])], dtype=np.int64)
+        # members per row piece, so that its (j, t, k) grid fits in a chunk
         step = min(q, max(1, CHUNK_ROWS // (q * len(offset))))
-        if step < q:
-            for base in range(start, stop, q):
-                for j0 in range(0, q, step):
-                    member, a, scale = _member_rows(q, offset, j0, min(j0 + step, q))
-                    if len(a):
-                        yield base + member, a + scale * base
-            continue
-        member, a, scale = _member_rows(q, offset, 0, q)
-        stride = q * (CHUNK_ROWS // len(a))
+        row = _member_rows(q, offset, 0, q) if step == q else None
+        stride = q * (CHUNK_ROWS // len(row[1])) if row else q
         for lo in range(start, stop, stride):
             bases = np.arange(lo, min(lo + stride, stop), q)[:, None]
-            v = bases * scale
-            v += a
-            yield (bases + member).ravel(), v.ravel()
+            for j0 in range(0, q, step):
+                member, a, scale = row or _member_rows(q, offset, j0, min(j0 + step, q))
+                if len(a):
+                    v = bases * scale
+                    v += a
+                    yield (bases + member).ravel(), v.ravel()
 
 
 def _check_count(params: RcgParams, rows: int) -> None:
@@ -434,9 +409,11 @@ def write_edgelist(params: RcgParams, out: TextIO) -> None:
 
 def write_dot(params: RcgParams, out: TextIO) -> None:
     """Graphviz text, each vertex labelled with its birth generation."""
+    import numpy as np
+
     out.write("graph rcg {\n")
-    vertices = _vertex_chunks(params)
-    out.writelines(_decimal_rows(("  ", w, ' [label="', b, '"];\n') for w, b in vertices))
+    runs = (("  ", np.arange(lo, hi), f' [label="{b}"];\n') for b, lo, hi in _runs(params))
+    out.writelines(_decimal_rows(runs))
     out.writelines(_decimal_rows(("  ", u, " -- ", v, ";\n") for u, v in _checked_edges(params)))
     out.write("}\n")
 
@@ -453,6 +430,7 @@ def write_json(params: RcgParams, out: TextIO) -> None:
     edges = (("\n    [\n      ", u, ",\n      ", v, "\n    ]") for u, v in _checked_edges(params))
     out.writelines(_decimal_rows(edges, separator=","))
     out.write('\n  ],\n  "birth": [')
-    births = (("\n    ", b) for _, b in _vertex_chunks(params))
-    out.writelines(_decimal_rows(births, separator=","))
+    births = (f",\n    {b}" * (hi - lo) for b, lo, hi in _runs(params))
+    out.write(next(births)[1:])
+    out.writelines(births)
     out.write("\n  ]\n}\n")

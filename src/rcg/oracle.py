@@ -19,24 +19,27 @@ MATRIX_TREE_SIZE_LIMIT = 500
 RESISTANCE_SIZE_LIMIT = 2000
 
 
+def _bfs_distances(adj: list[list[int]], source: int) -> list[int]:
+    """Distances from `source` over the neighbor lists `adj`; -1 where unreached."""
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 def bfs_total_distance(graph: Graph) -> int:
     """Sum of shortest-path distances over unordered vertex pairs."""
-    n = graph.vertex_count
     adj = graph.adjacency_lists()
     total = 0
-    for source in range(n):
-        dist = [-1] * n
-        dist[source] = 0
-        queue = deque([source])
-        reached = 1
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    reached += 1
-                    queue.append(v)
-        if reached != n:
+    for source in range(graph.vertex_count):
+        dist = _bfs_distances(adj, source)
+        if -1 in dist:
             raise ConnectivityError("graph is disconnected")
         total += sum(dist)
     return total // 2
@@ -152,7 +155,7 @@ def resistance_sum(graph: Graph) -> float:
     n = graph.vertex_count
     if n > RESISTANCE_SIZE_LIMIT:
         raise ResourceLimitError(f"graph size {n} exceeds {RESISTANCE_SIZE_LIMIT}")
-    if not graph.is_connected():
+    if n and -1 in _bfs_distances(graph.adjacency_lists(), 0):
         raise ConnectivityError("graph is disconnected")
     if n < 2:
         return 0.0

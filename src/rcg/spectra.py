@@ -33,9 +33,7 @@ MERGE_TOL = 1e-10
 class SpectrumMultiset:
     """Eigenvalue/multiplicity pairs, sorted descending by value."""
 
-    kind: str
     entries: tuple[tuple[float, int], ...]
-    params: RcgParams
 
 
 def _children(parents: list[float], q: int, kind: str) -> tuple[list[float], list[float]]:
@@ -115,7 +113,7 @@ def _recursive_spectrum(params, kind, budget):
     entries = zip(values, mults)
     if values != sorted(values, reverse=True):
         entries = sorted(entries, key=itemgetter(0), reverse=True)
-    return SpectrumMultiset(kind=kind, entries=tuple(entries), params=params)
+    return SpectrumMultiset(tuple(entries))
 
 
 def adjacency_spectrum(params: RcgParams, budget: int | None = None) -> SpectrumMultiset:

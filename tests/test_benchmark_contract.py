@@ -26,12 +26,16 @@ def test_traced_ops_pass_their_gates(tmp_path):
     exact = workloads.Exact(tmp_path)
     exact.prepare()
     explicit = workloads.Explicit(tmp_path)
+    verify = workloads.Verify(tmp_path)
     ops = [(exact, op) for op in exact.ops if (op.q, op.g) in ((2, 3), (3, 2))]
     # the dot op reads birth; the JSON op sets the workload's peak RSS, and
     # the (5, 6) edge list set it before the writers streamed from (q, g)
     claimed = ("generate dot q3 g6", "generate edgelist q5 g6", "generate json q2 g9")
     ops += [(explicit, op) for op in explicit.ops if op.name in claimed]
-    assert len(ops) == 13
+    # the verify ops run the oracle, and the over-budget (2, 6) must exit 2
+    checked = ("verify q2 g1", "verify q3 g2", "verify q2 g6")
+    ops += [(verify, op) for op in verify.ops if op.name in checked]
+    assert len(ops) == 16
     tracer = tracing.Tracer()
     tracer.install()
     try:

@@ -533,8 +533,7 @@ class TestImports:
             "vertex_clustering", "write_dot", "write_edgelist", "write_json",
         ]
         assert sorted(n for n in dir(Graph) if not n.startswith("_")) == [
-            "adjacency_lists", "degrees", "edge_count", "is_connected", "u", "v",
-            "vertex_count",
+            "adjacency_lists", "degrees", "edge_count", "u", "v", "vertex_count",
         ]
         # one way in: Graph(n, u, v)
         assert list(inspect.signature(Graph).parameters) == ["vertex_count", "u", "v"]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcg import graphs
+from rcg import graphs, oracle
 from rcg import (
     CoronaGraph,
     Graph,
@@ -247,7 +247,8 @@ class TestBuildRcg:
         cg = build_rcg(params)
         assert cg.graph.vertex_count == q * (q + 1) ** g
         assert cg.graph.edge_count == q * ((q + 1) ** (g + 1) - 2) // 2
-        assert cg.graph.is_connected()
+        # connected: the oracle's BFS from vertex 0 reaches every vertex
+        assert -1 not in oracle._bfs_distances(cg.graph.adjacency_lists(), 0)
 
     @pytest.mark.parametrize(
         "q,g",
@@ -262,7 +263,8 @@ class TestBuildRcg:
             expected = corona_product(previous.graph, complete_graph(q))
         assert expected == build_rcg(RcgParams(q, g)).graph
 
-    @pytest.mark.parametrize("q,g", [(2, 5), (3, 3), (5, 2)])
+    # (130, 0) is one class; (100, 1) has a class whose block rows are split
+    @pytest.mark.parametrize("q,g", [(2, 5), (3, 3), (5, 2), (130, 0), (100, 1)])
     def test_birth_matches_layout(self, q, g):
         params = RcgParams(q, g)
         cg = build_rcg(params)
@@ -318,7 +320,8 @@ class TestBuildRcg:
         monkeypatch.setattr(graphs, "CHUNK_ROWS", chunk_rows)
         assert build_rcg(RcgParams(q, g)).graph == expected
 
-    @pytest.mark.parametrize("q,g", [(2, 8), (7, 3), (2000, 0)])
+    # at (100, 1) class 0 is split by members and class 1 is broadcast whole
+    @pytest.mark.parametrize("q,g", [(2, 8), (7, 3), (2000, 0), (100, 1)])
     def test_chunks_are_bounded(self, q, g):
         params = RcgParams(q, g)
         bound = max(graphs.CHUNK_ROWS, q * (g + 1))
@@ -439,8 +442,10 @@ class _Recorder(io.StringIO):
 
 
 class TestWriters:
+    # at (130, 0) the one block's row is split by members at the default
+    # CHUNK_ROWS, and its births are one run
     @pytest.mark.parametrize(
-        "q,g", [(2, 0), (2, 2), (3, 1), (4, 2), (2, 4), (5, 3), (7, 2), (2, 8)]
+        "q,g", [(2, 0), (2, 2), (3, 1), (4, 2), (2, 4), (5, 3), (7, 2), (2, 8), (130, 0)]
     )
     def test_match_reference(self, q, g):
         cg = build_rcg(RcgParams(q, g))
