@@ -216,11 +216,12 @@ def cmd_verify(args, out: TextIO) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
+# each quantity by one name: its digit-bound key and its value at a row of the walk
 CURVE_QUANTITIES = {
-    "clustering": formulas.global_clustering,
-    "avg-distance": formulas.average_distance,
-    "kirchhoff": formulas.kirchhoff_closed,
-    "avg-degree": formulas.average_degree,
+    "clustering": "global_clustering",
+    "avg-distance": "average_distance",
+    "kirchhoff": "kirchhoff_closed",
+    "avg-degree": "average_degree",
 }
 
 
@@ -239,11 +240,14 @@ def cmd_curve(args, out: TextIO) -> int:
     quantity = CURVE_QUANTITIES[args.quantity]
     # RcgParams validates each q and g_max; the digit bounds grow with g
     for q in args.q_list:
-        _check_str_limit(RcgParams(q, args.g_max), quantity.__name__)
+        _check_str_limit(RcgParams(q, args.g_max), quantity)
     rows = ["q,g,value"]
     for q in args.q_list:
-        for g in range(args.g_max + 1):
-            value = quantity(RcgParams(q, g))
+        if quantity == "average_degree":  # no recursion to carry
+            values = (formulas.average_degree(RcgParams(q, g)) for g in range(args.g_max + 1))
+        else:  # one walk per q, read at every row
+            values = (getattr(row, quantity)() for row in formulas._generations(q))
+        for g, value in zip(range(args.g_max + 1), values):
             rows.append(f"{q},{g},{value.numerator}/{value.denominator}")
     out.write("\n".join(rows) + "\n")
     return EXIT_OK

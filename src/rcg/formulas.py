@@ -7,16 +7,20 @@ class denominators), so each step works on Python ints and a Fraction is
 built once, at the return.  Floating point appears only in the Lerch
 transcendent, the asymptotic clustering limit and the log10 of counts.
 
-Where a quantity has both a closed form and a recursion, both are evaluated
-and compared in integers, so a transcription error in either one cannot go
-unnoticed.
+The generation recursions advance together in one walk, `_generations(q)`;
+a single-g function reads row g of one walk.  Reading a quantity at a row
+compares its recursion with its closed form in integers, so a transcription
+error in either one cannot go unnoticed.
 """
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from typing import NamedTuple
 
 from .errors import InternalInconsistencyError
 from .graphs import RcgParams
@@ -128,20 +132,7 @@ def total_distance(params: RcgParams) -> int:
     q/2 (2g q^2 (q+1)^{2g-1} + (q+1)^g + (q-2)(q+1)^{2g}) and the generation
     recursion, each in integers at twice its value, and insists they agree.
     """
-    q, g = params.q, params.g
-    qp = q + 1
-    power = qp**g
-    # (q+1)^{2g-1} as power^2 // (q+1); its factor 2g is 0 at g = 0
-    twice_closed = q * power * (2 * g * q * q * power // qp + 1 + (q - 2) * power)
-    # p = (q+1)^{s-1} at step s, kept with its square by small multiplications
-    recursive, p, p2 = q * (q - 1) // 2, 1, 1
-    for _ in range(g):
-        # the growth q^2/2 (2q (q+1)^{s-1} - 1)(q+1)^s of step s; q(q+1) is even
-        recursive = qp * qp * recursive + q * q * qp * (2 * q * p2 - p) // 2
-        p, p2 = p * qp, p2 * qp * qp
-    if 2 * recursive != twice_closed:
-        raise InternalInconsistencyError("distance recursion != closed form")
-    return recursive
+    return _row(params).total_distance()
 
 
 def average_distance(params: RcgParams) -> Fraction:
@@ -152,8 +143,7 @@ def average_distance(params: RcgParams) -> Fraction:
     ratio mu/(2g*q/(q+1)) approaches 1 slowly for larger q (1.036 at
     q = 5, g = 10).
     """
-    n = params.vertex_count  # N >= q >= 2, so there is at least one pair
-    return Fraction(total_distance(params), n * (n - 1) // 2)
+    return _row(params).average_distance()
 
 
 def vertex_clustering(params: RcgParams, birth: int) -> Fraction:
@@ -171,27 +161,15 @@ def vertex_clustering(params: RcgParams, birth: int) -> Fraction:
     return Fraction(q - 1, k * q - 1)
 
 
-def _clustering_denominator(params: RcgParams) -> int:
-    """lcm of c(0)'s denominator and of kq - 1 for k = 1..g: every c(v) divides it."""
-    q, g = params.q, params.g
-    return math.lcm(vertex_clustering(params, 0).denominator, *range(q - 1, g * q, q))
-
-
 def global_clustering(params: RcgParams) -> Fraction:
     """Exact network clustering coefficient: mean of c(v) over all vertices.
 
     The q^2 (q+1)^{g-k} vertices with k = g-b+1 have c = (q-1)/(kq-1), and
     the q initial ones c(0).  The sum is one integer over the lcm of the
-    denominators, accumulated by Horner's rule in q+1.
+    denominators, carried from generation to generation by Horner's rule in
+    q+1 and rescaled by the ratio of successive lcms.
     """
-    q, g = params.q, params.g
-    initial = vertex_clustering(params, 0)
-    common = _clustering_denominator(params)
-    acc = 0
-    for k in range(1, g + 1):
-        acc = acc * (q + 1) + common // (k * q - 1)
-    numerator = (q - 1) * q * q * acc + q * initial.numerator * (common // initial.denominator)
-    return Fraction(numerator, common * params.vertex_count)
+    return _row(params).global_clustering()
 
 
 def lerch_phi(z: float, a: float) -> float:
@@ -223,14 +201,7 @@ def spanning_trees_closed(params: RcgParams) -> FactoredCount:
     Cross-checked against the generation recursion, which multiplies by
     (q+1)^{(q-1) N_{g-1}} at each step.
     """
-    q, g = params.q, params.g
-    closed = FactoredCount(q, q - 2, (q - 1) * ((q + 1) ** g - 1))
-    exponent = 0
-    for step in range(1, g + 1):
-        exponent += (q - 1) * q * (q + 1) ** (step - 1)
-    if FactoredCount(q, q - 2, exponent) != closed:
-        raise InternalInconsistencyError("spanning tree recursion != closed form")
-    return closed
+    return _row(params).spanning_trees_closed()
 
 
 def kirchhoff_closed(params: RcgParams) -> Fraction:
@@ -239,19 +210,81 @@ def kirchhoff_closed(params: RcgParams) -> Fraction:
     Cross-checked against the resistance recursion from R(0) = q - 1, which
     is integer throughout, by comparing (q+1)^2 times each.
     """
-    q, g = params.q, params.g
-    qp = q + 1
-    power = qp**g
-    # (q+1)^2 times the closed form: an integer at every g, g = 0 included
-    scaled = (q**3 * (2 * g + 1) - 2 * q - 1) * power * power + q * power * qp
-    # p = (q+1)^s at step s, kept with its square by small multiplications
-    recursive, p, p2 = q - 1, 1, 1
-    for _ in range(g):
-        recursive = q * q * (2 * q * p2 - p) + qp * qp * recursive
-        p, p2 = p * qp, p2 * qp * qp
-    if qp * qp * recursive != scaled:
-        raise InternalInconsistencyError("kirchhoff recursion != closed form")
-    return Fraction(scaled // (qp * qp))
+    return _row(params).kirchhoff_closed()
+
+
+class _Row(NamedTuple):
+    """Generation g of the walk: integer state, read lazily per quantity."""
+
+    q: int
+    g: int
+    power: int  # (q+1)^g
+    square: int  # (q+1)^{2g}
+    distance: int  # total distance, by the recursion
+    kirchhoff: int  # Kirchhoff index, by the resistance recursion (an integer)
+    trees: int  # exponent b of the spanning-tree count q^{q-2} (q+1)^b
+    lcm: int  # lcm of kq - 1 for k = 1..g
+    clustering: int  # sum over k = 1..g of lcm/(kq-1) (q+1)^{g-k}
+
+    def total_distance(self) -> int:
+        q, p, square = self.q, self.power, self.square
+        # (q+1)^{2g-1} as square // (q+1); its factor 2g is 0 at g = 0
+        twice_closed = q * (2 * self.g * q * q * square // (q + 1) + p + (q - 2) * square)
+        if 2 * self.distance != twice_closed:
+            raise InternalInconsistencyError("distance recursion != closed form")
+        return self.distance
+
+    def average_distance(self) -> Fraction:
+        # N >= q >= 2, so there is at least one pair; N(N-1) = q^2 square - N
+        n = self.q * self.power
+        return Fraction(self.total_distance(), (self.q * self.q * self.square - n) // 2)
+
+    def kirchhoff_closed(self) -> Fraction:
+        q, qp = self.q, self.q + 1
+        # (q+1)^2 times the closed form: an integer at every g, g = 0 included
+        scaled = (q**3 * (2 * self.g + 1) - 2 * q - 1) * self.square + q * self.power * qp
+        if qp * qp * self.kirchhoff != scaled:
+            raise InternalInconsistencyError("kirchhoff recursion != closed form")
+        return Fraction(self.kirchhoff)
+
+    def spanning_trees_closed(self) -> FactoredCount:
+        if self.trees != (self.q - 1) * (self.power - 1):
+            raise InternalInconsistencyError("spanning tree recursion != closed form")
+        return FactoredCount(self.q, self.q - 2, self.trees)
+
+    def global_clustering(self) -> Fraction:
+        q, lcm, initial = self.q, self.lcm, vertex_clustering(RcgParams(self.q, self.g), 0)
+        numerator = (q - 1) * q * q * self.clustering * initial.denominator
+        numerator += q * initial.numerator * lcm  # the c(0) term
+        return Fraction(numerator, lcm * initial.denominator * q * self.power)
+
+
+def _generations(q: int, first: int = 0) -> Iterator[_Row]:
+    """Rows g = first, first + 1, ...: the only code that advances generation state.
+
+    A step costs a few products with small integers, one exact division by
+    one and one gcd with one; rows before `first` are stepped over, not built.
+    """
+    qp, qp2, q2, births = q + 1, (q + 1) ** 2, q * q, (q - 1) * q
+    p, square, distance, kirchhoff, trees, lcm, clustering = 1, 1, q * (q - 1) // 2, q - 1, 0, 1, 0
+    for g in count():
+        if g >= first:
+            yield _Row(q, g, p, square, distance, kirchhoff, trees, lcm, clustering)
+        # step g + 1 reads (q+1)^g and its square; q(q+1) is even
+        growth = q2 * (2 * q * square - p)
+        distance = qp2 * distance + qp * growth // 2
+        kirchhoff = qp2 * kirchhoff + growth
+        trees += births * p
+        k = (g + 1) * q - 1
+        ratio = k // math.gcd(lcm, k)
+        lcm *= ratio
+        clustering = clustering * qp * ratio + lcm // k
+        p, square = p * qp, square * qp2
+
+
+def _row(params: RcgParams) -> _Row:
+    """Row g of one walk."""
+    return next(_generations(params.q, params.g))
 
 
 def str_digit_limit() -> int:
@@ -270,8 +303,8 @@ def fits_digits(params: RcgParams, quantity: str, limit: int) -> bool:
       at most the diameter 2g+1, so its terms lie below (2g+1) N;
     - the total distance, and the Kirchhoff index below it (a resistance is
       at most the distance), lie below (g+1) N^2;
-    - the clustering denominator divides N lcm(kq-1, c(0)'s denominator),
-      and its numerator is smaller.
+    - the clustering denominator divides N lcm(kq-1 for k = 1..g, c(0)'s
+      denominator), and its numerator is smaller.
     """
     q, g = params.q, params.g
     try:
@@ -288,7 +321,8 @@ def fits_digits(params: RcgParams, quantity: str, limit: int) -> bool:
     elif quantity in ("total_distance", "kirchhoff_closed"):
         bound = distances
     elif quantity in ("global_clustering", "structural_report"):
-        bound = log_n + math.log10(_clustering_denominator(params))
+        lcm = math.lcm(vertex_clustering(params, 0).denominator, *range(q - 1, g * q, q))
+        bound = log_n + math.log10(lcm)
         if quantity == "structural_report":
             bound = max(bound, distances)
     else:
@@ -352,17 +386,17 @@ class StructuralReport:
 
 
 def structural_report(params: RcgParams) -> StructuralReport:
-    n, distance = params.vertex_count, total_distance(params)
+    row = _row(params)
     return StructuralReport(
         params=params,
-        order=n,
+        order=params.vertex_count,
         size=params.edge_count,
         average_degree=average_degree(params),
         degree_classes=degree_multiset(params),
-        total_distance=distance,
-        average_distance=Fraction(distance, n * (n - 1) // 2),
-        global_clustering=global_clustering(params),
+        total_distance=row.total_distance(),
+        average_distance=row.average_distance(),
+        global_clustering=row.global_clustering(),
         asymptotic_clustering=asymptotic_clustering(params.q),
-        spanning_trees=spanning_trees_closed(params),
-        kirchhoff=kirchhoff_closed(params),
+        spanning_trees=row.spanning_trees_closed(),
+        kirchhoff=row.kirchhoff_closed(),
     )

@@ -98,10 +98,10 @@ def _recursive_spectrum(params, kind, budget):
     else:
         values, mults, extra = [float(q), 0.0], [q - 1, 1], float(q + 1)
     tol = MERGE_TOL * abs(extra)
-    for step in range(1, params.g + 1):
+    m = (q - 1) * q  # m_g = (q-1) N_{g-1}, the structural multiplicity
+    for _ in range(params.g):
         plus, minus = _children(values, q, kind)
         values, mults = plus + minus, mults + mults
-        m = (q - 1) * q * (q + 1) ** (step - 1)
         at = bisect_right(values, -extra, key=neg)  # values[at - 1] >= extra
         if at and values[at - 1] - extra <= tol:
             mults[at - 1] += m
@@ -110,6 +110,7 @@ def _recursive_spectrum(params, kind, budget):
         else:
             values.insert(at, extra)
             mults.insert(at, m)
+        m *= q + 1
     entries = zip(values, mults)
     if values != sorted(values, reverse=True):
         entries = sorted(entries, key=itemgetter(0), reverse=True)
@@ -128,7 +129,7 @@ def nonzero_product(params: RcgParams) -> FactoredCount:
     """Product of the nonzero Laplacian eigenvalues.
 
     Recursion: each generation multiplies by (q+1)^{m+1} with
-    m = (q-1)q(q+1)^{g-1}: the m structural q+1 eigenvalues, plus the q+1
+    m = m_g = (q-1) N_{g-1}: the m structural q+1 eigenvalues, plus the q+1
     child of the zero eigenvalue; every other parent's child pair multiplies
     to the parent itself.  (No additional factor of q appears anywhere: on
     the 6-vertex instance (q=2, g=1) the product of nonzero eigenvalues is
@@ -136,10 +137,9 @@ def nonzero_product(params: RcgParams) -> FactoredCount:
     closed form and the matrix-tree count.)
     """
     q, g = params.q, params.g
-    a, b = q - 1, 0  # K_q: eigenvalue q, q-1 times
-    for step in range(1, g + 1):
-        m = (q - 1) * q * (q + 1) ** (step - 1)
-        b += m + 1
+    a, b, m = q - 1, 0, (q - 1) * q  # K_q: eigenvalue q, q-1 times; m_1 = (q-1) N_0
+    for _ in range(g):
+        b, m = b + m + 1, m * (q + 1)
     closed = FactoredCount(q, q - 1, (q - 1) * ((q + 1) ** g - 1) + g)
     if FactoredCount(q, a, b) != closed:
         raise InternalInconsistencyError("nonzero-product recursion != closed form")

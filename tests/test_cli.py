@@ -38,6 +38,33 @@ def failed_rows(table):
     return {line[: -len("FAIL")].rstrip() for line in table.splitlines() if line.endswith("FAIL")}
 
 
+def perturb_walk(monkeypatch, field, first=100):
+    """Put `field` of every walk row from g = `first` on off by one."""
+    from rcg import formulas
+
+    walk = formulas._generations
+
+    def perturbed(*args):
+        for row in walk(*args):
+            yield row._replace(**{field: getattr(row, field) + 1}) if row.g >= first else row
+
+    monkeypatch.setattr(formulas, "_generations", perturbed)
+
+
+def count_walks(monkeypatch):
+    """The argument tuples of every walk started from here on."""
+    from rcg import formulas
+
+    walk, calls = formulas._generations, []
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(formulas, "_generations", counted)
+    return calls
+
+
 class TestGenerate:
     def test_edgelist_k2(self, capsys):
         code, out, _ = run(capsys, "generate", "--q", "2", "--g", "0")
@@ -495,7 +522,48 @@ class TestCurve:
         from rcg import formulas
 
         for quantity in CURVE_QUANTITIES.values():
-            assert formulas.fits_digits(RcgParams(2, 3), quantity.__name__, 4300)
+            assert formulas.fits_digits(RcgParams(2, 3), quantity, 4300)
+
+    @pytest.mark.parametrize("quantity", sorted(CURVE_QUANTITIES))
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_last_fitting_generation(self, capsys, monkeypatch, quantity, q):
+        # both sides of the digit bound: the last admitted --g-max prints
+        # integers within the limit, one generation more exits at once
+        from rcg import formulas
+
+        limit, name = 640, CURVE_QUANTITIES[quantity]
+        monkeypatch.setattr(formulas, "str_digit_limit", lambda: limit)
+        g = 0
+        while formulas.fits_digits(RcgParams(q, g + 1), name, limit):
+            g += 1
+        argv = ["curve", "--quantity", quantity, "--q-list", str(q), "--g-max"]
+        code, out, _ = run(capsys, *argv, str(g))
+        assert code == 0
+        assert len(out.splitlines()) == g + 2
+        values = [line.split(",")[2] for line in out.splitlines()[1:]]
+        assert max(len(part) for value in values for part in value.split("/")) <= limit
+        code, out, err = run(capsys, *argv, str(g + 1))
+        assert code == 2
+        assert out == ""
+        assert f"more than {limit} digits" in err
+
+    @pytest.mark.parametrize("quantity", ["avg-distance", "kirchhoff"])
+    def test_perturbed_middle_row_exits_verify(self, capsys, monkeypatch, quantity):
+        field = {"avg-distance": "distance", "kirchhoff": "kirchhoff"}[quantity]
+        perturb_walk(monkeypatch, field)
+        argv = ["curve", "--quantity", quantity, "--q-list", "2", "--g-max"]
+        assert run(capsys, *argv, "99")[0] == 0
+        code, out, err = run(capsys, *argv, "200")
+        assert code == 3
+        assert out == ""
+        assert "internal inconsistency" in err
+
+    @pytest.mark.parametrize("quantity", ["avg-distance", "clustering", "kirchhoff"])
+    def test_one_walk_per_q(self, capsys, monkeypatch, quantity):
+        walks = count_walks(monkeypatch)
+        argv = ["curve", "--quantity", quantity, "--q-list", "2,3", "--g-max", "50"]
+        assert run(capsys, *argv)[0] == 0
+        assert walks == [(2,), (3,)]
 
     def test_bad_q_list(self, capsys):
         code, out, err = run(
@@ -512,6 +580,42 @@ class TestCurve:
         assert code == 1
         assert out == ""
         assert "--q-list" in err
+
+
+class TestOneWalk:
+    @pytest.mark.parametrize(
+        "function,field",
+        [
+            ("total_distance", "distance"),
+            ("kirchhoff_closed", "kirchhoff"),
+            ("spanning_trees_closed", "trees"),
+        ],
+    )
+    def test_perturbed_middle_row_raises(self, monkeypatch, function, field):
+        from rcg import InternalInconsistencyError, formulas
+
+        perturb_walk(monkeypatch, field)
+        getattr(formulas, function)(RcgParams(2, 99))
+        with pytest.raises(InternalInconsistencyError):
+            getattr(formulas, function)(RcgParams(2, 150))
+
+    @pytest.mark.parametrize(
+        "function",
+        [
+            "structural_report",
+            "total_distance",
+            "average_distance",
+            "global_clustering",
+            "spanning_trees_closed",
+            "kirchhoff_closed",
+        ],
+    )
+    def test_each_call_walks_once(self, monkeypatch, function):
+        from rcg import formulas
+
+        walks = count_walks(monkeypatch)
+        getattr(formulas, function)(RcgParams(3, 7))
+        assert len(walks) == 1
 
 
 class TestImports:
