@@ -3,14 +3,13 @@
 Each command writes its output to --output FILE, or to stdout without one.
 FILE is opened before any work, so a path that cannot be opened fails at
 once; a command that fails later leaves FILE empty or partial, as `> FILE`
-does.  Exit codes: 0 success, 1 usage error (RcgParams rejects q < 2 or
-g < 0) or an --output FILE that cannot be opened or written, 2 resource
-limit exceeded (a budget or limit, or the interpreter out of memory), 3
-verification failure (a failed check, or two routes of an internal
-cross-check that disagree), 4 numerical error.  The environment variable
-CORONA_VERTEX_BUDGET overrides the default vertex budget of 10^6; for
-`spectrum` the budget caps the distinct eigenvalues instead.  `generate`
-also refuses graphs of more than 2*10^7 edges.
+does.  Exit codes: 0 success, 1 usage error (q < 2, g < 0,
+CORONA_VERTEX_BUDGET not a nonnegative integer, or an --output FILE that
+cannot be opened or written), 2 resource limit exceeded (a budget, a limit
+or the interpreter out of memory), 3 verification failure (a failed check,
+or two routes of an internal cross-check that disagree), 4 numerical error.
+`graphs.vertex_budget` caps the vertices of `generate` and `verify` and the
+distinct eigenvalues of `spectrum`; `generate` also caps edges at 2*10^7.
 """
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ import argparse
 import contextlib
 import json
 import operator
-import os
 import sys
 from fractions import Fraction
 from typing import TextIO
@@ -26,7 +24,6 @@ from typing import TextIO
 from . import formulas, oracle, spectra
 from .errors import InternalInconsistencyError, NumericalError, RcgError, ResourceLimitError
 from .graphs import (
-    DEFAULT_VERTEX_BUDGET,
     RcgParams,
     build_rcg,
     check_limits,
@@ -53,19 +50,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def vertex_budget() -> int:
-    raw = os.environ.get("CORONA_VERTEX_BUDGET")
-    if raw is None:
-        return DEFAULT_VERTEX_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"CORONA_VERTEX_BUDGET must be an integer, got {raw!r}")
-
-
 def cmd_generate(args, out: TextIO) -> int:
     params = RcgParams(args.q, args.g)
-    check_limits(params, vertex_budget())
+    check_limits(params)
     # built per call, so a rebinding of these names (a monkeypatch, a tracer) holds
     writers = {"edgelist": write_edgelist, "dot": write_dot, "json": write_json}
     writers[args.format](params, out)
@@ -110,7 +97,7 @@ def _cell(value) -> str:
 
 def cmd_spectrum(args, out: TextIO) -> int:
     build = getattr(spectra, f"{args.matrix}_spectrum")
-    spectrum = build(RcgParams(args.q, args.g), vertex_budget())
+    spectrum = build(RcgParams(args.q, args.g))
     # the bytes of json.dumps of the [{"value", "multiplicity"}] list with
     # indent=2, from one row template: the values are finite, and json
     # writes a float as its repr
@@ -134,13 +121,14 @@ def _resistance_agrees(kirchhoff: Fraction, measured: float) -> bool:
     return abs(measured - closed) <= RESISTANCE_REL_TOL * closed
 
 
-def verification_checks(params: RcgParams, budget: int) -> list[tuple[str, bool]]:
+def verification_checks(params: RcgParams) -> list[tuple[str, bool]]:
     """Every oracle-vs-formula comparison for one (q, g).
 
     Each row is (name, formula route, oracle route, agreement); the exact
     rows compare by ==, the spectra per eigenvalue within SPECTRUM_COMPARE_TOL
     and the resistance sum within RESISTANCE_REL_TOL of the closed form.  The
-    size limits of the oracles are checked before any work starts.
+    size limits of the oracles are checked before any work starts, the
+    vertex budget next.
     """
     for oracle_name, limit in (
         ("matrix-tree", oracle.MATRIX_TREE_SIZE_LIMIT),
@@ -152,7 +140,7 @@ def verification_checks(params: RcgParams, budget: int) -> list[tuple[str, bool]
                 f"(q={params.q}, g={params.g}) has {params.vertex_count} vertices, "
                 f"the {oracle_name} oracle takes at most {limit}"
             )
-    cg = build_rcg(params, budget)
+    cg = build_rcg(params)
     graph = cg.graph
     local = oracle.local_clustering(graph)
     trees = formulas.spanning_trees_closed(params)
@@ -183,13 +171,13 @@ def verification_checks(params: RcgParams, budget: int) -> list[tuple[str, bool]
         ),
         (
             "adjacency spectrum",
-            spectra.adjacency_spectrum(params, budget),
+            spectra.adjacency_spectrum(params),
             oracle.symmetric_eigenvalues(matrix_of(graph, "adjacency")),
             _spectra_agree,
         ),
         (
             "laplacian spectrum",
-            spectra.laplacian_spectrum(params, budget),
+            spectra.laplacian_spectrum(params),
             oracle.symmetric_eigenvalues(matrix_of(graph, "laplacian")),
             _spectra_agree,
         ),
@@ -206,7 +194,7 @@ def verification_checks(params: RcgParams, budget: int) -> list[tuple[str, bool]
 
 
 def cmd_verify(args, out: TextIO) -> int:
-    checks = verification_checks(RcgParams(args.q, args.g), vertex_budget())
+    checks = verification_checks(RcgParams(args.q, args.g))
     width = max(len(name) for name, _ in checks)
     rows = [f"{name:<{width}}  {'PASS' if ok else 'FAIL'}\n" for name, ok in checks]
     failed = sum(not ok for _, ok in checks)
@@ -242,12 +230,9 @@ def cmd_curve(args, out: TextIO) -> int:
     for q in args.q_list:
         _check_str_limit(RcgParams(q, args.g_max), quantity)
     rows = ["q,g,value"]
-    for q in args.q_list:
-        if quantity == "average_degree":  # no recursion to carry
-            values = (formulas.average_degree(RcgParams(q, g)) for g in range(args.g_max + 1))
-        else:  # one walk per q, read at every row
-            values = (getattr(row, quantity)() for row in formulas._generations(q))
-        for g, value in zip(range(args.g_max + 1), values):
+    for q in args.q_list:  # one walk per q, read at every row
+        for g, row in zip(range(args.g_max + 1), formulas._generations(q)):
+            value = getattr(row, quantity)()
             rows.append(f"{q},{g},{value.numerator}/{value.denominator}")
     out.write("\n".join(rows) + "\n")
     return EXIT_OK

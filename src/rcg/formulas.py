@@ -74,23 +74,19 @@ class DegreeClass:
 
 def average_degree(params: RcgParams) -> Fraction:
     """2M/N, equal to q + 1 - 2(q+1)^{-g}; tends to q+1 for large g."""
-    q, g = params.q, params.g
-    twice_edges, n, power = 2 * params.edge_count, params.vertex_count, (q + 1) ** g
-    if twice_edges * power != ((q + 1) * power - 2) * n:
-        raise InternalInconsistencyError("average degree identities disagree")
-    return Fraction(twice_edges, n)
+    return _row(params).average_degree()
 
 
 def degree_multiset(params: RcgParams) -> list[DegreeClass]:
     """All degree classes in ascending degree: degree q(g-b+1) for births
     b = g..1, then the initial vertices of degree q(g+1)-1, the largest."""
     q, g = params.q, params.g
-    classes = [
-        DegreeClass(degree=q * (g - b + 1), count=q * q * (q + 1) ** (b - 1), birth=b)
-        for b in range(g, 0, -1)
-    ]
-    classes.append(DegreeClass(degree=q * (g + 1) - 1, count=q, birth=0))
-    return classes
+    classes = [DegreeClass(degree=q * (g + 1) - 1, count=q, birth=0)]
+    count = q * q  # q^2 (q+1)^{b-1} vertices are born at step b >= 1
+    for b in range(1, g + 1):
+        classes.append(DegreeClass(degree=q * (g - b + 1), count=count, birth=b))
+        count *= q + 1
+    return classes[::-1]
 
 
 def cumulative_degree(params: RcgParams, delta: int) -> Fraction:
@@ -225,6 +221,13 @@ class _Row(NamedTuple):
     trees: int  # exponent b of the spanning-tree count q^{q-2} (q+1)^b
     lcm: int  # lcm of kq - 1 for k = 1..g
     clustering: int  # sum over k = 1..g of lcm/(kq-1) (q+1)^{g-k}
+
+    def average_degree(self) -> Fraction:
+        params = RcgParams(self.q, self.g)
+        twice_edges, n, power = 2 * params.edge_count, params.vertex_count, self.power
+        if twice_edges * power != ((self.q + 1) * power - 2) * n:
+            raise InternalInconsistencyError("average degree identities disagree")
+        return Fraction(twice_edges, n)
 
     def total_distance(self) -> int:
         q, p, square = self.q, self.power, self.square
@@ -391,7 +394,7 @@ def structural_report(params: RcgParams) -> StructuralReport:
         params=params,
         order=params.vertex_count,
         size=params.edge_count,
-        average_degree=average_degree(params),
+        average_degree=row.average_degree(),
         degree_classes=degree_multiset(params),
         total_distance=row.total_distance(),
         average_distance=row.average_distance(),

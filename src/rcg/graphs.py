@@ -20,10 +20,13 @@ block layout in their final (u, v) order, in chunks of at most CHUNK_ROWS
 the edge-list, dot and JSON writers, `writer(params, out)`, check each chunk
 (seam included) and the final row count, and write its text to the stream
 `out`, so the writers never hold a whole-graph array.  numpy is imported on
-first use, never at module import.
+first use, never at module import.  `vertex_budget` is the one reader of
+CORONA_VERTEX_BUDGET, for `check_limits` (so `build_rcg`) and the spectra.
 """
 from __future__ import annotations
 
+import contextlib
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -219,9 +222,20 @@ def _runs(params: RcgParams) -> Iterator[tuple[int, int, int]]:
             yield b, start, min(start + CHUNK_ROWS, hi)
 
 
-def check_limits(params: RcgParams, vertex_budget: int | None = None) -> None:
+def vertex_budget() -> int:
+    """CORONA_VERTEX_BUDGET, a nonnegative integer, or DEFAULT_VERTEX_BUDGET if unset."""
+    raw = os.environ.get("CORONA_VERTEX_BUDGET")
+    if raw is None:
+        return DEFAULT_VERTEX_BUDGET
+    with contextlib.suppress(ValueError):
+        if (budget := int(raw)) >= 0:
+            return budget
+    raise ValueError(f"CORONA_VERTEX_BUDGET must be a nonnegative integer, got {raw!r}")
+
+
+def check_limits(params: RcgParams) -> None:
     """Refuse (q, g) past the vertex budget or EDGE_LIMIT, before any work."""
-    budget = DEFAULT_VERTEX_BUDGET if vertex_budget is None else vertex_budget
+    budget = vertex_budget()
     n = params.vertex_count
     if n > budget:
         raise ResourceLimitError(
@@ -309,7 +323,7 @@ def _checked_edges(params: RcgParams) -> Iterator[tuple[np.ndarray, np.ndarray]]
     _check_count(params, rows)
 
 
-def build_rcg(params: RcgParams, vertex_budget: int | None = None) -> CoronaGraph:
+def build_rcg(params: RcgParams) -> CoronaGraph:
     """Construct the explicit recursive corona graph for (q, g).
 
     `check_limits` refuses (q, g) before any array is made.  The chunks of
@@ -320,7 +334,7 @@ def build_rcg(params: RcgParams, vertex_budget: int | None = None) -> CoronaGrap
     """
     import numpy as np
 
-    check_limits(params, vertex_budget)
+    check_limits(params)
     m = params.edge_count
     u = np.empty(m, dtype=np.int64)
     v = np.empty(m, dtype=np.int64)

@@ -21,10 +21,7 @@ from operator import itemgetter, neg
 
 from .errors import InternalInconsistencyError, ResourceLimitError
 from .formulas import FactoredCount
-from .graphs import RcgParams
-
-# default cap on the distinct eigenvalues a spectrum may hold
-DEFAULT_EIGENVALUE_BUDGET = 10**6
+from .graphs import RcgParams, vertex_budget
 
 MERGE_TOL = 1e-10
 
@@ -70,7 +67,7 @@ def child_pair(parent: float, q: int, kind: str) -> tuple[float, float]:
     return plus, minus
 
 
-def _recursive_spectrum(params, kind, budget):
+def _recursive_spectrum(params, kind):
     """Plus run, minus run and the structural value, once per generation.
 
     g = 0 has 2 distinct values and each generation at most doubles them and
@@ -85,7 +82,7 @@ def _recursive_spectrum(params, kind, budget):
     sort at the end, run only when the list is out of order, restores the
     descending order.
     """
-    limit = DEFAULT_EIGENVALUE_BUDGET if budget is None else budget
+    limit = vertex_budget()
     bound = 3 * 2**params.g - 1
     if bound > limit:
         raise ResourceLimitError(
@@ -117,12 +114,12 @@ def _recursive_spectrum(params, kind, budget):
     return SpectrumMultiset(tuple(entries))
 
 
-def adjacency_spectrum(params: RcgParams, budget: int | None = None) -> SpectrumMultiset:
-    return _recursive_spectrum(params, "adjacency", budget)
+def adjacency_spectrum(params: RcgParams) -> SpectrumMultiset:
+    return _recursive_spectrum(params, "adjacency")
 
 
-def laplacian_spectrum(params: RcgParams, budget: int | None = None) -> SpectrumMultiset:
-    return _recursive_spectrum(params, "laplacian", budget)
+def laplacian_spectrum(params: RcgParams) -> SpectrumMultiset:
+    return _recursive_spectrum(params, "laplacian")
 
 
 def nonzero_product(params: RcgParams) -> FactoredCount:

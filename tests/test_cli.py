@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -425,7 +426,7 @@ class TestVerify:
 
     def test_check_names_are_pinned(self):
         # the benchmark's verify gate reads these rows, in this order
-        checks = verification_checks(RcgParams(2, 1), 10**6)
+        checks = verification_checks(RcgParams(2, 1))
         assert [name for name, _ in checks] == [
             "order",
             "size",
@@ -453,6 +454,60 @@ class TestVerify:
         )
         assert result.returncode == 2
         assert "resource" in result.stderr
+
+
+class TestVertexBudget:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--q", "2", "--g", "1", "--matrix", "laplacian"],
+            ["verify", "--q", "2", "--g", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_small_budget_exits_resource(self, monkeypatch, argv):
+        # (2, 1) has N = 6 and at most 5 distinct eigenvalues; 4 admits neither
+        monkeypatch.setenv("CORONA_VERTEX_BUDGET", "4")
+        result = subprocess.run(
+            [sys.executable, "-m", "rcg.cli", *argv], capture_output=True, text=True, timeout=20
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("resource limit:")
+        assert result.stderr.endswith("budget is 4\n")
+
+    @pytest.mark.parametrize("raw", ["abc", "", "-1"], ids=["abc", "empty", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--q", "2", "--g", "1"],
+            ["spectrum", "--q", "2", "--g", "0", "--matrix", "laplacian"],
+            ["verify", "--q", "2", "--g", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_malformed_budget_exits_usage(self, capsys, monkeypatch, argv, raw):
+        monkeypatch.setenv("CORONA_VERTEX_BUDGET", raw)
+        assert run(capsys, *argv) == (
+            1,
+            "",
+            f"error: CORONA_VERTEX_BUDGET must be a nonnegative integer, got {raw!r}\n",
+        )
+
+    @pytest.mark.parametrize("raw", ["abc", "", "-1"], ids=["abc", "empty", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--q", "2", "--g", "1"],
+            ["curve", "--quantity", "clustering", "--q-list", "2", "--g-max", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_malformed_budget_is_ignored(self, capsys, monkeypatch, argv, raw):
+        monkeypatch.delenv("CORONA_VERTEX_BUDGET", raising=False)
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        monkeypatch.setenv("CORONA_VERTEX_BUDGET", raw)
+        assert run(capsys, *argv) == expected
 
 
 class TestCurve:
@@ -496,6 +551,15 @@ class TestCurve:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert len(out.splitlines()) == 1 + 3 * 201
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_avg_degree_bytes_are_pinned_past_200(self, capsys):
+        # sha256 of every row to g = 1500, taken from the per-g closed form
+        argv = ["curve", "--quantity", "avg-degree", "--q-list", "2,3", "--g-max", "1500"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 2 * 1501
+        digest = "2cf6a562f13a193c597550f83ea9b0d16258a648075cd5567f8d8d49168b11a5"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
@@ -547,10 +611,10 @@ class TestCurve:
         assert out == ""
         assert f"more than {limit} digits" in err
 
-    @pytest.mark.parametrize("quantity", ["avg-distance", "kirchhoff"])
+    @pytest.mark.parametrize("quantity", ["avg-distance", "kirchhoff", "avg-degree"])
     def test_perturbed_middle_row_exits_verify(self, capsys, monkeypatch, quantity):
-        field = {"avg-distance": "distance", "kirchhoff": "kirchhoff"}[quantity]
-        perturb_walk(monkeypatch, field)
+        fields = {"avg-distance": "distance", "kirchhoff": "kirchhoff", "avg-degree": "power"}
+        perturb_walk(monkeypatch, fields[quantity])
         argv = ["curve", "--quantity", quantity, "--q-list", "2", "--g-max"]
         assert run(capsys, *argv, "99")[0] == 0
         code, out, err = run(capsys, *argv, "200")
@@ -558,7 +622,7 @@ class TestCurve:
         assert out == ""
         assert "internal inconsistency" in err
 
-    @pytest.mark.parametrize("quantity", ["avg-distance", "clustering", "kirchhoff"])
+    @pytest.mark.parametrize("quantity", sorted(CURVE_QUANTITIES))
     def test_one_walk_per_q(self, capsys, monkeypatch, quantity):
         walks = count_walks(monkeypatch)
         argv = ["curve", "--quantity", quantity, "--q-list", "2,3", "--g-max", "50"]
@@ -589,6 +653,7 @@ class TestOneWalk:
             ("total_distance", "distance"),
             ("kirchhoff_closed", "kirchhoff"),
             ("spanning_trees_closed", "trees"),
+            ("average_degree", "power"),
         ],
     )
     def test_perturbed_middle_row_raises(self, monkeypatch, function, field):
@@ -603,6 +668,7 @@ class TestOneWalk:
         "function",
         [
             "structural_report",
+            "average_degree",
             "total_distance",
             "average_distance",
             "global_clustering",
@@ -641,6 +707,21 @@ class TestImports:
         ]
         # one way in: Graph(n, u, v)
         assert list(inspect.signature(Graph).parameters) == ["vertex_count", "u", "v"]
+
+    def test_one_reader_of_the_budget(self):
+        # graphs.vertex_budget alone reads the variable, and no function of
+        # the modules that apply the budget takes it as a parameter
+        from rcg import cli, graphs, spectra
+
+        sources = sorted(Path(rcg.__file__).parent.glob("*.py"))
+        reader = inspect.getsource(graphs.vertex_budget)
+        for needle in ("os.environ", '"CORONA_VERTEX_BUDGET"'):
+            assert [path.name for path in sources if needle in path.read_text()] == ["graphs.py"]
+            assert needle in reader
+        for module in (graphs, spectra, cli):
+            for name, function in inspect.getmembers(module, inspect.isfunction):
+                parameters = inspect.signature(function).parameters
+                assert not {"budget", "vertex_budget"} & set(parameters), name
 
     @pytest.mark.parametrize(
         "code",

@@ -292,9 +292,19 @@ class TestBuildRcg:
             expected = q if b == 0 else q * q * (q + 1) ** (b - 1)
             assert cg.birth.count(b) == expected
 
-    def test_budget_refusal_names_required_count(self):
+    def test_budget_refusal_names_required_count(self, monkeypatch):
+        monkeypatch.setenv("CORONA_VERTEX_BUDGET", "10")
         with pytest.raises(ResourceLimitError, match="18"):
-            build_rcg(RcgParams(2, 2), vertex_budget=10)
+            build_rcg(RcgParams(2, 2))
+
+    @pytest.mark.parametrize("call", [graphs.check_limits, build_rcg])
+    def test_env_budget_governs(self, monkeypatch, call):
+        # (2, 2) has N = 18: a budget of 18 admits it, 17 refuses it
+        monkeypatch.setenv("CORONA_VERTEX_BUDGET", "18")
+        call(RcgParams(2, 2))
+        monkeypatch.setenv("CORONA_VERTEX_BUDGET", "17")
+        with pytest.raises(ResourceLimitError, match="budget is 17"):
+            call(RcgParams(2, 2))
 
     @pytest.mark.parametrize("q,g,edges", [(999, 1, 499_499_001), (10**6, 0, 499_999_500_000)])
     def test_edge_limit_refuses_before_any_array(self, q, g, edges):
@@ -508,3 +518,22 @@ class TestWriters:
                 writer(params, _Discard())
         assert cli.main(["generate", "--q", "2", "--g", "5"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestVertexBudget:
+    def test_default_when_unset(self, monkeypatch):
+        monkeypatch.delenv("CORONA_VERTEX_BUDGET", raising=False)
+        assert graphs.vertex_budget() == graphs.DEFAULT_VERTEX_BUDGET == 10**6
+
+    @pytest.mark.parametrize(
+        "raw,budget", [("0", 0), ("5", 5), (" 12\n", 12)], ids=["0", "5", "padded"]
+    )
+    def test_nonnegative_integer(self, monkeypatch, raw, budget):
+        monkeypatch.setenv("CORONA_VERTEX_BUDGET", raw)
+        assert graphs.vertex_budget() == budget
+
+    @pytest.mark.parametrize("raw", ["abc", "", "-1", "1.5"], ids=["abc", "empty", "-1", "1.5"])
+    def test_malformed_raises(self, monkeypatch, raw):
+        monkeypatch.setenv("CORONA_VERTEX_BUDGET", raw)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            graphs.vertex_budget()

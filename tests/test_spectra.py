@@ -228,19 +228,22 @@ class TestAdjacencySpectrum:
         assert moment(spectrum, 1) == pytest.approx(0.0, abs=1e-9 * n)
         assert moment(spectrum, 2) == pytest.approx(2 * params.edge_count, abs=1e-9 * n)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setenv("CORONA_VERTEX_BUDGET", "10")
         with pytest.raises(ResourceLimitError):
-            adjacency_spectrum(RcgParams(2, 2), budget=10)
+            adjacency_spectrum(RcgParams(2, 2))
 
 
 class TestEntryBudget:
     @pytest.mark.parametrize("build", [adjacency_spectrum, laplacian_spectrum])
-    def test_counts_distinct_entries(self, build):
+    def test_counts_distinct_entries(self, build, monkeypatch):
         # (2, 3) has N = 54 but at most 3 * 2^3 - 1 = 23 distinct eigenvalues
-        spectrum = build(RcgParams(2, 3), budget=23)
+        monkeypatch.setenv("CORONA_VERTEX_BUDGET", "23")
+        spectrum = build(RcgParams(2, 3))
         assert total_multiplicity(spectrum) == 54
+        monkeypatch.setenv("CORONA_VERTEX_BUDGET", "22")
         with pytest.raises(ResourceLimitError, match="23 distinct"):
-            build(RcgParams(2, 3), budget=22)
+            build(RcgParams(2, 3))
 
     @pytest.mark.parametrize("g", [16, 17])
     def test_laplacian_keeps_every_child(self, g):
