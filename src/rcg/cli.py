@@ -10,28 +10,16 @@ or the interpreter out of memory), 3 verification failure (a failed check,
 or two routes of an internal cross-check that disagree), 4 numerical error.
 `graphs.vertex_budget` caps the vertices of `generate` and `verify` and the
 distinct eigenvalues of `spectrum`; `generate` also caps edges at 2*10^7.
+Each command imports the layers it runs when it runs, so `--help` loads
+none of them and `generate` no closed form, spectrum or oracle.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
-import operator
 import sys
-from fractions import Fraction
-from typing import TextIO
 
-from . import formulas, oracle, spectra
 from .errors import InternalInconsistencyError, NumericalError, RcgError, ResourceLimitError
-from .graphs import (
-    RcgParams,
-    build_rcg,
-    check_limits,
-    matrix_of,
-    write_dot,
-    write_edgelist,
-    write_json,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,17 +38,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def cmd_generate(args, out: TextIO) -> int:
-    params = RcgParams(args.q, args.g)
-    check_limits(params)
-    # built per call, so a rebinding of these names (a monkeypatch, a tracer) holds
-    writers = {"edgelist": write_edgelist, "dot": write_dot, "json": write_json}
-    writers[args.format](params, out)
+def cmd_generate(args, out) -> int:
+    from . import graphs
+
+    params = graphs.RcgParams(args.q, args.g)
+    graphs.check_limits(params)
+    getattr(graphs, f"write_{args.format}")(params, out)
     return EXIT_OK
 
 
-def _check_str_limit(params: RcgParams, quantity: str) -> None:
+def _check_str_limit(params, quantity: str) -> None:
     """Refuse, before any work, output that may pass the int->str digit limit."""
+    from . import formulas
+
     limit = formulas.str_digit_limit()
     if limit and not formulas.fits_digits(params, quantity, limit):
         raise ResourceLimitError(
@@ -69,7 +59,12 @@ def _check_str_limit(params: RcgParams, quantity: str) -> None:
         )
 
 
-def cmd_analyze(args, out: TextIO) -> int:
+def cmd_analyze(args, out) -> int:
+    import json
+
+    from . import formulas
+    from .graphs import RcgParams
+
     params = RcgParams(args.q, args.g)
     _check_str_limit(params, "structural_report")
     payload = formulas.structural_report(params).to_json_dict()
@@ -95,7 +90,10 @@ def _cell(value) -> str:
     return "*".join(f"{base}^{exponent}" for base, exponent in value["factors"])
 
 
-def cmd_spectrum(args, out: TextIO) -> int:
+def cmd_spectrum(args, out) -> int:
+    from . import spectra
+    from .graphs import RcgParams
+
     build = getattr(spectra, f"{args.matrix}_spectrum")
     spectrum = build(RcgParams(args.q, args.g))
     # the bytes of json.dumps of the [{"value", "multiplicity"}] list with
@@ -109,27 +107,35 @@ def cmd_spectrum(args, out: TextIO) -> int:
     return EXIT_OK
 
 
-def _spectra_agree(spectrum: spectra.SpectrumMultiset, measured: list[float]) -> bool:
+def _spectra_agree(spectrum, measured: list[float]) -> bool:
     predicted = [value for value, mult in spectrum.entries for _ in range(mult)]
     return len(predicted) == len(measured) and all(
         abs(p - m) <= SPECTRUM_COMPARE_TOL for p, m in zip(predicted, measured)
     )
 
 
-def _resistance_agrees(kirchhoff: Fraction, measured: float) -> bool:
+def _resistance_agrees(kirchhoff, measured: float) -> bool:
     closed = float(kirchhoff)
     return abs(measured - closed) <= RESISTANCE_REL_TOL * closed
 
 
-def verification_checks(params: RcgParams) -> list[tuple[str, bool]]:
+def verification_checks(params) -> list[tuple[str, bool]]:
     """Every oracle-vs-formula comparison for one (q, g).
 
     Each row is (name, formula route, oracle route, agreement); the exact
     rows compare by ==, the spectra per eigenvalue within SPECTRUM_COMPARE_TOL
-    and the resistance sum within RESISTANCE_REL_TOL of the closed form.  The
-    size limits of the oracles are checked before any work starts, the
-    vertex budget next.
+    and the resistance sum within RESISTANCE_REL_TOL of the closed form.
+    A malformed vertex budget is refused first, then a (q, g) past the size
+    limit of an oracle, before any work and before the closed forms, the
+    spectra or numpy are loaded; `build_rcg` then checks the budget itself.
     """
+    import operator
+    from fractions import Fraction
+
+    from . import oracle
+    from .graphs import build_rcg, matrix_of, vertex_budget
+
+    vertex_budget()
     for oracle_name, limit in (
         ("matrix-tree", oracle.MATRIX_TREE_SIZE_LIMIT),
         ("eigenvalue", oracle.EIGENVALUE_SIZE_LIMIT),
@@ -140,6 +146,8 @@ def verification_checks(params: RcgParams) -> list[tuple[str, bool]]:
                 f"(q={params.q}, g={params.g}) has {params.vertex_count} vertices, "
                 f"the {oracle_name} oracle takes at most {limit}"
             )
+    from . import formulas, spectra
+
     cg = build_rcg(params)
     graph = cg.graph
     local = oracle.local_clustering(graph)
@@ -193,7 +201,9 @@ def verification_checks(params: RcgParams) -> list[tuple[str, bool]]:
     return [(name, agree(formula, measured)) for name, formula, measured, agree in rows]
 
 
-def cmd_verify(args, out: TextIO) -> int:
+def cmd_verify(args, out) -> int:
+    from .graphs import RcgParams
+
     checks = verification_checks(RcgParams(args.q, args.g))
     width = max(len(name) for name, _ in checks)
     rows = [f"{name:<{width}}  {'PASS' if ok else 'FAIL'}\n" for name, ok in checks]
@@ -224,7 +234,10 @@ def _q_list(text: str) -> list[int]:
     return q_values
 
 
-def cmd_curve(args, out: TextIO) -> int:
+def cmd_curve(args, out) -> int:
+    from . import formulas
+    from .graphs import RcgParams
+
     quantity = CURVE_QUANTITIES[args.quantity]
     # RcgParams validates each q and g_max; the digit bounds grow with g
     for q in args.q_list:

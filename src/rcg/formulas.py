@@ -223,9 +223,10 @@ class _Row(NamedTuple):
     clustering: int  # sum over k = 1..g of lcm/(kq-1) (q+1)^{g-k}
 
     def average_degree(self) -> Fraction:
-        params = RcgParams(self.q, self.g)
-        twice_edges, n, power = 2 * params.edge_count, params.vertex_count, self.power
-        if twice_edges * power != ((self.q + 1) * power - 2) * n:
+        q, params = self.q, RcgParams(self.q, self.g)
+        twice_edges, n = 2 * params.edge_count, params.vertex_count
+        # together these give 2M (q+1)^g = ((q+1) (q+1)^g - 2) N, in linear time
+        if n != q * self.power or twice_edges != (q + 1) * n - 2 * q:
             raise InternalInconsistencyError("average degree identities disagree")
         return Fraction(twice_edges, n)
 

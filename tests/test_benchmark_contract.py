@@ -3,7 +3,9 @@
 The harness reaches into `rcg` by name: its gates read attributes of what
 the library returns, and its tracer wraps every public function and looks
 up `formulas.BigCount`.  Deleting or renaming a name it uses makes its ops
-fail, which this test shows before a benchmark run does.
+fail, which this test shows before a benchmark run does.  The CLI workloads
+also run their `prepare`, the `python -m rcg.cli --help` child that the
+benchmark's set-up time measures, so a CLI that no longer starts fails here.
 """
 import importlib.util
 import sys
@@ -26,7 +28,9 @@ def test_traced_ops_pass_their_gates(tmp_path):
     exact = workloads.Exact(tmp_path)
     exact.prepare()
     explicit = workloads.Explicit(tmp_path)
+    explicit.prepare()
     verify = workloads.Verify(tmp_path)
+    verify.prepare()
     ops = [(exact, op) for op in exact.ops if (op.q, op.g) in ((2, 3), (3, 2))]
     # the dot op reads birth; the JSON op sets the workload's peak RSS, and
     # the (5, 6) edge list set it before the writers streamed from (q, g)

@@ -66,6 +66,20 @@ def count_walks(monkeypatch):
     return calls
 
 
+def loaded_by(argv):
+    """The exit code of `rcg argv` in a child, and the rcg.* modules and numpy it loaded."""
+    code = (
+        "import sys, rcg.cli; code = rcg.cli.main(sys.argv[1:]); "
+        "print(code, *(m for m in sys.modules if m.startswith('rcg.') or m == 'numpy'), "
+        "file=sys.stderr)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=20
+    )
+    exit_code, *loaded = result.stderr.splitlines()[-1].split()
+    return int(exit_code), set(loaded)
+
+
 class TestGenerate:
     def test_edgelist_k2(self, capsys):
         code, out, _ = run(capsys, "generate", "--q", "2", "--g", "0")
@@ -143,12 +157,12 @@ class TestGenerate:
         ids=["numpy", "bare"],
     )
     def test_memory_error_exit_code(self, capsys, monkeypatch, message, line):
-        from rcg import cli
+        from rcg import graphs
 
         def out_of_memory(*args):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "write_edgelist", out_of_memory)
+        monkeypatch.setattr(graphs, "write_edgelist", out_of_memory)
         code, out, err = run(capsys, "generate", "--q", "2", "--g", "1")
         assert (code, out, err) == (2, "", line + "\n")
 
@@ -323,13 +337,13 @@ class TestVerify:
         assert "FAIL" not in out
 
     def test_perturbed_formula_fails(self, capsys, monkeypatch):
-        from rcg import cli, formulas
+        from rcg import formulas
 
         def wrong_total_distance(params):
             return total_distance_true(params) + 1
 
         total_distance_true = formulas.total_distance
-        monkeypatch.setattr(cli.formulas, "total_distance", wrong_total_distance)
+        monkeypatch.setattr(formulas, "total_distance", wrong_total_distance)
         code, out, _ = run(capsys, "verify", "--q", "2", "--g", "1")
         assert code == 3
         assert failed_rows(out) == {"total distance"}
@@ -482,6 +496,8 @@ class TestVertexBudget:
             ["generate", "--q", "2", "--g", "1"],
             ["spectrum", "--q", "2", "--g", "0", "--matrix", "laplacian"],
             ["verify", "--q", "2", "--g", "1"],
+            # past the oracles' size limits: the budget is read before them
+            pytest.param(["verify", "--q", "2", "--g", "6"], id="verify-past-oracle-limits"),
         ],
         ids=lambda argv: argv[0],
     )
@@ -688,8 +704,7 @@ class TestImports:
     def test_public_names_are_pinned(self):
         # the library surface is what the CLI and the checks use; a name
         # added to or deleted from `rcg` or `Graph` shows up here
-        public = vars(rcg).items()
-        names = sorted(n for n, x in public if not n.startswith("_") and not inspect.ismodule(x))
+        names = [n for n in dir(rcg) if not n.startswith("_")]
         assert names == [
             "ConnectivityError", "CoronaGraph", "DegreeClass", "FactoredCount", "Graph",
             "InternalInconsistencyError", "NumericalError", "RcgError", "RcgParams",
@@ -750,6 +765,57 @@ class TestImports:
             timeout=20,
         )
         assert result.returncode == 0, result.stderr
+
+    def test_help_loads_no_layer(self):
+        code, loaded = loaded_by(["--help"])
+        assert code == 0
+        assert {name for name in loaded if name.startswith("rcg.")} == {"rcg.cli", "rcg.errors"}
+
+    @pytest.mark.parametrize(
+        "argv,exit_code,unloaded",
+        [
+            (["generate", "--q", "2", "--g", "3"], 0, {"rcg.formulas", "rcg.spectra", "rcg.oracle"}),
+            (["analyze", "--q", "2", "--g", "3"], 0, {"rcg.spectra", "rcg.oracle", "numpy"}),
+            (
+                ["curve", "--quantity", "avg-degree", "--q-list", "2", "--g-max", "3"],
+                0,
+                {"rcg.spectra", "rcg.oracle", "numpy"},
+            ),
+            (
+                ["spectrum", "--q", "2", "--g", "3", "--matrix", "adjacency"],
+                0,
+                {"rcg.oracle", "numpy"},
+            ),
+            # the oracles' size limits are checked before the other layers load
+            (["verify", "--q", "2", "--g", "6"], 2, {"rcg.formulas", "rcg.spectra", "numpy"}),
+        ],
+        ids=["generate", "analyze", "curve", "spectrum", "verify-past-oracle-limits"],
+    )
+    def test_command_loads_only_its_layers(self, argv, exit_code, unloaded):
+        code, loaded = loaded_by(argv)
+        assert code == exit_code
+        assert not unloaded & loaded
+
+    def test_every_public_name_is_its_layers_object(self):
+        for name in dir(rcg):
+            obj = getattr(rcg, name)
+            assert obj.__module__.startswith("rcg."), name
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+        namespace = {}
+        exec("from rcg import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == dir(rcg)
+
+    @pytest.mark.parametrize("name", ["no_such_name", "_generations", "vertex_budget"])
+    def test_unknown_name_raises_attribute_error(self, name):
+        with pytest.raises(AttributeError, match=name):
+            getattr(rcg, name)
+
+    def test_reading_a_name_caches_nothing(self):
+        # so `rcg.X is rcg.<layer>.X` holds after a rebinding in the layer too
+        from rcg import graphs
+
+        assert rcg.Graph is graphs.Graph and rcg.structural_report
+        assert [n for n, x in vars(rcg).items() if not n.startswith("_") and not inspect.ismodule(x)] == []
 
 
 class TestUsage:
@@ -816,12 +882,12 @@ class TestUsage:
     )
     @pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["missing-dir", "dir"])
     def test_unwritable_output_exits_before_work(self, capsys, monkeypatch, tmp_path, argv, target):
-        from rcg import cli, graphs
+        from rcg import graphs
 
         def no_work(*args):
             raise AssertionError("work started before --output was opened")
 
-        monkeypatch.setattr(cli, "build_rcg", no_work)
+        monkeypatch.setattr(graphs, "build_rcg", no_work)
         monkeypatch.setattr(graphs, "_edge_chunks", no_work)
         code, out, err = run(capsys, *argv, "--output", str(tmp_path / target))
         assert code == 1
