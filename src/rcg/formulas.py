@@ -239,9 +239,13 @@ class _Row(NamedTuple):
         return self.distance
 
     def average_distance(self) -> Fraction:
-        # N >= q >= 2, so there is at least one pair; N(N-1) = q^2 square - N
+        # T / C(N, 2) = X / (N - 1) with X = 2T / N, exact by the checked closed
+        # form, so the reduction works on half the digits; N >= q >= 2
         n = self.q * self.power
-        return Fraction(self.total_distance(), (self.q * self.q * self.square - n) // 2)
+        x, remainder = divmod(2 * self.total_distance(), n)
+        if remainder:
+            raise InternalInconsistencyError("twice the total distance is not a multiple of N")
+        return Fraction(x, n - 1)
 
     def kirchhoff_closed(self) -> Fraction:
         q, qp = self.q, self.q + 1

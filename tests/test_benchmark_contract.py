@@ -6,6 +6,9 @@ up `formulas.BigCount`.  Deleting or renaming a name it uses makes its ops
 fail, which this test shows before a benchmark run does.  The CLI workloads
 also run their `prepare`, the `python -m rcg.cli --help` child that the
 benchmark's set-up time measures, so a CLI that no longer starts fails here.
+A few CLI ops also run as the `python -m rcg.cli` children of the end-to-end
+runs, so a fault in the process entry (lost output, a changed exit code)
+fails here too.
 """
 import importlib.util
 import sys
@@ -51,3 +54,14 @@ def test_traced_ops_pass_their_gates(tmp_path):
         tracer.uninstall()
     assert [(name, o.error, o.wrong) for name, o in outcomes if o.failed] == []
     assert tracer.spans
+
+
+def test_child_ops_pass_their_gates(tmp_path):
+    workloads = load("workloads")
+    explicit = workloads.Explicit(tmp_path)
+    verify = workloads.Verify(tmp_path)
+    names = ("generate dot q3 g6", "verify q2 g1", "verify q2 g6")
+    ops = [(w, op) for w in (explicit, verify) for op in w.ops if op.name in names]
+    assert len(ops) == 3
+    outcomes = [(op.name, workload.run(op, False)) for workload, op in ops]
+    assert [(name, o.error, o.wrong) for name, o in outcomes if o.failed] == []

@@ -1,10 +1,12 @@
 import argparse
 import contextlib
+import gc
 import hashlib
 import inspect
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -23,6 +25,7 @@ from rcg import (
     laplacian_spectrum,
     write_edgelist,
 )
+from rcg import cli
 from rcg.cli import CURVE_QUANTITIES, build_parser, main, verification_checks
 
 from reference import reference_text
@@ -905,3 +908,77 @@ class TestUsage:
 
     def test_missing_required(self, capsys):
         assert run(capsys, "analyze", "--q", "2")[0] == 1
+
+
+def child(argv, prelude=""):
+    """`python -m rcg.cli argv` in a child; with a prelude, run by runpy after it.
+
+    stdout is block-buffered, as it is by default, so output the exit path
+    fails to flush is lost.
+    """
+    command = ["-m", "rcg.cli"]
+    if prelude:
+        command = ["-c", f"{prelude}; import runpy; runpy.run_module('rcg.cli', run_name='__main__')"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *command, *argv], capture_output=True, env=env, timeout=20)
+
+
+class TestProcessEntry:
+    def test_script_is_the_main_block_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["rcg"]
+        module, name = target.split(":")
+        assert module == "rcg.cli"
+        assert getattr(cli, name) is cli.entry
+        assert inspect.getsource(cli).endswith(f'\nif __name__ == "__main__":\n    {name}()\n')
+
+    def test_child_exits_with_a_frozen_heap(self):
+        # atexit hooks run before shutdown collects, and after the entry's freeze
+        hook = "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))"
+        result = child(["generate", "--q", "2", "--g", "1"], f"import atexit, gc, sys; {hook}")
+        assert result.returncode == 0
+        assert result.stderr.decode().splitlines()[-1] == "frozen True"
+
+    def test_main_in_process_leaves_the_heap_unfrozen(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert run(capsys, "generate", "--q", "2", "--g", "1")[0] == 0
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize(
+        "argv,exit_code",
+        [
+            (["generate", "--q", "3", "--g", "4"], 0),
+            (["analyze", "--q", "2", "--g", "5"], 0),
+            (["generate", "--q", "1", "--g", "0"], 1),
+            (["verify", "--q", "2", "--g", "6"], 2),
+        ],
+        ids=["generate", "analyze", "usage", "over-oracle-limit"],
+    )
+    def test_child_keeps_exit_code_and_bytes(self, capsys, argv, exit_code):
+        code, out, _ = run(capsys, *argv)
+        assert code == exit_code
+        result = child(argv)
+        assert (result.returncode, result.stdout) == (exit_code, out.encode())
+
+    def test_child_output_file_keeps_bytes(self, capsys, tmp_path):
+        argv = ["generate", "--q", "3", "--g", "4", "--format", "dot", "--output"]
+        assert run(capsys, *argv, str(tmp_path / "main.dot")) == (0, "", "")
+        result = child([*argv, str(tmp_path / "child.dot")])
+        assert (result.returncode, result.stdout) == (0, b"")
+        assert (tmp_path / "child.dot").read_bytes() == (tmp_path / "main.dot").read_bytes()
+
+    def test_child_verification_failure_exits_verify(self, capsys, monkeypatch):
+        from rcg import formulas
+
+        argv = ["verify", "--q", "2", "--g", "1"]
+        true_distance = formulas.total_distance
+        monkeypatch.setattr(formulas, "total_distance", lambda params: true_distance(params) + 1)
+        code, out, _ = run(capsys, *argv)
+        assert code == 3
+        prelude = (
+            "import rcg.formulas as f; true = f.total_distance; "
+            "f.total_distance = lambda params: true(params) + 1"
+        )
+        result = child(argv, prelude)
+        assert (result.returncode, result.stdout) == (3, out.encode())

@@ -176,6 +176,16 @@ class TestDistance:
         params = RcgParams(q, g)
         assert total_distance(params) == bfs_total_distance(build_rcg(params).graph)
 
+    @pytest.mark.parametrize(
+        "q,generations", [(2, [*range(41), 3000]), (3, range(41)), (4, range(41)), (5, range(41))]
+    )
+    def test_mean_is_total_over_pairs(self, q, generations):
+        # the mean is reduced as 2T/N over N - 1; it must equal T over C(N, 2)
+        for g in generations:
+            params = RcgParams(q, g)
+            n = params.vertex_count
+            assert average_distance(params) == Fraction(total_distance(params), n * (n - 1) // 2)
+
 
 class TestClustering:
     @pytest.mark.parametrize("q,g", [(2, 1), (3, 2), (5, 3)])
