@@ -136,7 +136,7 @@ def verification_checks(params) -> list[tuple[str, bool]]:
     from fractions import Fraction
 
     from . import oracle
-    from .graphs import build_rcg, matrix_of, vertex_budget
+    from .graphs import build_rcg, matrix_of, over_limit, vertex_budget
 
     vertex_budget()
     for oracle_name, limit in (
@@ -144,9 +144,9 @@ def verification_checks(params) -> list[tuple[str, bool]]:
         ("eigenvalue", oracle.EIGENVALUE_SIZE_LIMIT),
         ("resistance", oracle.RESISTANCE_SIZE_LIMIT),
     ):
-        if params.vertex_count > limit:
+        if n := over_limit(limit, params, "vertices"):
             raise ResourceLimitError(
-                f"(q={params.q}, g={params.g}) has {params.vertex_count} vertices, "
+                f"(q={params.q}, g={params.g}) has {n} vertices, "
                 f"the {oracle_name} oracle takes at most {limit}"
             )
     from . import formulas, spectra

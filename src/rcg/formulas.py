@@ -15,7 +15,6 @@ error in either one cannot go unnoticed.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +22,7 @@ from itertools import count
 from typing import NamedTuple
 
 from .errors import InternalInconsistencyError
-from .graphs import RcgParams
+from .graphs import DEFAULT_STR_DIGITS, RcgParams, str_digit_limit
 
 # `FactoredCount.value` builds integers below this many decimal digits only
 MAX_VALUE_DIGITS = 10**6
@@ -295,11 +294,6 @@ def _row(params: RcgParams) -> _Row:
     return next(_generations(params.q, params.g))
 
 
-def str_digit_limit() -> int:
-    """The interpreter's int->str digit limit; 0 where it sets none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 def fits_digits(params: RcgParams, quantity: str, limit: int) -> bool:
     """Whether every integer in the exact value of `quantity` has at most
     `limit` decimal digits, decided from (q, g) before any of it is computed.
@@ -368,8 +362,9 @@ class StructuralReport:
 
         trees = self.spanning_trees
         log10 = trees.log10
-        # decimal digits only where str() accepts them; a limit of 0 means none
-        if trees.exact and log10 < (str_digit_limit() or math.inf) - 1:
+        # decimal digits only where str() accepts them, and no more than
+        # DEFAULT_STR_DIGITS where the interpreter sets no limit
+        if trees.exact and log10 < (str_digit_limit() or DEFAULT_STR_DIGITS) - 1:
             spanning_trees = {"digits": str(trees.value)}
         else:
             # the exponents are exact; log10 is left out where it is not finite

@@ -21,12 +21,16 @@ the edge-list, dot and JSON writers, `writer(params, out)`, check each chunk
 (seam included) and the final row count, and write its text to the stream
 `out`, so the writers never hold a whole-graph array.  numpy is imported on
 first use, never at module import.  `vertex_budget` is the one reader of
-CORONA_VERTEX_BUDGET, for `check_limits` (so `build_rcg`) and the spectra.
+CORONA_VERTEX_BUDGET, for `check_limits` (so `build_rcg`) and the spectra;
+`over_limit` decides each size refusal (there and in `verify`) from (q, g)
+without building a count too large to print.
 """
 from __future__ import annotations
 
 import contextlib
+import math
 import os
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,6 +42,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_VERTEX_BUDGET = 10**6
+
+# the int->str digit limit of Python 3.11, used where the interpreter sets none
+DEFAULT_STR_DIGITS = 4300
 
 # matrix_of materializes an N x N dense array; refuse above this many vertices
 MATRIX_VERTEX_LIMIT = 10**4
@@ -56,8 +63,9 @@ class Graph:
     `Graph(n, u, v)` has the edges (u[i], v[i]).  They must be strictly
     increasing in (u, v) with u < v, which rules out self-loops and
     duplicates; `_check_edges` checks it a chunk at a time and names the
-    first offending edge.  Contiguous int64 arrays are kept without a copy
-    and made read-only.
+    first offending edge.  Nonempty endpoint arrays must have an integer
+    dtype.  Contiguous int64 arrays are kept without a copy and made
+    read-only.
     """
 
     __slots__ = ("_n", "_u", "_v")
@@ -68,6 +76,9 @@ class Graph:
         n = vertex_count
         if n < 0:
             raise ValueError("vertex_count must be nonnegative")
+        u, v = np.asarray(u), np.asarray(v)
+        if any(a.size and a.dtype.kind not in "iu" for a in (u, v)):
+            raise ValueError("edge endpoints must be integers")
         u = np.ascontiguousarray(u, dtype=np.int64)
         v = np.ascontiguousarray(v, dtype=np.int64)
         if u.ndim != 1 or u.shape != v.shape:
@@ -233,16 +244,48 @@ def vertex_budget() -> int:
     raise ValueError(f"CORONA_VERTEX_BUDGET must be a nonnegative integer, got {raw!r}")
 
 
+def str_digit_limit() -> int:
+    """The interpreter's int->str digit limit; 0 where it sets none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def over_limit(limit: int, params: RcgParams, count: str) -> str | None:
+    """The `count` of (q, g) as text where it exceeds `limit`, else None.
+
+    `count` is "vertices" (N), "edges" (M) or "eigenvalues" (3*2^g - 1, the
+    bound on the distinct eigenvalues of either spectrum).  Each lies in
+    [b^g, b^(g+2)), with b = q+1 for N and M and b = 2 for the bound.  So a
+    g past limit.bit_length() is over the limit, and where b^g also has more
+    digits than the int->str limit (DEFAULT_STR_DIGITS where the interpreter
+    sets none) the count is named by its formula, such as 2*3^9100, without
+    being built.  Otherwise g is at most limit.bit_length() or b^g has at
+    most that many digits, so the count is small enough to build; it is
+    named in decimal where it has at most that many digits.
+    """
+    q, g = params.q, params.g
+    if count == "vertices":
+        base, formula, value = q + 1, f"{q}*{q + 1}^{g}", lambda: params.vertex_count
+    elif count == "edges":
+        base, formula, value = q + 1, f"{q}*({q + 1}^{g + 1}-2)/2", lambda: params.edge_count
+    else:
+        base, formula, value = 2, f"3*2^{g}-1", lambda: 3 * 2**g - 1
+    digits = str_digit_limit() or DEFAULT_STR_DIGITS
+    if g > limit.bit_length() and g * math.log10(base) >= digits:
+        return formula
+    n = value()
+    if n <= limit:
+        return None
+    return str(n) if n < 10**digits else formula
+
+
 def check_limits(params: RcgParams) -> None:
     """Refuse (q, g) past the vertex budget or EDGE_LIMIT, before any work."""
     budget = vertex_budget()
-    n = params.vertex_count
-    if n > budget:
+    if n := over_limit(budget, params, "vertices"):
         raise ResourceLimitError(
             f"(q={params.q}, g={params.g}) requires {n} vertices, budget is {budget}"
         )
-    m = params.edge_count
-    if m > EDGE_LIMIT:
+    if m := over_limit(EDGE_LIMIT, params, "edges"):
         raise ResourceLimitError(
             f"(q={params.q}, g={params.g}) has {m} edges, the limit is {EDGE_LIMIT}"
         )

@@ -2,28 +2,28 @@
 
 Each generation maps every eigenvalue of the previous generation to two
 children, the roots of a fixed quadratic, and adds one structural eigenvalue
-(-1 for the adjacency matrix, q+1 for the Laplacian) with a known
-multiplicity.  The children are taken in the stable form: first the root
-that does not cancel, then the other from the Vieta product.  Both children
-increase with the parent, and every plus child lies above every minus child,
-so a descending spectrum maps to two descending runs and no generation needs
-a sort.  Eigenvalues are stored as floats with exact integer multiplicities;
-the exact spectral quantities (spanning trees, Kirchhoff index) come from
-separate exponent and integer recursions, never from the float spectrum.
+(-1 for the adjacency matrix, q+1 for the Laplacian) with multiplicity
+m_g = (q-1) N_{g-1}.  The children are taken in the stable form: first the
+root that does not cancel, then the other from the Vieta product.  Both
+children increase with the parent, and every plus child lies above every
+minus child, so a descending spectrum maps to two descending runs and no
+generation needs a sort; the quadratic also fixes where the structural
+value goes, so it is never compared with an eigenvalue.  Eigenvalues are
+stored as floats with exact integer multiplicities; the exact spectral
+quantities (spanning trees, Kirchhoff index) come from separate exponent
+and integer recursions, never from the float spectrum.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, neg
 
 from .errors import InternalInconsistencyError, ResourceLimitError
 from .formulas import FactoredCount
-from .graphs import RcgParams, vertex_budget
-
-MERGE_TOL = 1e-10
+from .graphs import RcgParams, over_limit, vertex_budget
 
 
 @dataclass(frozen=True)
@@ -72,40 +72,37 @@ def _recursive_spectrum(params, kind):
 
     g = 0 has 2 distinct values and each generation at most doubles them and
     adds one, so the budget is checked against 3 * 2^g - 1 before any work.
-    The child maps are injective and the two runs are disjoint, so in exact
-    arithmetic only the structural value can repeat, as the child of a zero
-    parent.
-    It joins a neighbour within MERGE_TOL relative to itself; the children
-    are never compared, since near zero distinct ones lie far closer than
-    any absolute tolerance.  Distinct eigenvalues a few ulps apart can round
-    to equal values or, through the Vieta quotient, swap order; a single
-    sort at the end, run only when the list is out of order, restores the
-    descending order.
+    Laplacian: at t = q+1 the child quadratic is -q lambda, so q+1 is a child
+    of the last parent, 0, alone; it is the last plus child, and m_g joins
+    its multiplicity.  Adjacency: at t = -1 the quadratic is q lambda, and 0
+    is never an eigenvalue (a child is 0 only where (q-1) lambda = q, so at
+    q = 2 and lambda = 2, a child of 0 alone); -1 lies below every plus child
+    and the minus children of positive parents, above those of negative
+    ones, and goes in between as a new entry.  Distinct eigenvalues a few
+    ulps apart can round to equal values or, through the Vieta quotient,
+    swap order; one sort at the end, run only when the list is out of order,
+    restores the descending order.
     """
     limit = vertex_budget()
-    bound = 3 * 2**params.g - 1
-    if bound > limit:
+    if bound := over_limit(limit, params, "eigenvalues"):
         raise ResourceLimitError(
             f"spectrum of (q={params.q}, g={params.g}) has up to {bound} "
             f"distinct eigenvalues, budget is {limit}"
         )
     q = params.q
     if kind == "adjacency":
-        values, mults, extra = [float(q - 1), -1.0], [1, q - 1], -1.0
+        values, mults = [float(q - 1), -1.0], [1, q - 1]
     else:
-        values, mults, extra = [float(q), 0.0], [q - 1, 1], float(q + 1)
-    tol = MERGE_TOL * abs(extra)
+        values, mults = [float(q), 0.0], [q - 1, 1]
     m = (q - 1) * q  # m_g = (q-1) N_{g-1}, the structural multiplicity
     for _ in range(params.g):
         plus, minus = _children(values, q, kind)
+        at = len(plus) + bisect_left(values, 0.0, key=neg)  # after parents > 0
         values, mults = plus + minus, mults + mults
-        at = bisect_right(values, -extra, key=neg)  # values[at - 1] >= extra
-        if at and values[at - 1] - extra <= tol:
-            mults[at - 1] += m
-        elif at < len(values) and extra - values[at] <= tol:
-            mults[at] += m
+        if kind == "laplacian":
+            mults[len(plus) - 1] += m
         else:
-            values.insert(at, extra)
+            values.insert(at, -1.0)
             mults.insert(at, m)
         m *= q + 1
     entries = zip(values, mults)

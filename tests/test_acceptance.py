@@ -43,8 +43,6 @@ from rcg.oracle import (
     resistance_sum,
     symmetric_eigenvalues,
 )
-from rcg.spectra import MERGE_TOL
-
 from reference import reference_text
 
 GRID = [(q, g) for q in (2, 3, 4, 5) for g in (0, 1, 2)] + [(2, 3)]
@@ -112,7 +110,7 @@ def test_criterion_2_spectral_multiset_equivalence():
             multiplicity = sum(
                 mult
                 for value, mult in laplacian_spectrum(params).entries
-                if abs(value - (q + 1)) <= MERGE_TOL
+                if value == q + 1
             )
             ok &= multiplicity == (q - 1) * q * (q + 1) ** (g - 1) + 1
     report("2 spectral multiset equivalence", ok)

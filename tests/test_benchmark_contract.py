@@ -8,7 +8,7 @@ also run their `prepare`, the `python -m rcg.cli --help` child that the
 benchmark's set-up time measures, so a CLI that no longer starts fails here.
 A few CLI ops also run as the `python -m rcg.cli` children of the end-to-end
 runs, so a fault in the process entry (lost output, a changed exit code)
-fails here too.
+fails here too, and both spectra run at the largest points of `exact`.
 """
 import importlib.util
 import sys
@@ -64,4 +64,16 @@ def test_child_ops_pass_their_gates(tmp_path):
     ops = [(w, op) for w in (explicit, verify) for op in w.ops if op.name in names]
     assert len(ops) == 3
     outcomes = [(op.name, workload.run(op, False)) for workload, op in ops]
+    assert [(name, o.error, o.wrong) for name, o in outcomes if o.failed] == []
+
+
+def test_largest_spectra_pass_their_gates(tmp_path):
+    # (2, 11) and (3, 9) are the largest points where `exact` runs the spectra
+    exact = load("workloads").Exact(tmp_path)
+    exact.prepare()
+    points = ((2, 11), (3, 9))
+    kinds = ("laplacian_spectrum", "adjacency_spectrum")
+    ops = [op for op in exact.ops if (op.q, op.g) in points and op.kind in kinds]
+    assert len(ops) == 4
+    outcomes = [(op.name, exact.run(op)) for op in ops]
     assert [(name, o.error, o.wrong) for name, o in outcomes if o.failed] == []

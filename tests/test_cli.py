@@ -273,6 +273,20 @@ class TestAnalyze:
         assert out == ""
         assert "int->str limit" in err
 
+    @pytest.mark.parametrize("g", [8, 12, 13, 647])
+    def test_bytes_without_str_limit(self, g):
+        # with no int->str limit the tree count is still written in decimal
+        # up to 4300 digits only: (2, 8) has 3130, (2, 12) about 253 562
+        argv = [sys.executable, "-m", "rcg.cli", "analyze", "--q", "2", "--g", str(g)]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        limited = subprocess.run(argv, capture_output=True, timeout=20, env=env)
+        unlimited = subprocess.run(
+            argv, capture_output=True, timeout=20, env={**env, "PYTHONINTMAXSTRDIGITS": "0"}
+        )
+        assert limited.returncode == unlimited.returncode == 0
+        assert unlimited.stdout == limited.stdout
+        assert (b'"digits"' in limited.stdout) == (g == 8)
+
     def test_one_reader_of_str_limit(self, capsys, monkeypatch):
         # the report's digits cell and the pre-check both read this helper
         from rcg import formulas
@@ -471,6 +485,59 @@ class TestVerify:
         )
         assert result.returncode == 2
         assert "resource" in result.stderr
+
+
+class TestRefusalsAtLargeG:
+    """Each size refusal is decided from (q, g), before its count is built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--q", "2", "--g", "9100"],
+            ["verify", "--q", "2", "--g", "9100"],
+            ["spectrum", "--q", "2", "--g", "14300", "--matrix", "adjacency"],
+            ["generate", "--q", "2", "--g", "10000000"],
+            ["generate", "--q", "2", "--g", "100000000"],
+            ["verify", "--q", "2", "--g", "100000000"],
+            ["spectrum", "--q", "2", "--g", "100000000", "--matrix", "laplacian"],
+        ],
+        ids=lambda argv: f"{argv[0]}-g{argv[4]}",
+    )
+    def test_child_exits_resource_at_once(self, argv):
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "rcg.cli", *argv], capture_output=True, text=True, timeout=20
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("resource limit:")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["generate", "--q", "2", "--g", "9100"],
+                "(q=2, g=9100) requires 2*3^9100 vertices, budget is 1000000",
+            ),
+            (
+                ["verify", "--q", "2", "--g", "9100"],
+                "(q=2, g=9100) has 2*3^9100 vertices, the matrix-tree oracle takes at most 500",
+            ),
+            (
+                ["spectrum", "--q", "2", "--g", "14300", "--matrix", "adjacency"],
+                "spectrum of (q=2, g=14300) has up to 3*2^14300-1 distinct eigenvalues, "
+                "budget is 1000000",
+            ),
+            (
+                ["spectrum", "--q", "2", "--g", "14000", "--matrix", "laplacian"],
+                f"spectrum of (q=2, g=14000) has up to {3 * 2**14000 - 1} distinct "
+                "eigenvalues, budget is 1000000",
+            ),
+        ],
+        ids=["generate", "verify", "spectrum-formula", "spectrum-decimal"],
+    )
+    def test_names_the_count(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"resource limit: {message}\n")
 
 
 class TestVertexBudget:
@@ -791,8 +858,16 @@ class TestImports:
             ),
             # the oracles' size limits are checked before the other layers load
             (["verify", "--q", "2", "--g", "6"], 2, {"rcg.formulas", "rcg.spectra", "numpy"}),
+            (["verify", "--q", "2", "--g", "9100"], 2, {"rcg.formulas", "rcg.spectra", "numpy"}),
         ],
-        ids=["generate", "analyze", "curve", "spectrum", "verify-past-oracle-limits"],
+        ids=[
+            "generate",
+            "analyze",
+            "curve",
+            "spectrum",
+            "verify-past-oracle-limits",
+            "verify-past-str-limit",
+        ],
     )
     def test_command_loads_only_its_layers(self, argv, exit_code, unloaded):
         code, loaded = loaded_by(argv)

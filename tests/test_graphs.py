@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -80,6 +81,11 @@ class TestGraph:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, [-1], [1])
+
+    def test_rejects_float_endpoints(self):
+        # a cast to int64 would read these as the edges (0, 1) and (1, 2)
+        with pytest.raises(ValueError, match="integers"):
+            Graph(3, [0.9, 1.2], [1.5, 2.99])
 
     def test_rejects_negative_vertex_count(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -296,6 +302,45 @@ class TestBuildRcg:
         monkeypatch.setenv("CORONA_VERTEX_BUDGET", "10")
         with pytest.raises(ResourceLimitError, match="18"):
             build_rcg(RcgParams(2, 2))
+
+    @pytest.mark.parametrize(
+        "count,g,text",
+        [
+            # g = 5 is past the bit length of 10, and N = 486 is still decimal
+            ("vertices", 5, "486"),
+            ("edges", 3, "79"),
+            ("eigenvalues", 4, "47"),
+            # the last counts of at most 50 digits, and the first past them
+            ("vertices", 104, str(2 * 3**104)),
+            ("vertices", 105, "2*3^105"),
+            ("edges", 103, str(3**104 - 2)),
+            ("edges", 104, "2*(3^105-2)/2"),
+            ("eigenvalues", 164, str(3 * 2**164 - 1)),
+            ("eigenvalues", 165, "3*2^165-1"),
+        ],
+    )
+    def test_over_limit_names_the_count(self, monkeypatch, count, g, text):
+        monkeypatch.setattr(graphs, "str_digit_limit", lambda: 50)
+        assert graphs.over_limit(10, RcgParams(2, g), count) == text
+
+    @pytest.mark.parametrize("count", ["vertices", "edges", "eigenvalues"])
+    def test_over_limit_admits_up_to_the_limit(self, count):
+        params = RcgParams(2, 3)  # N = 54, M = 79, 3 * 2^3 - 1 = 23
+        limit = {"vertices": 54, "edges": 79, "eigenvalues": 23}[count]
+        assert graphs.over_limit(limit, params, count) is None
+        assert graphs.over_limit(limit - 1, params, count) == str(limit)
+
+    def test_over_limit_without_str_limit(self, monkeypatch):
+        # where the interpreter sets no limit, names of up to 4300 digits
+        monkeypatch.setattr(graphs, "str_digit_limit", lambda: 0)
+        assert graphs.over_limit(10, RcgParams(2, 9000), "vertices") == str(2 * 3**9000)
+        assert graphs.over_limit(10, RcgParams(2, 9100), "vertices") == "2*3^9100"
+
+    def test_over_limit_builds_no_large_count(self):
+        start = time.perf_counter()
+        for g in (10**5, 10**6, 10**7):
+            assert graphs.over_limit(10**6, RcgParams(2, g), "edges") == f"2*(3^{g + 1}-2)/2"
+        assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("call", [graphs.check_limits, build_rcg])
     def test_env_budget_governs(self, monkeypatch, call):

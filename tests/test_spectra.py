@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,12 @@ from rcg import (
     spanning_trees_spectral,
 )
 from rcg.oracle import matrix_tree_count, symmetric_eigenvalues
-from rcg.spectra import MERGE_TOL
 
 from reference import laplacian_reciprocal_sum
+
+# values this close are one eigenvalue in the reference route and in the
+# multiplicity counts of these tests; the library compares no eigenvalues
+MERGE_TOL = 1e-10
 
 GRID = [(q, g) for q in (2, 3, 4) for g in (0, 1, 2)] + [(2, 3)]
 # far beyond any explicit construction or digit expansion
@@ -205,6 +209,50 @@ class TestReferenceRoute:
         gaps = [a - b for a, b in zip(values, values[1:])]
         assert all(gap > MERGE_TOL for gap in gaps)
         assert len(values) <= 3 * 2**g - 1
+
+
+STRUCTURAL_POINTS = sorted({(q, g) for q, g in GRID + REFERENCE_GRID if g >= 1})
+
+
+def structural_multiplicity(q, g):
+    """m_g = (q-1) N_{g-1}, the multiplicity generation g adds."""
+    return (q - 1) * q * (q + 1) ** (g - 1)
+
+
+class TestStructuralValue:
+    """Each generation's structural value sits in the slot the quadratic fixes."""
+
+    @pytest.mark.parametrize("q,g", STRUCTURAL_POINTS)
+    def test_laplacian_joins_the_last_plus_child(self, q, g):
+        entries = laplacian_spectrum(RcgParams(q, g)).entries
+        assert len(entries) == 2 ** (g + 1)
+        # the slot, not a count by value: at large q and g the plus children
+        # of tiny parents round onto q+1.0 as well
+        at_or_above = [entry for entry in entries if entry[0] >= q + 1]
+        assert at_or_above[-1] == (float(q + 1), structural_multiplicity(q, g) + 1)
+
+    @pytest.mark.parametrize("q,g", STRUCTURAL_POINTS)
+    def test_adjacency_adds_one_new_entry(self, q, g):
+        entries = adjacency_spectrum(RcgParams(q, g)).entries
+        assert len(entries) == 3 * 2**g - 1
+        assert [mult for value, mult in entries if value == -1.0] == [
+            structural_multiplicity(q, g)
+        ]
+        assert all(value != 0.0 for value, _ in entries)
+
+    @pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
+    @pytest.mark.parametrize("q,g", STRUCTURAL_POINTS)
+    def test_each_generation_is_the_children_of_the_last(self, q, g, kind):
+        # exact: the kernel on one parent at a time, the structural value
+        # added apart, one sort by value; a parent out of place in the
+        # library's runs would take the other form of its children
+        build = adjacency_spectrum if kind == "adjacency" else laplacian_spectrum
+        children = Counter()
+        for value, mult in build(RcgParams(q, g - 1)).entries:
+            for child in child_pair(value, q, kind):
+                children[child] += mult
+        children[-1.0 if kind == "adjacency" else float(q + 1)] += structural_multiplicity(q, g)
+        assert list(build(RcgParams(q, g)).entries) == sorted(children.items(), reverse=True)
 
 
 class TestAdjacencySpectrum:
