@@ -22,7 +22,7 @@ from itertools import count
 from typing import NamedTuple
 
 from .errors import InternalInconsistencyError
-from .graphs import DEFAULT_STR_DIGITS, RcgParams, str_digit_limit
+from .graphs import RcgParams, str_digit_limit
 
 # `FactoredCount.value` builds integers below this many decimal digits only
 MAX_VALUE_DIGITS = 10**6
@@ -362,9 +362,8 @@ class StructuralReport:
 
         trees = self.spanning_trees
         log10 = trees.log10
-        # decimal digits only where str() accepts them, and no more than
-        # DEFAULT_STR_DIGITS where the interpreter sets no limit
-        if trees.exact and log10 < (str_digit_limit() or DEFAULT_STR_DIGITS) - 1:
+        # decimal digits only within the int->str limit
+        if trees.exact and log10 < str_digit_limit() - 1:
             spanning_trees = {"digits": str(trees.value)}
         else:
             # the exponents are exact; log10 is left out where it is not finite

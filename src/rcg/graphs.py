@@ -245,8 +245,13 @@ def vertex_budget() -> int:
 
 
 def str_digit_limit() -> int:
-    """The interpreter's int->str digit limit; 0 where it sets none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    """The int->str digit limit that decimal output keeps to.
+
+    The interpreter's limit, or DEFAULT_STR_DIGITS where it sets none (0,
+    as with PYTHONINTMAXSTRDIGITS=0, or before Python 3.11), so every
+    caller reads one positive bound.
+    """
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or DEFAULT_STR_DIGITS
 
 
 def over_limit(limit: int, params: RcgParams, count: str) -> str | None:
@@ -256,11 +261,11 @@ def over_limit(limit: int, params: RcgParams, count: str) -> str | None:
     bound on the distinct eigenvalues of either spectrum).  Each lies in
     [b^g, b^(g+2)), with b = q+1 for N and M and b = 2 for the bound.  So a
     g past limit.bit_length() is over the limit, and where b^g also has more
-    digits than the int->str limit (DEFAULT_STR_DIGITS where the interpreter
-    sets none) the count is named by its formula, such as 2*3^9100, without
-    being built.  Otherwise g is at most limit.bit_length() or b^g has at
-    most that many digits, so the count is small enough to build; it is
-    named in decimal where it has at most that many digits.
+    digits than `str_digit_limit()` the count is named by its formula, such
+    as 2*3^9100, without being built.  Otherwise g is at most
+    limit.bit_length() or b^g has at most that many digits, so the count is
+    small enough to build; it is named in decimal where it has at most that
+    many digits.
     """
     q, g = params.q, params.g
     if count == "vertices":
@@ -269,7 +274,7 @@ def over_limit(limit: int, params: RcgParams, count: str) -> str | None:
         base, formula, value = q + 1, f"{q}*({q + 1}^{g + 1}-2)/2", lambda: params.edge_count
     else:
         base, formula, value = 2, f"3*2^{g}-1", lambda: 3 * 2**g - 1
-    digits = str_digit_limit() or DEFAULT_STR_DIGITS
+    digits = str_digit_limit()
     if g > limit.bit_length() and g * math.log10(base) >= digits:
         return formula
     n = value()

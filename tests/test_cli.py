@@ -276,16 +276,25 @@ class TestAnalyze:
     @pytest.mark.parametrize("g", [8, 12, 13, 647])
     def test_bytes_without_str_limit(self, g):
         # with no int->str limit the tree count is still written in decimal
-        # up to 4300 digits only: (2, 8) has 3130, (2, 12) about 253 562
-        argv = [sys.executable, "-m", "rcg.cli", "analyze", "--q", "2", "--g", str(g)]
+        # up to 4300 digits only: (2, 8) has 3130, (2, 12) about 253 562;
+        # `curve` rows to the same g are the same bytes too
         env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
-        limited = subprocess.run(argv, capture_output=True, timeout=20, env=env)
-        unlimited = subprocess.run(
-            argv, capture_output=True, timeout=20, env={**env, "PYTHONINTMAXSTRDIGITS": "0"}
-        )
-        assert limited.returncode == unlimited.returncode == 0
-        assert unlimited.stdout == limited.stdout
-        assert (b'"digits"' in limited.stdout) == (g == 8)
+        for command in (
+            ["analyze", "--q", "2", "--g", str(g)],
+            ["curve", "--quantity", "clustering", "--q-list", "2,3", "--g-max", str(g)],
+            ["curve", "--quantity", "kirchhoff", "--q-list", "2,3", "--g-max", str(g)],
+        ):
+            argv = [sys.executable, "-m", "rcg.cli", *command]
+            limited = subprocess.run(argv, capture_output=True, timeout=20, env=env)
+            unlimited = subprocess.run(
+                argv, capture_output=True, timeout=20, env={**env, "PYTHONINTMAXSTRDIGITS": "0"}
+            )
+            assert limited.returncode == unlimited.returncode == 0
+            assert unlimited.stdout == limited.stdout
+            if command[0] == "analyze":
+                assert (b'"digits"' in limited.stdout) == (g == 8)
+            else:
+                assert len(limited.stdout.splitlines()) == 1 + 2 * (g + 1)
 
     def test_one_reader_of_str_limit(self, capsys, monkeypatch):
         # the report's digits cell and the pre-check both read this helper
@@ -337,6 +346,18 @@ class TestSpectrum:
         assert code == 0
         entries = build(RcgParams(q, g)).entries
         payload = [{"value": value, "multiplicity": mult} for value, mult in entries]
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("chunk_rows", [1, 4, 11])
+    def test_bytes_are_the_same_in_chunks(self, capsys, monkeypatch, chunk_rows):
+        from rcg import graphs
+
+        params = RcgParams(3, 2)  # 11 distinct adjacency eigenvalues
+        monkeypatch.setattr(graphs, "CHUNK_ROWS", chunk_rows)
+        code, out, _ = run(capsys, "spectrum", "--q", "3", "--g", "2", "--matrix", "adjacency")
+        assert code == 0
+        payload = [{"value": v, "multiplicity": m} for v, m in adjacency_spectrum(params).entries]
+        assert len(payload) == 11
         assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_over_entry_budget_exits_resource(self, capsys):
@@ -410,6 +431,18 @@ class TestVerify:
         assert code == 3
         assert failed_rows(out) == failed
         assert out.splitlines()[-1] == f"{len(failed)} of 12 checks failed"
+
+    def test_kirchhoff_is_compared_exactly(self, capsys, monkeypatch):
+        # a relative error of 1e-7 was within the float tolerance of 1e-6 the
+        # resistance row once had; against the exact resistance sum it fails
+        from rcg import formulas
+
+        true_route = formulas.kirchhoff_closed
+        scale = Fraction(10**7 + 1, 10**7)
+        monkeypatch.setattr(formulas, "kirchhoff_closed", lambda params: true_route(params) * scale)
+        code, out, _ = run(capsys, "verify", "--q", "5", "--g", "2")
+        assert code == 3
+        assert failed_rows(out) == {"kirchhoff closed=spectral", "kirchhoff vs resistance"}
 
     def test_table_bytes_are_pinned(self, capsys):
         code, out, _ = run(capsys, "verify", "--q", "2", "--g", "1")
@@ -511,6 +544,31 @@ class TestRefusalsAtLargeG:
         assert time.perf_counter() - start < 1.0
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.startswith("resource limit:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--q", "2", "--g", "10000"],
+            ["curve", "--quantity", "clustering", "--q-list", "2", "--g-max", "5000"],
+        ],
+        ids=["analyze", "curve"],
+    )
+    def test_without_str_limit_child_exits_resource_at_once(self, argv):
+        # with no interpreter limit, decimal output keeps to 4300 digits all the same
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "0"}
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "rcg.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            env=env,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("resource limit:")
+        assert "more than 4300 digits" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "argv,message",

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import re
+import sys
 import time
 import tracemalloc
 
@@ -332,7 +333,8 @@ class TestBuildRcg:
 
     def test_over_limit_without_str_limit(self, monkeypatch):
         # where the interpreter sets no limit, names of up to 4300 digits
-        monkeypatch.setattr(graphs, "str_digit_limit", lambda: 0)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert graphs.str_digit_limit() == graphs.DEFAULT_STR_DIGITS
         assert graphs.over_limit(10, RcgParams(2, 9000), "vertices") == str(2 * 3**9000)
         assert graphs.over_limit(10, RcgParams(2, 9100), "vertices") == "2*3^9100"
 

@@ -12,11 +12,14 @@ from rcg import (
     build_rcg,
     matrix_of,
 )
-from rcg.formulas import spanning_trees_closed
+from rcg import oracle
+from rcg.cli import verification_checks
+from rcg.formulas import kirchhoff_closed, spanning_trees_closed
 from rcg.oracle import (
     EIGENVALUE_SIZE_LIMIT,
     bfs_total_distance,
     degree_histogram,
+    forest_count,
     local_clustering,
     matrix_tree_count,
     mean_neighbor_degree_by_class,
@@ -40,6 +43,16 @@ def petersen():
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return graph_of(10, outer + spokes + inner)
+
+
+def grid(rows, cols):
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return graph_of(rows * cols, right + down)
+
+
+def k33():
+    return graph_of(6, [(i, j) for i in range(3) for j in range(3, 6)])
 
 
 def failing_linalg(*args, **kwargs):
@@ -128,6 +141,11 @@ class TestSymmetricEigenvalues:
         with pytest.raises(ValueError):
             symmetric_eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    def test_rejects_near_symmetric(self):
+        # symmetry is exact: the oracle's matrices are integer matrices
+        with pytest.raises(ValueError):
+            symmetric_eigenvalues(np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]]))
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             symmetric_eigenvalues(np.zeros((2, 3)))
@@ -176,8 +194,7 @@ class TestMatrixTreeCount:
         assert matrix_tree_count(cycle(n)) == n
 
     def test_k33(self):
-        k33 = graph_of(6, [(i, j) for i in range(3) for j in range(3, 6)])
-        assert matrix_tree_count(k33) == 81
+        assert matrix_tree_count(k33()) == 81
 
     def test_petersen(self):
         assert matrix_tree_count(petersen()) == 2000
@@ -188,18 +205,95 @@ class TestMatrixTreeCount:
         assert matrix_tree_count(graph) == spanning_trees_closed(params).value
 
 
+ACCEPTANCE_GRID = [(q, g) for q in (2, 3, 4, 5) for g in (0, 1, 2)] + [(2, 3)]
+
+
+class TestElimination:
+    """The one exact elimination behind the tree, forest and resistance oracles."""
+
+    # neither graph is chordal, so reverse index order fills in
+    @pytest.mark.parametrize("graph,kirchhoff,fill", [(k33(), 9, 2), (petersen(), 33, 26)])
+    def test_fill_is_counted(self, graph, kirchhoff, fill):
+        assert oracle._eliminate(graph, 0, 0)[1] == fill
+        assert resistance_sum(graph) == kirchhoff
+
+    @pytest.mark.parametrize("q,g", ACCEPTANCE_GRID + [(2, 5), (3, 4)])
+    def test_corona_graphs_fill_nothing(self, q, g):
+        graph = build_rcg(RcgParams(q, g)).graph
+        assert oracle._eliminate(graph, 0, 0)[1] == 0
+        assert oracle._eliminate(graph, 1, None)[1] == 0
+
+    def test_grid_resistance_is_exact(self):
+        # the 4x5 grid fills in; its Kirchhoff index against a dense pseudoinverse
+        measured = resistance_sum(grid(4, 5))
+        assert measured == Fraction(96431410, 460009)
+        pinv = np.linalg.pinv(matrix_of(grid(4, 5), "laplacian").astype(float))
+        assert float(measured) == pytest.approx(20 * np.trace(pinv) - pinv.sum(), rel=1e-12)
+
+    def test_fill_budget_is_refused(self, monkeypatch):
+        monkeypatch.setattr(oracle, "FILL_LIMIT", 1)
+        for call in (matrix_tree_count, forest_count, resistance_sum):
+            with pytest.raises(ResourceLimitError):
+                call(k33())
+        # the corona graphs fill in nothing, so no budget refuses them
+        assert matrix_tree_count(build_rcg(RcgParams(2, 2)).graph) == 6561
+
+    def test_one_loop_serves_every_oracle(self, monkeypatch):
+        calls = []
+        eliminate = oracle._eliminate
+
+        def counted(graph, shift, ground):
+            calls.append((shift, ground))
+            return eliminate(graph, shift, ground)
+
+        monkeypatch.setattr(oracle, "_eliminate", counted)
+        graph = build_rcg(RcgParams(2, 2)).graph
+        matrix_tree_count(graph, 3)
+        forest_count(graph)
+        resistance_sum(graph)
+        assert calls == [(0, 3), (1, None), (0, 0)]
+
+
+class TestForestCount:
+    @pytest.mark.parametrize("q,g", [(2, 3), (3, 2), (5, 2)])
+    def test_matches_slogdet(self, q, g):
+        graph = build_rcg(RcgParams(q, g)).graph
+        laplacian = matrix_of(graph, "laplacian").astype(float)
+        sign, logdet = np.linalg.slogdet(np.eye(graph.vertex_count) + laplacian)
+        assert sign == 1.0
+        assert math.log(forest_count(graph)) == pytest.approx(logdet, rel=1e-12)
+
+    @pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 8)])
+    def test_paths(self, n, count):
+        # det(I + L) of a path counts rooted forests: F(2n), a Fibonacci number
+        assert forest_count(graph_of(n, [(i, i + 1) for i in range(n - 1)])) == count
+
+    def test_edgeless_graph(self):
+        assert forest_count(graph_of(4, [])) == 1
+
+    def test_size_guard(self):
+        n = oracle.MATRIX_TREE_SIZE_LIMIT + 1
+        with pytest.raises(ResourceLimitError):
+            forest_count(graph_of(n, []))
+
+
 class TestResistanceSum:
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_complete_graph(self, q):
         # each of the q(q-1)/2 pairs has resistance 2/q
-        assert resistance_sum(complete_graph(q)) == pytest.approx(q - 1, rel=1e-10)
+        assert resistance_sum(complete_graph(q)) == q - 1
 
     def test_two_vertex_path(self):
-        assert resistance_sum(complete_graph(2)) == pytest.approx(1.0, rel=1e-10)
+        assert resistance_sum(complete_graph(2)) == 1
 
     def test_c21(self):
         graph = build_rcg(RcgParams(2, 1)).graph
-        assert resistance_sum(graph) == pytest.approx(21.0, abs=1e-6)
+        assert resistance_sum(graph) == 21
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_cycle(self, n):
+        # a pair k steps apart has resistance k(n-k)/n; the n pairs per k sum to (n^3 - n)/12
+        assert resistance_sum(cycle(n)) == Fraction(n**3 - n, 12)
 
     @pytest.mark.parametrize("q,g", [(2, 2), (3, 1), (4, 1)])
     def test_matches_spectral_reciprocal_sum(self, q, g):
@@ -208,14 +302,23 @@ class TestResistanceSum:
         nonzero = [v for v in eigenvalues if abs(v) > 1e-9]
         assert len(nonzero) == graph.vertex_count - 1
         via_spectrum = graph.vertex_count * sum(1.0 / v for v in nonzero)
-        assert resistance_sum(graph) == pytest.approx(via_spectrum, rel=1e-6)
+        assert float(resistance_sum(graph)) == pytest.approx(via_spectrum, rel=1e-6)
+
+    @pytest.mark.parametrize("q,g", ACCEPTANCE_GRID + [(2, 5), (3, 4)])
+    def test_equals_closed_form(self, q, g):
+        params = RcgParams(q, g)
+        measured = resistance_sum(build_rcg(params).graph)
+        assert isinstance(measured, Fraction)
+        assert measured == kirchhoff_closed(params)
 
     def test_disconnected_raises(self):
         with pytest.raises(ConnectivityError):
             resistance_sum(graph_of(3, [(0, 1)]))
 
-    def test_solver_failure_is_numerical_error(self, monkeypatch):
+    def test_verify_needs_no_dense_inverse(self, monkeypatch):
+        # the Kirchhoff row reads the exact elimination, so neither inverse is called
         monkeypatch.setattr(np.linalg, "inv", failing_linalg)
-        with pytest.raises(NumericalError):
-            resistance_sum(complete_graph(3))
-
+        monkeypatch.setattr(np.linalg, "pinv", failing_linalg)
+        checks = verification_checks(RcgParams(5, 2))
+        assert dict(checks)["kirchhoff vs resistance"]
+        assert all(ok for _, ok in checks)
