@@ -49,18 +49,6 @@ def cmd_generate(args, out) -> int:
     return EXIT_OK
 
 
-def _check_str_limit(params, quantity: str) -> None:
-    """Refuse, before any work, output that may pass the int->str digit limit."""
-    from . import formulas
-
-    limit = formulas.str_digit_limit()
-    if not formulas.fits_digits(params, quantity, limit):
-        raise ResourceLimitError(
-            f"{quantity} of (q={params.q}, g={params.g}) may hold integers of more "
-            f"than {limit} digits, the int->str limit"
-        )
-
-
 def cmd_analyze(args, out) -> int:
     import json
 
@@ -68,7 +56,7 @@ def cmd_analyze(args, out) -> int:
     from .graphs import RcgParams
 
     params = RcgParams(args.q, args.g)
-    _check_str_limit(params, "structural_report")
+    formulas.check_digits(params, "structural_report")
     payload = formulas.structural_report(params).to_json_dict()
     if args.csv:
         del payload["degree_classes"]
@@ -248,7 +236,7 @@ def cmd_curve(args, out) -> int:
     quantity = CURVE_QUANTITIES[args.quantity]
     # RcgParams validates each q and g_max; the digit bounds grow with g
     for q in args.q_list:
-        _check_str_limit(RcgParams(q, args.g_max), quantity)
+        formulas.check_digits(RcgParams(q, args.g_max), quantity)
     rows = ["q,g,value"]
     for q in args.q_list:  # one walk per q, read at every row
         for g, row in zip(range(args.g_max + 1), formulas._generations(q)):

@@ -11,6 +11,11 @@ The generation recursions advance together in one walk, `_generations(q)`;
 a single-g function reads row g of one walk.  Reading a quantity at a row
 compares its recursion with its closed form in integers, so a transcription
 error in either one cannot go unnoticed.
+
+Decimal output keeps to one bound, `graphs.str_digit_limit()`, read through
+the module on every call.  `check_digits` is the one refusal of an output
+past it, and `StructuralReport.to_json_dict` writes the spanning-tree count
+in factors, not digits, where its decimal form would pass it.
 """
 from __future__ import annotations
 
@@ -21,8 +26,9 @@ from fractions import Fraction
 from itertools import count
 from typing import NamedTuple
 
-from .errors import InternalInconsistencyError
-from .graphs import RcgParams, str_digit_limit
+from . import graphs
+from .errors import InternalInconsistencyError, ResourceLimitError
+from .graphs import RcgParams
 
 # `FactoredCount.value` builds integers below this many decimal digits only
 MAX_VALUE_DIGITS = 10**6
@@ -49,13 +55,9 @@ class FactoredCount:
             return math.inf
 
     @property
-    def exact(self) -> bool:
-        return self.log10 < MAX_VALUE_DIGITS
-
-    @property
     def value(self) -> int | None:
         """The integer, built on each access; None from MAX_VALUE_DIGITS digits on."""
-        return self.q**self.a * (self.q + 1) ** self.b if self.exact else None
+        return self.q**self.a * (self.q + 1) ** self.b if self.log10 < MAX_VALUE_DIGITS else None
 
 
 # the benchmark's tracer (perfbench/tracing.py) looks counts up by this name
@@ -294,12 +296,14 @@ def _row(params: RcgParams) -> _Row:
     return next(_generations(params.q, params.g))
 
 
-def fits_digits(params: RcgParams, quantity: str, limit: int) -> bool:
-    """Whether every integer in the exact value of `quantity` has at most
-    `limit` decimal digits, decided from (q, g) before any of it is computed.
+def check_digits(params: RcgParams, quantity: str) -> None:
+    """Refuse, from (q, g) before any of it is computed, an exact value of
+    `quantity` that may hold an integer of more decimal digits than
+    `graphs.str_digit_limit()`: the one refusal of `analyze` and `curve`.
 
     `quantity` names a function of this module, or "structural_report" for
-    all of them.  Each answer comes from an upper bound, at least N:
+    all of them; a name with no bound raises ValueError.  A refusal raises
+    ResourceLimitError, and each answer comes from an upper bound, at least N:
     - 2M and every count lie below (q+1) N;
     - the mean distance is T/(N-1) with T = 2 total_distance/(q (q+1)^g),
       at most the diameter 2g+1, so its terms lie below (2g+1) N;
@@ -309,14 +313,15 @@ def fits_digits(params: RcgParams, quantity: str, limit: int) -> bool:
       denominator), and its numerator is smaller.
     """
     q, g = params.q, params.g
+    limit = graphs.str_digit_limit()
     try:
         log_n = math.log10(q) + g * math.log10(q + 1)
     except OverflowError:
-        return False
-    if log_n >= limit - 1:  # every bound is at least N: skip the lcm
-        return False
+        log_n = math.inf
     distances = 2 * log_n + math.log10(g + 1)
-    if quantity == "average_degree":
+    if log_n >= limit - 1:  # every bound is at least N: skip the lcm
+        bound = log_n
+    elif quantity == "average_degree":
         bound = log_n + math.log10(q + 1)
     elif quantity == "average_distance":
         bound = log_n + math.log10(2 * g + 1)
@@ -330,7 +335,11 @@ def fits_digits(params: RcgParams, quantity: str, limit: int) -> bool:
     else:
         raise ValueError(f"no digit bound for {quantity!r}")
     # one digit of slack absorbs the rounding of the float logarithms
-    return bound < limit - 1
+    if bound >= limit - 1:
+        raise ResourceLimitError(
+            f"{quantity} of (q={q}, g={g}) may hold integers of more "
+            f"than {limit} digits, the int->str limit"
+        )
 
 
 @dataclass(frozen=True)
@@ -362,8 +371,9 @@ class StructuralReport:
 
         trees = self.spanning_trees
         log10 = trees.log10
-        # decimal digits only within the int->str limit
-        if trees.exact and log10 < str_digit_limit() - 1:
+        # decimal digits only within the int->str limit, and only where
+        # `value` builds the integer
+        if log10 < min(MAX_VALUE_DIGITS, graphs.str_digit_limit() - 1):
             spanning_trees = {"digits": str(trees.value)}
         else:
             # the exponents are exact; log10 is left out where it is not finite

@@ -63,9 +63,9 @@ class Graph:
     `Graph(n, u, v)` has the edges (u[i], v[i]).  They must be strictly
     increasing in (u, v) with u < v, which rules out self-loops and
     duplicates; `_check_edges` checks it a chunk at a time and names the
-    first offending edge.  Nonempty endpoint arrays must have an integer
-    dtype.  Contiguous int64 arrays are kept without a copy and made
-    read-only.
+    first offending edge.  `n` must be an int or a numpy integer, and
+    nonempty endpoint arrays must have an integer dtype.  Contiguous int64
+    arrays are kept without a copy and made read-only.
     """
 
     __slots__ = ("_n", "_u", "_v")
@@ -74,8 +74,8 @@ class Graph:
         import numpy as np
 
         n = vertex_count
-        if n < 0:
-            raise ValueError("vertex_count must be nonnegative")
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError("vertex_count must be a nonnegative integer")
         u, v = np.asarray(u), np.asarray(v)
         if any(a.size and a.dtype.kind not in "iu" for a in (u, v)):
             raise ValueError("edge endpoints must be integers")

@@ -193,22 +193,19 @@ def _determinant(factor) -> int:
     return math.prod(d[0] for _, d, _ in factor) // math.prod(d[1] for _, d, _ in factor)
 
 
-def matrix_tree_count(graph: Graph, remove_index: int = 0) -> int:
+def matrix_tree_count(graph: Graph) -> int:
     """Spanning-tree count: exact determinant of a Laplacian minor.
 
-    The product of the pivots of `_eliminate` with vertex `remove_index`
-    grounded; the result does not depend on which vertex that is.  The
-    minor is positive semidefinite, so a zero pivot means a singular
-    minor: disconnected graphs return 0.
+    The product of the pivots of `_eliminate` with vertex 0 grounded; any
+    other ground gives the same count.  The minor is positive semidefinite,
+    so a zero pivot means a singular minor: disconnected graphs return 0.
     """
     n = graph.vertex_count
     if n > MATRIX_TREE_SIZE_LIMIT:
         raise ResourceLimitError(f"graph size {n} exceeds {MATRIX_TREE_SIZE_LIMIT}")
-    if not (0 <= remove_index < max(n, 1)):
-        raise ValueError("remove_index out of range")
     if n <= 1:
         return 1
-    return _determinant(_eliminate(graph, 0, remove_index)[0])
+    return _determinant(_eliminate(graph, 0, 0)[0])
 
 
 def forest_count(graph: Graph) -> int:

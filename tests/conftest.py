@@ -4,6 +4,7 @@
 exporting it lets a plain `pytest` from a checkout spawn the CLI too.
 """
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,3 +19,15 @@ def _children_import_rcg():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", path)
         yield
+
+
+@pytest.fixture
+def str_limit():
+    """The interpreter's int->str limit at 640 digits, the least it accepts.
+
+    A test may set another value; the old one is restored after it.
+    """
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(old)

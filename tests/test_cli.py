@@ -296,19 +296,28 @@ class TestAnalyze:
             else:
                 assert len(limited.stdout.splitlines()) == 1 + 2 * (g + 1)
 
-    def test_one_reader_of_str_limit(self, capsys, monkeypatch):
-        # the report's digits cell and the pre-check both read this helper
-        from rcg import formulas
-
-        _, out, _ = run(capsys, "analyze", "--q", "2", "--g", "7")
-        assert "digits" in json.loads(out)["spanning_trees"]  # 1043 digits
-        monkeypatch.setattr(formulas, "str_digit_limit", lambda: 640)
+    def test_one_reader_of_str_limit(self, capsys, str_limit):
+        # the report's digits cell and the pre-check both follow the
+        # interpreter's limit, here at 640 digits
         code, out, _ = run(capsys, "analyze", "--q", "2", "--g", "7")
         assert code == 0
         assert json.loads(out)["spanning_trees"]["factors"] == [[2, 0], [3, 3**7 - 1]]
         code, out, err = run(capsys, "analyze", "--q", "2", "--g", "1000")
         assert code == 2
-        assert "more than 640 digits" in err
+        assert f"more than {str_limit} digits" in err
+        sys.set_int_max_str_digits(4300)
+        _, out, _ = run(capsys, "analyze", "--q", "2", "--g", "7")
+        assert len(json.loads(out)["spanning_trees"]["digits"]) == 1043
+
+    def test_wide_str_limit_keeps_the_value_cap(self, capsys, str_limit):
+        # (2, 14) has about 2.3 million digits, past MAX_VALUE_DIGITS: still
+        # factors where the interpreter would print them
+        sys.set_int_max_str_digits(10**7)
+        code, out, _ = run(capsys, "analyze", "--q", "2", "--g", "14")
+        assert code == 0
+        trees = json.loads(out)["spanning_trees"]
+        assert "digits" not in trees
+        assert trees["factors"] == [[2, 0], [3, 3**14 - 1]]
 
 
 class TestSpectrum:
@@ -597,6 +606,41 @@ class TestRefusalsAtLargeG:
     def test_names_the_count(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"resource limit: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            (["analyze", "--q", "2", "--g", "477"], 0, ""),
+            (
+                ["analyze", "--q", "2", "--g", "478"],
+                2,
+                "structural_report of (q=2, g=478) may hold integers of more than 640 digits",
+            ),
+            (["curve", "--quantity", "clustering", "--q-list", "2", "--g-max", "477"], 0, ""),
+            (
+                ["curve", "--quantity", "clustering", "--q-list", "2", "--g-max", "478"],
+                2,
+                "global_clustering of (q=2, g=478) may hold integers of more than 640 digits",
+            ),
+            (["generate", "--q", "2", "--g", "1400"], 2, "requires 2*3^1400 vertices"),
+        ],
+        ids=["analyze-477", "analyze-478", "curve-477", "curve-478", "generate-1400"],
+    )
+    def test_child_keeps_to_the_interpreter_limit(self, argv, code, message):
+        # one setting moves every reader of the limit: the analyze and curve
+        # refusals, and over_limit, which names 2*3^1400 in decimal at 4300
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640"}
+        result = subprocess.run(
+            [sys.executable, "-m", "rcg.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            env=env,
+        )
+        assert result.returncode == code
+        assert bool(result.stdout) == (code == 0)
+        assert message in result.stderr
+        assert bool(result.stderr) == (code != 0)
+
 
 class TestVertexBudget:
     @pytest.mark.parametrize(
@@ -730,30 +774,32 @@ class TestCurve:
         from rcg import formulas
 
         for quantity in CURVE_QUANTITIES.values():
-            assert formulas.fits_digits(RcgParams(2, 3), quantity, 4300)
+            formulas.check_digits(RcgParams(2, 3), quantity)
 
     @pytest.mark.parametrize("quantity", sorted(CURVE_QUANTITIES))
     @pytest.mark.parametrize("q", [2, 3])
-    def test_last_fitting_generation(self, capsys, monkeypatch, quantity, q):
+    def test_last_fitting_generation(self, capsys, str_limit, quantity, q):
         # both sides of the digit bound: the last admitted --g-max prints
-        # integers within the limit, one generation more exits at once
+        # integers within the interpreter's limit, one generation more exits
+        # at once
         from rcg import formulas
+        from rcg.errors import ResourceLimitError
 
-        limit, name = 640, CURVE_QUANTITIES[quantity]
-        monkeypatch.setattr(formulas, "str_digit_limit", lambda: limit)
         g = 0
-        while formulas.fits_digits(RcgParams(q, g + 1), name, limit):
-            g += 1
+        with pytest.raises(ResourceLimitError):
+            while True:
+                formulas.check_digits(RcgParams(q, g + 1), CURVE_QUANTITIES[quantity])
+                g += 1
         argv = ["curve", "--quantity", quantity, "--q-list", str(q), "--g-max"]
         code, out, _ = run(capsys, *argv, str(g))
         assert code == 0
         assert len(out.splitlines()) == g + 2
         values = [line.split(",")[2] for line in out.splitlines()[1:]]
-        assert max(len(part) for value in values for part in value.split("/")) <= limit
+        assert max(len(part) for value in values for part in value.split("/")) <= str_limit
         code, out, err = run(capsys, *argv, str(g + 1))
         assert code == 2
         assert out == ""
-        assert f"more than {limit} digits" in err
+        assert f"more than {str_limit} digits" in err
 
     @pytest.mark.parametrize("quantity", ["avg-distance", "kirchhoff", "avg-degree"])
     def test_perturbed_middle_row_exits_verify(self, capsys, monkeypatch, quantity):

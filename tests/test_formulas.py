@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,8 @@ from rcg import (
     total_distance,
     vertex_clustering,
 )
-from rcg.formulas import fits_digits
+from rcg.errors import ResourceLimitError
+from rcg.formulas import check_digits
 from rcg.oracle import (
     bfs_total_distance,
     degree_histogram,
@@ -443,7 +445,7 @@ class TestLargeGeneration:
         # (2, 647): the exponent 3^647 - 1 passes the largest float, about 1.8e308
         trees = spanning_trees_closed(RcgParams(2, 647))
         assert trees.log10 == math.inf
-        assert not trees.exact and trees.value is None
+        assert trees.value is None
         assert FactoredCount(2, 0, 10**400).log10 == math.inf
 
     def test_report_omits_infinite_log10(self):
@@ -462,8 +464,22 @@ def integers_in(value):
     return [value]
 
 
+def last_fitting_generation(q, quantity):
+    """The last g that `check_digits` admits for `quantity` at q."""
+    g = 0
+    with pytest.raises(ResourceLimitError, match="int->str limit"):
+        while True:
+            check_digits(RcgParams(q, g + 1), quantity)
+            g += 1
+    return g
+
+
+@pytest.mark.usefixtures("str_limit")
 class TestFitsDigits:
-    LIMIT = 640  # the smallest limit sys.set_int_max_str_digits accepts
+    """The bounds of `check_digits`, under the interpreter's own limit: an
+    integer printed past it fails the test in `str` itself."""
+
+    LIMIT = 640  # the limit the `str_limit` fixture sets
 
     @pytest.mark.parametrize(
         "function",
@@ -472,9 +488,7 @@ class TestFitsDigits:
     )
     @pytest.mark.parametrize("q", [2, 3, 5, 9])
     def test_bound_holds_at_the_last_fitting_generation(self, function, q):
-        g = 0
-        while fits_digits(RcgParams(q, g + 1), function.__name__, self.LIMIT):
-            g += 1
+        g = last_fitting_generation(q, function.__name__)
         assert g > 0
         params = RcgParams(q, g)
         longest = max(len(str(abs(x))) for x in integers_in(function(params)))
@@ -496,16 +510,17 @@ class TestFitsDigits:
 
     @pytest.mark.parametrize("q", [2, 3, 5, 9])
     def test_report_bound_holds(self, q):
-        g = 0
-        while fits_digits(RcgParams(q, g + 1), "structural_report", self.LIMIT):
-            g += 1
+        g = last_fitting_generation(q, "structural_report")
         assert self.report_digits(RcgParams(q, g)) <= self.LIMIT
-        # the bound is tight: the first refused generation comes within 10 digits
+        # the bound is tight: the first refused generation comes within 10
+        # digits; no limit while they are counted
+        sys.set_int_max_str_digits(0)
         assert self.report_digits(RcgParams(q, g + 1)) > self.LIMIT - 10
 
     def test_huge_generation_does_not_fit(self):
-        assert not fits_digits(RcgParams(2, 10**400), "structural_report", 4300)
+        with pytest.raises(ResourceLimitError, match="more than 640 digits"):
+            check_digits(RcgParams(2, 10**400), "structural_report")
 
     def test_unknown_quantity(self):
         with pytest.raises(ValueError, match="no digit bound"):
-            fits_digits(RcgParams(2, 1), "order", 4300)
+            check_digits(RcgParams(2, 1), "order")

@@ -87,6 +87,11 @@ class TestGraph:
         # a cast to int64 would read these as the edges (0, 1) and (1, 2)
         with pytest.raises(ValueError, match="integers"):
             Graph(3, [0.9, 1.2], [1.5, 2.99])
+        # a float vertex count would fail later, in degrees(); a numpy
+        # integer is an integer
+        with pytest.raises(ValueError, match="integer"):
+            Graph(3.0, [0], [1])
+        assert Graph(np.int64(3), [0], [1]).vertex_count == 3
 
     def test_rejects_negative_vertex_count(self):
         with pytest.raises(ValueError, match="nonnegative"):
