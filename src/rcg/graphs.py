@@ -16,11 +16,14 @@ in (u, v) with u < v; `Graph(n, u, v)` is the one constructor, and one
 helper checks that rule a chunk at a time, given the edge before the chunk.
 One generator, `_edge_chunks`, yields the edges of C_q(g) straight from the
 block layout in their final (u, v) order, in chunks of at most CHUNK_ROWS
-(16 384) rows: `build_rcg` copies them into two preallocated arrays, and
+(4096) rows: `build_rcg` copies them into two preallocated arrays, and
 the edge-list, dot and JSON writers, `writer(params, out)`, check each chunk
 (seam included) and the final row count, and write its text to the stream
-`out`, so the writers never hold a whole-graph array.  numpy is imported on
-first use, never at module import.  `vertex_budget` is the one reader of
+`out`, so the writers never hold a whole-graph array.  `_decimal_rows`
+turns each chunk into text through one column-major uint8 block:
+floor-division digits, then the 0 pad bytes dropped from its row-major
+bytes.  numpy is imported on first use, never at module import.
+`vertex_budget` is the one reader of
 CORONA_VERTEX_BUDGET, for `check_limits` (so `build_rcg`) and the spectra;
 `over_limit` decides each size refusal (there and in `verify`) from (q, g)
 without building a count too large to print.
@@ -54,7 +57,7 @@ EDGE_LIMIT = 2 * 10**7
 
 # edges, vertices and their text go in chunks of at most this many rows, or
 # of one block member's row, at most q (g+1) edges, where that is longer
-CHUNK_ROWS = 1 << 14
+CHUNK_ROWS = 1 << 12
 
 
 class Graph:
@@ -420,44 +423,68 @@ def _decimal_rows(chunks, separator: str = "") -> Iterator[str]:
     """Text rows from chunks of integer columns, one str per chunk.
 
     Each chunk mixes str literals and equal-length, nonempty arrays of
-    nonnegative integers; row i joins the literals with the decimal digits
+    integers in [0, 2**32); row i joins the literals with the decimal digits
     of each array's element i, and `separator` starts every row but the
-    first.  A chunk is one uint8 block with a fixed-width cell per part:
-    digits sit right-aligned in their cell, the unused leading bytes are 0,
-    and dropping the 0 bytes (which no literal contains) leaves the text.
+    first.  Nothing of a chunk outlives its str, which the caller holds.
+    """
+    skip = len(separator)
+    for parts in chunks:
+        yield _chunk_text((separator, *parts))[skip:]
+        skip = 0
+
+
+def _chunk_text(parts) -> str:
+    """The rows of one chunk of `_decimal_rows`.
+
+    The chunk is one uint8 block, built column-major so that every array
+    operation is contiguous, with a fixed-width cell per part: the digits
+    sit right-aligned in their cell, the unused leading bytes are 0, and
+    dropping the 0 bytes (which no literal contains) from the row-major
+    bytes leaves the text.  Each copy on the way to the str replaces the one
+    before it, so at most two are alive at once.
     """
     import numpy as np
 
-    skip = len(separator)
-    for parts in chunks:
-        cells = []
-        for part in (separator, *parts):
-            if isinstance(part, str):
-                if part:
-                    cells.append((np.frombuffer(part.encode(), np.uint8), None))
-            else:
-                count = len(part)
-                cells.append((part, len(str(int(part.max())))))
-        width = sum(len(part) if digits is None else digits for part, digits in cells)
-        block = np.empty((count, width), dtype=np.uint8)
-        start = 0
-        for part, digits in cells:
-            if digits is None:
-                block[:, start : start + len(part)] = part
-                start += len(part)
-                continue
-            # nine digits fit in uint32
-            rest = part.astype(np.uint32 if digits < 10 else np.uint64)
-            last = start + digits - 1
-            np.add(rest % 10, ord("0"), out=block[:, last], casting="unsafe")
-            for j in range(last - 1, start - 1, -1):
-                # a digit left of the leading one becomes a 0 pad byte
-                rest //= 10
-                digit = rest % 10 + ord("0")
-                np.multiply(digit, rest != 0, out=block[:, j], casting="unsafe")
-            start += digits
-        yield block[block != 0].tobytes().decode("ascii")[skip:]
-        skip = 0
+    count = next(len(part) for part in parts if not isinstance(part, str))
+    widths = [len(part) if isinstance(part, str) else len(str(int(part.max()))) for part in parts]
+    block = np.empty((sum(widths), count), dtype=np.uint8)
+    start = 0
+    for part, width in zip(parts, widths):
+        # no view of the block outlives this loop, so `del block` frees it
+        if isinstance(part, str):
+            block[start : start + width] = np.frombuffer(part.encode(), np.uint8)[:, None]
+        else:
+            _digits(part, block[start : start + width])
+        start += width
+    rows = np.ascontiguousarray(block.T)
+    del block
+    rows = rows.tobytes()
+    rows = rows.replace(b"\0", b"")
+    return rows.decode("ascii")
+
+
+def _digits(part: np.ndarray, cell: np.ndarray) -> None:
+    """Write the decimals of `part` into `cell`, one column per element.
+
+    Row k of the cell takes the low byte of `part` floor-divided by 10 once
+    per row below it, so that digit k is row k minus 10 times row k - 1,
+    modulo 256.  A digit left of an element's leading one becomes a 0 pad
+    byte; only the rows left of the shortest element's digits can hold one.
+    """
+    import numpy as np
+
+    width = len(cell)
+    rest = part.astype(np.uint32)
+    cell[-1] = rest
+    for k in range(width - 2, -1, -1):
+        rest //= 10
+        cell[k] = rest
+    cell[1:] -= 10 * cell[:-1]
+    cell += ord("0")
+    pads = width - len(str(int(part.min())))
+    if pads:
+        place = 10 ** np.arange(width - 1, width - 1 - pads, -1)
+        cell[:pads] *= part >= place[:, None]
 
 
 def write_edgelist(params: RcgParams, out: TextIO) -> None:

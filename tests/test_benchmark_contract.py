@@ -11,6 +11,8 @@ runs, so a fault in the process entry (lost output, a changed exit code)
 fails here too, and both spectra run at the largest points of `exact`.
 """
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,6 +68,45 @@ def test_child_ops_pass_their_gates(tmp_path):
     assert len(ops) == 5
     outcomes = [(op.name, workload.run(op, False)) for workload, op in ops]
     assert [(name, o.error, o.wrong) for name, o in outcomes if o.failed] == []
+
+
+# Each child starts from a fresh interpreter of its own: a child's ru_maxrss
+# also counts the high-water resident set of the process it was forked from,
+# and a test session, or a process that has read a large output for its
+# gate, can pass the child's own peak.  Prints [error, wrong, peak KiB].
+CHILD_PEAK = """
+import json, sys
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+import workloads
+
+workdir, name = Path(sys.argv[2]), sys.argv[3]
+if name == "bare":
+    _, code, _, kib = workloads.run_child(["generate", "--q", "2", "--g", "0"], 60.0, workdir)
+    print(json.dumps([None if code == 0 else f"exit {code}", False, kib]))
+else:
+    explicit = workloads.Explicit(workdir)
+    (outcome,) = [explicit.run(op, False) for op in explicit.ops if op.name == name]
+    print(json.dumps([outcome.error, outcome.wrong, outcome.rss_kib]))
+"""
+
+
+def test_explicit_children_peak_near_a_bare_generate(tmp_path):
+    # a child that writes C_2(0) holds the interpreter, numpy and no chunk;
+    # each `explicit` op's child holds a few chunks of text on top of that
+    # (with 16 384-row chunks the JSON op's child peaked 2.7 MiB above it)
+    def peak(name):
+        argv = [sys.executable, "-c", CHILD_PEAK, str(PERFBENCH), str(tmp_path), name]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=120, check=True)
+        return json.loads(done.stdout)
+
+    names = [op.name for op in load("workloads").Explicit(tmp_path).ops]
+    peaks = {name: peak(name) for name in ["bare", *names]}
+    assert [(name, error, wrong) for name, (error, wrong, _) in peaks.items() if error or wrong] == []
+    bare_kib = peaks.pop("bare")[2]
+    over_mib = {name: (kib - bare_kib) / 1024 for name, (_, _, kib) in peaks.items()}
+    assert len(over_mib) == 5 and max(over_mib.values()) <= 1.5, over_mib
 
 
 def test_largest_spectra_pass_their_gates(tmp_path):

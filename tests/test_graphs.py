@@ -521,7 +521,26 @@ class TestWriters:
             return _traced_peak(lambda: write_edgelist(RcgParams(q, g), _Discard()))
 
         assert peak(2, 11) - peak(2, 8) <= 10**6
-        assert peak(5, 6) <= 3 * 10**6
+        assert peak(5, 6) <= 3 * 10**5
+
+    # the longest edge row of each writer, as text; a chunk holds CHUNK_ROWS
+    # such rows and their int64 (u, v) pairs, 16 bytes more per row
+    @pytest.mark.parametrize(
+        "writer,q,g,row",
+        [
+            (write_json, 2, 9, ",\n    [\n      {n},\n      {n}\n    ]"),
+            (write_dot, 3, 6, "  {n} -- {n};\n"),
+            (write_edgelist, 5, 6, "{n} {n}\n"),
+        ],
+        ids=["json", "dot", "edgelist"],
+    )
+    def test_peak_is_two_chunks(self, writer, q, g, row):
+        # each copy on the way from a chunk's block to its str replaces the
+        # one before, so no more than two chunks' worth is ever alive
+        params = RcgParams(q, g)
+        row_bytes = len(row.format(n=params.vertex_count - 1)) + 16
+        peak = _traced_peak(lambda: writer(params, _Discard()))
+        assert peak <= 2 * graphs.CHUNK_ROWS * row_bytes
 
     @pytest.mark.parametrize("writer", [write_edgelist, write_dot, write_json])
     def test_streams_bounded_chunks(self, writer, monkeypatch):
@@ -570,6 +589,49 @@ class TestWriters:
                 writer(params, _Discard())
         assert cli.main(["generate", "--q", "2", "--g", "5"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestDecimalRows:
+    # both sides of every power of ten up to 10 digits, the largest vertex id
+    # that EDGE_LIMIT admits and the largest uint32
+    VALUES = sorted(
+        {0, graphs.EDGE_LIMIT, 2**32 - 1, *(10**k + d for k in range(1, 10) for d in (-1, 0))}
+    )
+
+    def test_vertex_ids_fit_in_uint32(self):
+        # C_q(g) is connected, so N <= M + 1 <= EDGE_LIMIT + 1, and every
+        # vertex id a writer formats is below 2**32, the kernel's range
+        assert graphs.EDGE_LIMIT + 1 < 2**32
+
+    # the literal shapes of the edge-list, dot (vertex and edge) and JSON rows
+    @pytest.mark.parametrize(
+        "shape,separator",
+        [
+            (("u", " ", "v", "\n"), ""),
+            (("  ", "u", ' [label="3"];\n'), ""),
+            (("  ", "u", " -- ", "v", ";\n"), ""),
+            (("\n    [\n      ", "u", ",\n      ", "v", "\n    ]"), ","),
+        ],
+        ids=["edgelist", "dot-vertices", "dot-edges", "json"],
+    )
+    # one chunk; a one-row chunk first; four chunks, one whose u cells all have two digits
+    @pytest.mark.parametrize("bounds", [[0, 21], [0, 1, 21], [0, 2, 4, 10, 21]])
+    def test_rows_match_str(self, shape, separator, bounds):
+        values = np.array(self.VALUES, dtype=np.int64)
+        assert len(values) == 21
+        columns = {"u": values, "v": values[::-1].copy()}
+
+        def parts(lo, hi):
+            return tuple(columns[p][lo:hi] if p in columns else p for p in shape)
+
+        chunks = [parts(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        rows = [
+            "".join(str(columns[p][i]) if p in columns else p for p in shape)
+            for i in range(len(values))
+        ]
+        text = list(graphs._decimal_rows(iter(chunks), separator))
+        assert len(text) == len(chunks)
+        assert "".join(text) == separator.join(rows)
 
 
 class TestVertexBudget:

@@ -75,6 +75,35 @@ class TestBfsTotalDistance:
         with pytest.raises(ConnectivityError):
             bfs_total_distance(graph_of(3, [(0, 1)]))
 
+    @pytest.mark.parametrize("edges", [[(0, 1)], [(1, 2)], [(0, 1), (2, 3)]])
+    def test_first_bfs_decides_connectivity(self, edges, monkeypatch):
+        # a graph is connected if the BFS from vertex 0 reaches every vertex,
+        # so only that BFS's distances are scanned for an unreached vertex
+        calls, scans = [], []
+        bfs = oracle._bfs_distances
+
+        class Distances(list):
+            def __contains__(self, item):
+                scans.append(item)
+                return super().__contains__(item)
+
+        def counted(adj, source):
+            calls.append(source)
+            return Distances(bfs(adj, source))
+
+        monkeypatch.setattr(oracle, "_bfs_distances", counted)
+        with pytest.raises(ConnectivityError, match="^graph is disconnected$"):
+            bfs_total_distance(graph_of(4, edges))
+        assert calls == [0]
+        calls.clear()
+        scans.clear()
+        assert bfs_total_distance(graph_of(4, [(0, 1), (1, 2), (2, 3)])) == 10
+        assert calls == [0, 1, 2, 3]
+        assert scans == [-1]
+
+    def test_empty_graph(self):
+        assert bfs_total_distance(graph_of(0, [])) == 0
+
 
 class TestDegreeHistogram:
     def test_k4(self):
