@@ -401,7 +401,14 @@ def build_rcg(params: RcgParams) -> CoronaGraph:
 
 
 def matrix_of(graph: Graph, kind: str) -> np.ndarray:
-    """Dense integer adjacency or laplacian matrix."""
+    """Dense float64 adjacency or laplacian matrix, one C-contiguous N x N array.
+
+    Its entries are small integers held exactly, equal bit for bit to the
+    integer matrix converted to float, so `symmetric_eigenvalues` needs no
+    conversion copy.
+    The Laplacian is formed in place from the adjacency matrix: 0 - A, which
+    leaves no -0.0 where A is 0, then the degrees on the zero diagonal.
+    """
     import numpy as np
 
     if kind not in ("adjacency", "laplacian"):
@@ -411,12 +418,15 @@ def matrix_of(graph: Graph, kind: str) -> np.ndarray:
         raise ResourceLimitError(
             f"dense matrix for {n} vertices exceeds limit {MATRIX_VERTEX_LIMIT}"
         )
-    a = np.zeros((n, n), dtype=np.int64)
+    a = np.zeros((n, n))
     a[graph.u, graph.v] = 1
     a[graph.v, graph.u] = 1
     if kind == "adjacency":
         return a
-    return np.diag(a.sum(axis=1)) - a
+    degrees = a.sum(axis=1)
+    np.subtract(0.0, a, out=a)
+    a.flat[:: n + 1] = degrees
+    return a
 
 
 def _decimal_rows(chunks, separator: str = "") -> Iterator[str]:

@@ -100,15 +100,22 @@ def mean_neighbor_degree_by_class(cg: CoronaGraph) -> dict[int, Fraction]:
 
 
 def symmetric_eigenvalues(matrix) -> list[float]:
-    """All eigenvalues of a dense symmetric matrix (LAPACK), sorted descending."""
+    """All eigenvalues of a dense symmetric matrix (LAPACK), sorted descending.
+
+    The shape is checked first, so a non-square or oversized input is
+    refused before it is converted.  A float64 array, as `matrix_of` gives,
+    reaches `eigvalsh` without a conversion copy; an integer array or nested
+    lists are converted to float64 once.  The input is never modified.
+    """
     import numpy as np
 
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    shape = np.shape(matrix)
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError("matrix must be square")
-    n = a.shape[0]
+    n = shape[0]
     if n > EIGENVALUE_SIZE_LIMIT:
         raise ResourceLimitError(f"matrix size {n} exceeds {EIGENVALUE_SIZE_LIMIT}")
+    a = np.asarray(matrix, dtype=float)
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
     try:

@@ -8,9 +8,11 @@ layout, vertex by vertex, where `CoronaGraph.birth` builds all of them at
 once; `laplacian_reciprocal_sum` reads the reciprocal eigenvalue sum off
 the Kirchhoff index; `reference_text` renders each output format line by
 line with f-strings, or with `json.dumps`.  None of these is used by the
-`rcg` package itself.
+`rcg` package itself.  `traced_peak` is the in-process memory measure of
+the footprint tests.
 """
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -92,3 +94,13 @@ def reference_text(writer, cg) -> str:
         "birth": list(cg.birth),
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees allocated while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

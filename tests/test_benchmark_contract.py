@@ -73,7 +73,9 @@ def test_child_ops_pass_their_gates(tmp_path):
 # Each child starts from a fresh interpreter of its own: a child's ru_maxrss
 # also counts the high-water resident set of the process it was forked from,
 # and a test session, or a process that has read a large output for its
-# gate, can pass the child's own peak.  Prints [error, wrong, peak KiB].
+# gate, can pass the child's own peak.  The name is an `explicit` op's, or
+# else the argv of a bare `rcg` child, which must exit 0.  Prints [error,
+# wrong, peak KiB].
 CHILD_PEAK = """
 import json, sys
 from pathlib import Path
@@ -82,31 +84,51 @@ sys.path.insert(0, sys.argv[1])
 import workloads
 
 workdir, name = Path(sys.argv[2]), sys.argv[3]
-if name == "bare":
-    _, code, _, kib = workloads.run_child(["generate", "--q", "2", "--g", "0"], 60.0, workdir)
-    print(json.dumps([None if code == 0 else f"exit {code}", False, kib]))
-else:
-    explicit = workloads.Explicit(workdir)
-    (outcome,) = [explicit.run(op, False) for op in explicit.ops if op.name == name]
+explicit = workloads.Explicit(workdir)
+outcomes = [explicit.run(op, False) for op in explicit.ops if op.name == name]
+if outcomes:
+    (outcome,) = outcomes
     print(json.dumps([outcome.error, outcome.wrong, outcome.rss_kib]))
+else:
+    _, code, _, kib = workloads.run_child(name.split(), 120.0, workdir)
+    print(json.dumps([None if code == 0 else f"exit {code}", False, kib]))
 """
+
+
+def child_peaks(tmp_path, names):
+    """{name: [error, wrong, peak KiB]}, each from its own fresh interpreter."""
+
+    def peak(name):
+        argv = [sys.executable, "-c", CHILD_PEAK, str(PERFBENCH), str(tmp_path), name]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=180, check=True)
+        return json.loads(done.stdout)
+
+    peaks = {name: peak(name) for name in names}
+    assert [(name, error, wrong) for name, (error, wrong, _) in peaks.items() if error or wrong] == []
+    return peaks
 
 
 def test_explicit_children_peak_near_a_bare_generate(tmp_path):
     # a child that writes C_2(0) holds the interpreter, numpy and no chunk;
     # each `explicit` op's child holds a few chunks of text on top of that
     # (with 16 384-row chunks the JSON op's child peaked 2.7 MiB above it)
-    def peak(name):
-        argv = [sys.executable, "-c", CHILD_PEAK, str(PERFBENCH), str(tmp_path), name]
-        done = subprocess.run(argv, capture_output=True, text=True, timeout=120, check=True)
-        return json.loads(done.stdout)
-
+    bare = "generate --q 2 --g 0"
     names = [op.name for op in load("workloads").Explicit(tmp_path).ops]
-    peaks = {name: peak(name) for name in ["bare", *names]}
-    assert [(name, error, wrong) for name, (error, wrong, _) in peaks.items() if error or wrong] == []
-    bare_kib = peaks.pop("bare")[2]
+    peaks = child_peaks(tmp_path, [bare, *names])
+    bare_kib = peaks.pop(bare)[2]
     over_mib = {name: (kib - bare_kib) / 1024 for name, (_, _, kib) in peaks.items()}
     assert len(over_mib) == 5 and max(over_mib.values()) <= 1.5, over_mib
+
+
+def test_verify_at_its_size_limit_peaks_near_a_small_verify(tmp_path):
+    # C_4(3) has 500 vertices, the matrix-tree oracle's limit; its dense
+    # stage holds one 2 MB float64 matrix, and eigvalsh its copy for LAPACK
+    # and the work space (with int64 temporaries and a float conversion
+    # copy beside them the child peaked 7.5 MiB above C_2(0))
+    small, largest = "verify --q 2 --g 0", "verify --q 4 --g 3"
+    peaks = child_peaks(tmp_path, [small, largest])
+    over_mib = (peaks[largest][2] - peaks[small][2]) / 1024
+    assert over_mib <= 5.5, over_mib
 
 
 def test_largest_spectra_pass_their_gates(tmp_path):

@@ -4,7 +4,6 @@ import io
 import re
 import sys
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from reference import (
     edge_pairs,
     graph_of,
     reference_text,
+    traced_peak,
 )
 
 
@@ -39,16 +39,6 @@ def _text(writer, cg):
     out = io.StringIO()
     writer(cg.params, out)
     return out.getvalue()
-
-
-def _traced_peak(call) -> int:
-    """Peak bytes that tracemalloc sees allocated while `call()` runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class _Discard(io.TextIOBase):
@@ -365,7 +355,7 @@ class TestBuildRcg:
             with pytest.raises(ResourceLimitError, match=f"has {edges} edges"):
                 build_rcg(RcgParams(q, g))
 
-        assert _traced_peak(refused) < 10**5
+        assert traced_peak(refused) < 10**5
 
     def test_edge_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(graphs, "EDGE_LIMIT", 7)
@@ -395,15 +385,15 @@ class TestBuildRcg:
         # so beside u and v only chunk-sized arrays exist
         params = RcgParams(2000, 0)
         edge_bytes = 16 * params.edge_count
-        assert _traced_peak(lambda: build_rcg(params)) <= 1.2 * edge_bytes
-        assert _traced_peak(lambda: write_edgelist(params, _Discard())) <= 4 * 10**6
+        assert traced_peak(lambda: build_rcg(params)) <= 1.2 * edge_bytes
+        assert traced_peak(lambda: write_edgelist(params, _Discard())) <= 4 * 10**6
 
     @pytest.mark.parametrize("q,g", [(5, 6), (2, 11)])
     def test_peak_is_near_the_edge_arrays(self, q, g):
         # u and v hold 16 bytes per edge; the rest of the peak is one chunk
         # and the boolean temporaries of the Graph's check of one chunk
         params = RcgParams(q, g)
-        assert _traced_peak(lambda: build_rcg(params)) <= 1.5 * 16 * params.edge_count
+        assert traced_peak(lambda: build_rcg(params)) <= 1.5 * 16 * params.edge_count
 
     def test_graph_order_mismatch_rejected(self):
         cg = build_rcg(RcgParams(2, 1))
@@ -460,7 +450,32 @@ class TestMatrixOf:
         reference = [[0] * n for _ in range(n)]
         for u, v in edge_pairs(graph):
             reference[u][v] = reference[v][u] = 1
-        assert matrix_of(graph, "adjacency").tolist() == reference
+        adj = matrix_of(graph, "adjacency")
+        assert adj.dtype == np.float64 and adj.flags.c_contiguous
+        assert adj.tolist() == reference
+
+    @pytest.mark.parametrize("graph", [build_rcg(RcgParams(3, 2)).graph, Graph(3, [], [])])
+    def test_laplacian_matches_edge_loop(self, graph):
+        n = graph.vertex_count
+        reference = [[0] * n for _ in range(n)]
+        for u, v in edge_pairs(graph):
+            reference[u][v] = reference[v][u] = -1
+            reference[u][u] += 1
+            reference[v][v] += 1
+        lap = matrix_of(graph, "laplacian")
+        assert lap.dtype == np.float64 and lap.flags.c_contiguous
+        assert lap.tolist() == reference
+
+    @pytest.mark.parametrize("q,g", [(2, 2), (5, 1)])
+    def test_laplacian_diagonal_and_zero_signs(self, q, g):
+        # 0 - A rather than -A: no -0.0 off the diagonal, so the matrix is
+        # bit for bit the integer Laplacian converted to float
+        graph = build_rcg(RcgParams(q, g)).graph
+        lap = matrix_of(graph, "laplacian")
+        assert np.diagonal(lap).tolist() == graph.degrees()
+        assert not np.signbit(lap[lap == 0]).any()
+        integer = np.diag(graph.degrees()) - matrix_of(graph, "adjacency").astype(np.int64)
+        assert lap.tobytes() == integer.astype(float).tobytes()
 
     def test_unknown_kind(self):
         for kind in ("incidence", "degree"):
@@ -518,7 +533,7 @@ class TestWriters:
         # the writer streams the edges from (q, g): at (2, 8) and (2, 11),
         # 19681 and 531439 edges, it holds a few chunks, never a whole column
         def peak(q, g):
-            return _traced_peak(lambda: write_edgelist(RcgParams(q, g), _Discard()))
+            return traced_peak(lambda: write_edgelist(RcgParams(q, g), _Discard()))
 
         assert peak(2, 11) - peak(2, 8) <= 10**6
         assert peak(5, 6) <= 3 * 10**5
@@ -539,7 +554,7 @@ class TestWriters:
         # one before, so no more than two chunks' worth is ever alive
         params = RcgParams(q, g)
         row_bytes = len(row.format(n=params.vertex_count - 1)) + 16
-        peak = _traced_peak(lambda: writer(params, _Discard()))
+        peak = traced_peak(lambda: writer(params, _Discard()))
         assert peak <= 2 * graphs.CHUNK_ROWS * row_bytes
 
     @pytest.mark.parametrize("writer", [write_edgelist, write_dot, write_json])

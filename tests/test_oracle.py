@@ -27,7 +27,7 @@ from rcg.oracle import (
     symmetric_eigenvalues,
 )
 
-from reference import complete_graph, graph_of
+from reference import complete_graph, graph_of, traced_peak
 
 
 def star(n):
@@ -180,9 +180,48 @@ class TestSymmetricEigenvalues:
             symmetric_eigenvalues(np.zeros((2, 3)))
 
     def test_size_guard(self):
+        # refused from the shape: a float copy of this int64 matrix is 32 MB
         n = EIGENVALUE_SIZE_LIMIT + 1
-        with pytest.raises(ResourceLimitError):
-            symmetric_eigenvalues(np.zeros((n, n)))
+        matrix = np.zeros((n, n), dtype=np.int64)
+
+        def refused():
+            with pytest.raises(ResourceLimitError):
+                symmetric_eigenvalues(matrix)
+
+        assert traced_peak(refused) < 10**6
+
+    def test_large_non_square_refused_before_conversion(self):
+        matrix = np.zeros((EIGENVALUE_SIZE_LIMIT + 1, EIGENVALUE_SIZE_LIMIT), dtype=np.int64)
+
+        def refused():
+            with pytest.raises(ValueError):
+                symmetric_eigenvalues(matrix)
+
+        assert traced_peak(refused) < 10**6
+
+    def test_float_input_unchanged(self):
+        lap = matrix_of(build_rcg(RcgParams(3, 2)).graph, "laplacian")
+        before = lap.copy()
+        symmetric_eigenvalues(lap)
+        assert lap.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
+    def test_same_values_for_every_input_form(self, kind):
+        matrix = matrix_of(build_rcg(RcgParams(3, 2)).graph, kind)
+        forms = [matrix, matrix.astype(np.int64), matrix.astype(np.int64).tolist()]
+        values = [symmetric_eigenvalues(form) for form in forms]
+        assert values[0] == values[1] == values[2]
+
+    @pytest.mark.parametrize("q,g", [(5, 2), (4, 3)])
+    @pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
+    def test_dense_stage_peak(self, q, g, kind):
+        # one N x N float64 array, with no int64 temporaries or conversion
+        # copy (which took 2.2-3.0 times it); eigvalsh's copy for LAPACK and
+        # the work space are outside what tracemalloc sees
+        graph = build_rcg(RcgParams(q, g)).graph
+        n = graph.vertex_count
+        peak = traced_peak(lambda: symmetric_eigenvalues(matrix_of(graph, kind)))
+        assert peak <= 1.5 * 8 * n * n
 
     def test_solver_failure_is_numerical_error(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvalsh", failing_linalg)
@@ -260,7 +299,7 @@ class TestElimination:
         # the 4x5 grid fills in; its Kirchhoff index against a dense pseudoinverse
         measured = resistance_sum(grid(4, 5))
         assert measured == Fraction(96431410, 460009)
-        pinv = np.linalg.pinv(matrix_of(grid(4, 5), "laplacian").astype(float))
+        pinv = np.linalg.pinv(matrix_of(grid(4, 5), "laplacian"))
         assert float(measured) == pytest.approx(20 * np.trace(pinv) - pinv.sum(), rel=1e-12)
 
     def test_fill_budget_is_refused(self, monkeypatch):
@@ -291,7 +330,7 @@ class TestForestCount:
     @pytest.mark.parametrize("q,g", [(2, 3), (3, 2), (5, 2)])
     def test_matches_slogdet(self, q, g):
         graph = build_rcg(RcgParams(q, g)).graph
-        laplacian = matrix_of(graph, "laplacian").astype(float)
+        laplacian = matrix_of(graph, "laplacian")
         sign, logdet = np.linalg.slogdet(np.eye(graph.vertex_count) + laplacian)
         assert sign == 1.0
         assert math.log(forest_count(graph)) == pytest.approx(logdet, rel=1e-12)
