@@ -115,8 +115,9 @@ def verification_checks(params) -> list[tuple[str, bool]]:
     compares by ==, the Kirchhoff index against the exact resistance sum
     that the oracle reads off its sparse elimination.
     A malformed vertex budget is refused first, then a (q, g) past the size
-    limit of an oracle, before any work and before the closed forms, the
-    spectra or numpy are loaded; `build_rcg` then checks the budget itself.
+    limit of the matrix-tree oracle, the smallest of the oracles' limits,
+    before any work and before the closed forms, the spectra or numpy are
+    loaded; `build_rcg` then checks the budget itself.
     """
     import operator
     from fractions import Fraction
@@ -125,16 +126,12 @@ def verification_checks(params) -> list[tuple[str, bool]]:
     from .graphs import build_rcg, matrix_of, over_limit, vertex_budget
 
     vertex_budget()
-    for oracle_name, limit in (
-        ("matrix-tree", oracle.MATRIX_TREE_SIZE_LIMIT),
-        ("eigenvalue", oracle.EIGENVALUE_SIZE_LIMIT),
-        ("resistance", oracle.RESISTANCE_SIZE_LIMIT),
-    ):
-        if n := over_limit(limit, params, "vertices"):
-            raise ResourceLimitError(
-                f"(q={params.q}, g={params.g}) has {n} vertices, "
-                f"the {oracle_name} oracle takes at most {limit}"
-            )
+    limit = oracle.MATRIX_TREE_SIZE_LIMIT
+    if n := over_limit(limit, params, "vertices"):
+        raise ResourceLimitError(
+            f"(q={params.q}, g={params.g}) has {n} vertices, "
+            f"the matrix-tree oracle takes at most {limit}"
+        )
     from . import formulas, spectra
 
     cg = build_rcg(params)

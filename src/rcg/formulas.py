@@ -240,13 +240,11 @@ class _Row(NamedTuple):
         return self.distance
 
     def average_distance(self) -> Fraction:
-        # T / C(N, 2) = X / (N - 1) with X = 2T / N, exact by the checked closed
-        # form, so the reduction works on half the digits; N >= q >= 2
+        # T / C(N, 2) = X / (N - 1) with X = 2T / N, so the reduction works on
+        # half the digits; N >= q >= 2.  N divides the checked closed form:
+        # X = 2g q^2 (q+1)^{g-1} + 1 + (q-2)(q+1)^g, and q - 1 at g = 0
         n = self.q * self.power
-        x, remainder = divmod(2 * self.total_distance(), n)
-        if remainder:
-            raise InternalInconsistencyError("twice the total distance is not a multiple of N")
-        return Fraction(x, n - 1)
+        return Fraction(2 * self.total_distance() // n, n - 1)
 
     def kirchhoff_closed(self) -> Fraction:
         q, qp = self.q, self.q + 1

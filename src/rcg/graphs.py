@@ -60,15 +60,20 @@ EDGE_LIMIT = 2 * 10**7
 CHUNK_ROWS = 1 << 12
 
 
+def _is_int(value, *kinds) -> bool:
+    """Whether `value` is an int or one of `kinds`, and not a bool."""
+    return isinstance(value, (int, *kinds)) and not isinstance(value, bool)
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..vertex_count-1.
 
     `Graph(n, u, v)` has the edges (u[i], v[i]).  They must be strictly
     increasing in (u, v) with u < v, which rules out self-loops and
     duplicates; `_check_edges` checks it a chunk at a time and names the
-    first offending edge.  `n` must be an int or a numpy integer, and
-    nonempty endpoint arrays must have an integer dtype.  Contiguous int64
-    arrays are kept without a copy and made read-only.
+    first offending edge.  `n` must be an int or a numpy integer, not a
+    bool, and nonempty endpoint arrays must have an integer dtype.
+    Contiguous int64 arrays are kept without a copy and made read-only.
     """
 
     __slots__ = ("_n", "_u", "_v")
@@ -77,7 +82,7 @@ class Graph:
         import numpy as np
 
         n = vertex_count
-        if not isinstance(n, (int, np.integer)) or n < 0:
+        if not _is_int(n, np.integer) or n < 0:
             raise ValueError("vertex_count must be a nonnegative integer")
         u, v = np.asarray(u), np.asarray(v)
         if any(a.size and a.dtype.kind not in "iu" for a in (u, v)):
@@ -153,10 +158,8 @@ def _check_edges(n: int, u: np.ndarray, v: np.ndarray, previous: tuple[int, int]
     The edges must be strictly increasing in (u, v) with u < v, from
     `previous` on (None before the first edge); one vectorized pass checks
     it, and the ValueError names the first offending edge.  Returns the last
-    edge, the `previous` of the next chunk.
+    edge, the `previous` of the next chunk.  The chunk must be nonempty.
     """
-    if not len(u):
-        return previous
     bad = (u < 0) | (u >= v) | (v >= n)
     bad[1:] |= (u[1:] < u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] <= v[:-1]))
     if previous is not None and (int(u[0]), int(v[0])) <= previous:
@@ -185,9 +188,9 @@ class RcgParams:
     g: int
 
     def __post_init__(self):
-        if not isinstance(self.q, int) or self.q < 2:
+        if not _is_int(self.q) or self.q < 2:
             raise ValueError("q must be an integer >= 2")
-        if not isinstance(self.g, int) or self.g < 0:
+        if not _is_int(self.g) or self.g < 0:
             raise ValueError("g must be an integer >= 0")
 
     @property

@@ -105,7 +105,9 @@ def symmetric_eigenvalues(matrix) -> list[float]:
     The shape is checked first, so a non-square or oversized input is
     refused before it is converted.  A float64 array, as `matrix_of` gives,
     reaches `eigvalsh` without a conversion copy; an integer array or nested
-    lists are converted to float64 once.  The input is never modified.
+    lists are converted to float64 once.  A non-finite entry is refused by
+    its position, before symmetry is checked (NaN equals nothing, itself
+    included).  The input is never modified.
     """
     import numpy as np
 
@@ -116,6 +118,9 @@ def symmetric_eigenvalues(matrix) -> list[float]:
     if n > EIGENVALUE_SIZE_LIMIT:
         raise ResourceLimitError(f"matrix size {n} exceeds {EIGENVALUE_SIZE_LIMIT}")
     a = np.asarray(matrix, dtype=float)
+    if not np.isfinite(a).all():
+        i, j = np.argwhere(~np.isfinite(a))[0].tolist()
+        raise ValueError(f"matrix entry ({i}, {j}) is {a[i, j]}, not finite")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
     try:
@@ -210,12 +215,11 @@ def matrix_tree_count(graph: Graph) -> int:
     The product of the pivots of `_eliminate` with vertex 0 grounded; any
     other ground gives the same count.  The minor is positive semidefinite,
     so a zero pivot means a singular minor: disconnected graphs return 0.
+    On 0 or 1 vertices the factor is empty, and its determinant is 1.
     """
     n = graph.vertex_count
     if n > MATRIX_TREE_SIZE_LIMIT:
         raise ResourceLimitError(f"graph size {n} exceeds {MATRIX_TREE_SIZE_LIMIT}")
-    if n <= 1:
-        return 1
     return _determinant(_eliminate(graph, 0, 0)[0])
 
 

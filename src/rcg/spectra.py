@@ -143,16 +143,12 @@ def nonzero_product(params: RcgParams) -> FactoredCount:
 def spanning_trees_spectral(params: RcgParams) -> FactoredCount:
     """Spanning-tree count as (product of nonzero Laplacian eigenvalues)/N.
 
-    N = q (q+1)^g, so dividing subtracts exponents; a negative exponent
-    would mean that N does not divide the product.
+    N = q (q+1)^g, so dividing subtracts exponents.  The product is
+    `nonzero_product`'s checked closed form q^(q-1) (q+1)^((q-1)((q+1)^g-1)+g),
+    so both differences are nonnegative.
     """
     upsilon = nonzero_product(params)
-    a, b = upsilon.a - 1, upsilon.b - params.g
-    if a < 0 or b < 0:
-        raise InternalInconsistencyError(
-            "nonzero eigenvalue product is not divisible by N"
-        )
-    return FactoredCount(params.q, a, b)
+    return FactoredCount(params.q, upsilon.a - 1, upsilon.b - params.g)
 
 
 def kirchhoff_spectral(params: RcgParams) -> Fraction:

@@ -70,11 +70,11 @@ def count_walks(monkeypatch):
 
 
 def loaded_by(argv):
-    """The exit code of `rcg argv` in a child, and the rcg.* modules and numpy it loaded."""
+    """The exit code of `rcg argv` in a child, and the rcg.* modules, numpy and scipy it loaded."""
     code = (
         "import sys, rcg.cli; code = rcg.cli.main(sys.argv[1:]); "
-        "print(code, *(m for m in sys.modules if m.startswith('rcg.') or m == 'numpy'), "
-        "file=sys.stderr)"
+        "print(code, *(m for m in sys.modules "
+        "if m.startswith('rcg.') or m in ('numpy', 'scipy')), file=sys.stderr)"
     )
     result = subprocess.run(
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=20
@@ -528,6 +528,19 @@ class TestVerify:
         assert result.returncode == 2
         assert "resource" in result.stderr
 
+    def test_over_oracle_budget_names_the_matrix_tree_limit(self, capsys):
+        # the one size limit that verify reads, and the smallest of the three
+        from rcg import oracle
+
+        assert oracle.MATRIX_TREE_SIZE_LIMIT < oracle.EIGENVALUE_SIZE_LIMIT
+        assert oracle.MATRIX_TREE_SIZE_LIMIT < oracle.RESISTANCE_SIZE_LIMIT
+        assert run(capsys, "verify", "--q", "2", "--g", "6") == (
+            2,
+            "",
+            "resource limit: (q=2, g=6) has 1458 vertices, "
+            "the matrix-tree oracle takes at most 500\n",
+        )
+
 
 class TestRefusalsAtLargeG:
     """Each size refusal is decided from (q, g), before its count is built."""
@@ -977,6 +990,24 @@ class TestImports:
         code, loaded = loaded_by(argv)
         assert code == exit_code
         assert not unloaded & loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--q", "2", "--g", "3"],
+            ["analyze", "--q", "2", "--g", "3"],
+            ["spectrum", "--q", "2", "--g", "3", "--matrix", "laplacian"],
+            ["curve", "--quantity", "kirchhoff", "--q-list", "2", "--g-max", "3"],
+            # the largest graph that verify admits, with every oracle run
+            ["verify", "--q", "4", "--g", "3"],
+        ],
+        ids=["generate", "analyze", "spectrum", "curve", "verify-at-its-limit"],
+    )
+    def test_no_command_loads_scipy(self, argv):
+        # import scipy.linalg alone costs more than a whole verify child
+        code, loaded = loaded_by(argv)
+        assert code == 0
+        assert "scipy" not in loaded
 
     def test_every_public_name_is_its_layers_object(self):
         for name in dir(rcg):

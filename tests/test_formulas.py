@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -24,8 +25,8 @@ from rcg import (
     total_distance,
     vertex_clustering,
 )
-from rcg.errors import ResourceLimitError
-from rcg.formulas import check_digits
+from rcg.errors import InternalInconsistencyError, ResourceLimitError
+from rcg.formulas import DegreeClass, check_digits
 from rcg.oracle import (
     bfs_total_distance,
     degree_histogram,
@@ -149,6 +150,11 @@ class TestKnn:
         values = [v for _, v in by_degree]
         assert values == sorted(values)
 
+    def test_approx_rejects_nonpositive_delta(self):
+        for delta in (0, -2):
+            with pytest.raises(ValueError, match="positive integer"):
+                knn_approx(delta, 2)
+
     def test_approx_examples(self):
         assert knn_approx(2, 2) == 3.0
         assert knn_approx(3, 3) == 4.0
@@ -265,6 +271,11 @@ class TestAsymptoticClustering:
     def test_tends_to_one(self):
         assert asymptotic_clustering(200) > 0.99
 
+    def test_rejects_q_below_two(self):
+        for q in (1, 0):
+            with pytest.raises(ValueError, match="q must be >= 2"):
+                asymptotic_clustering(q)
+
     @pytest.mark.parametrize("q", [2, 3, 5, 10])
     def test_equals_exact_value_at_large_g(self, q):
         # the exact value at g = 200 is the limit to far below one ulp
@@ -340,6 +351,19 @@ class TestStructuralReport:
             {"degree": 2, "count": "4"},
             {"degree": 3, "count": "2"},
         ]
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (DegreeClass(degree=1, count=1, birth=1), "degree sum != 2M"),
+            # degree 0 leaves the degree sum at 2M but adds a vertex
+            (DegreeClass(degree=0, count=1, birth=1), "class counts do not sum to N"),
+        ],
+    )
+    def test_inconsistent_degree_classes_are_refused(self, extra, message):
+        report = structural_report(RcgParams(2, 1))
+        with pytest.raises(InternalInconsistencyError, match=message):
+            dataclasses.replace(report, degree_classes=[*report.degree_classes, extra])
 
     def test_inexact_spanning_trees_serialization(self):
         payload = structural_report(RcgParams(3, 10)).to_json_dict()

@@ -87,6 +87,19 @@ class TestGraph:
         with pytest.raises(ValueError, match="nonnegative"):
             Graph(-1, [], [])
 
+    def test_rejects_bool_vertex_count(self):
+        # True would pass as one vertex, and the edge (0, 1) be out of range
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="^vertex_count must be a nonnegative integer$"):
+                Graph(flag, [0], [1])
+
+    @pytest.mark.parametrize(
+        "u,v", [([[0]], [[1]]), ([0, 1], [1])], ids=["two-dimensional", "unequal-lengths"]
+    )
+    def test_rejects_malformed_endpoint_arrays(self, u, v):
+        with pytest.raises(ValueError, match="one-dimensional and of equal length"):
+            Graph(3, u, v)
+
     def test_accepts_empty_edges(self):
         g = Graph(3, [], [])
         assert (g.vertex_count, g.edge_count, edge_pairs(g)) == (3, 0, [])
@@ -116,6 +129,15 @@ class TestGraph:
         assert a == b == c
         assert a != graph_of(a.vertex_count + 1, edge_pairs(a))
         assert a != complete_graph(3)
+
+    def test_not_equal_to_other_types(self):
+        graph = complete_graph(3)
+        assert graph.__eq__((3, [0, 0, 1], [1, 2, 2])) is NotImplemented
+        assert graph != 3 and graph != "Graph(vertex_count=3, edge_count=3)"
+
+    def test_repr(self):
+        assert repr(complete_graph(3)) == "Graph(vertex_count=3, edge_count=3)"
+        assert repr(Graph(0, [], [])) == "Graph(vertex_count=0, edge_count=0)"
 
     @pytest.mark.parametrize("kind", ["duplicate", "reversed", "out of order"])
     def test_planted_fault_names_first_offender(self, kind):
@@ -165,6 +187,28 @@ class TestGraph:
         g = complete_graph(4)
         assert g.degrees() == [3, 3, 3, 3]
         assert g.adjacency_lists()[0] == [1, 2, 3]
+
+
+class TestRcgParams:
+    @pytest.mark.parametrize(
+        "q,g,message",
+        [
+            (1, 0, "q must be an integer >= 2"),
+            (2.0, 0, "q must be an integer >= 2"),
+            (True, 0, "q must be an integer >= 2"),
+            (2, -1, "g must be an integer >= 0"),
+            (2, 1.0, "g must be an integer >= 0"),
+            (2, True, "g must be an integer >= 0"),
+            (2, False, "g must be an integer >= 0"),
+        ],
+    )
+    def test_rejects_non_integers_and_out_of_range(self, q, g, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RcgParams(q, g)
+
+    def test_accepts_ints(self):
+        assert RcgParams(2, 0).vertex_count == 2
+        assert repr(RcgParams(3, 1)) == "RcgParams(q=3, g=1)"
 
 
 class TestCoronaProduct:
@@ -481,6 +525,17 @@ class TestMatrixOf:
         for kind in ("incidence", "degree"):
             with pytest.raises(ValueError):
                 matrix_of(complete_graph(2), kind)
+
+    @pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
+    def test_size_guard_before_allocation(self, kind):
+        # refused before the N x N array, which would take 800 MB here
+        graph = Graph(graphs.MATRIX_VERTEX_LIMIT + 1, [], [])
+
+        def refused():
+            with pytest.raises(ResourceLimitError, match="exceeds limit 10000"):
+                matrix_of(graph, kind)
+
+        assert traced_peak(refused) < 10**6
 
 
 class TestEdgelist:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,8 @@ from rcg.cli import verification_checks
 from rcg.formulas import kirchhoff_closed, spanning_trees_closed
 from rcg.oracle import (
     EIGENVALUE_SIZE_LIMIT,
+    MATRIX_TREE_SIZE_LIMIT,
+    RESISTANCE_SIZE_LIMIT,
     bfs_total_distance,
     degree_histogram,
     forest_count,
@@ -179,6 +182,20 @@ class TestSymmetricEigenvalues:
         with pytest.raises(ValueError):
             symmetric_eigenvalues(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize(
+        "matrix,entry",
+        [
+            ([[math.inf, 0.0], [0.0, 0.0]], "(0, 0) is inf"),
+            ([[0.0, 1.0], [1.0, -math.inf]], "(1, 1) is -inf"),
+            # symmetric but for NaN, which equals nothing: named, not "symmetric"
+            ([[0.0, math.nan], [math.nan, 0.0]], "(0, 1) is nan"),
+            (np.array([[0.0, 1.0], [math.inf, 0.0]]), "(1, 0) is inf"),
+        ],
+    )
+    def test_rejects_non_finite_entries(self, matrix, entry):
+        with pytest.raises(ValueError, match=re.escape(f"matrix entry {entry}, not finite")):
+            symmetric_eigenvalues(matrix)
+
     def test_size_guard(self):
         # refused from the shape: a float copy of this int64 matrix is 32 MB
         n = EIGENVALUE_SIZE_LIMIT + 1
@@ -259,6 +276,17 @@ class TestMatrixTreeCount:
     def test_isolated_vertex_returns_zero(self):
         assert matrix_tree_count(graph_of(3, [(0, 1)])) == 0
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_trivial_graphs_have_one_tree(self, n):
+        # with vertex 0 grounded nothing is left to eliminate: the empty factor
+        graph = graph_of(n, [])
+        assert oracle._eliminate(graph, 0, 0)[0] == []
+        assert matrix_tree_count(graph) == 1
+
+    def test_size_guard(self):
+        with pytest.raises(ResourceLimitError, match="graph size 501 exceeds 500"):
+            matrix_tree_count(graph_of(MATRIX_TREE_SIZE_LIMIT + 1, []))
+
     # non-chordal graphs; a cycle's minor is a path, but the minors of K_{3,3}
     # and the Petersen graph fill in under elimination in any order
     @pytest.mark.parametrize("n", [3, 4, 7, 12])
@@ -325,6 +353,10 @@ class TestElimination:
         resistance_sum(graph)
         assert calls == [(0, 0), (1, None), (0, 0)]
 
+    def test_div_keeps_the_denominator_positive(self):
+        assert oracle._div((1, 1), (-2, 1)) == (-1, 2)
+        assert oracle._div((-3, 4), (-9, 2)) == (1, 6)
+
 
 class TestForestCount:
     @pytest.mark.parametrize("q,g", [(2, 3), (3, 2), (5, 2)])
@@ -357,6 +389,14 @@ class TestResistanceSum:
 
     def test_two_vertex_path(self):
         assert resistance_sum(complete_graph(2)) == 1
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_trivial_graphs_sum_zero(self, n):
+        assert resistance_sum(graph_of(n, [])) == 0
+
+    def test_size_guard(self):
+        with pytest.raises(ResourceLimitError, match="graph size 2001 exceeds 2000"):
+            resistance_sum(graph_of(RESISTANCE_SIZE_LIMIT + 1, []))
 
     def test_c21(self):
         graph = build_rcg(RcgParams(2, 1)).graph
