@@ -60,9 +60,9 @@ EDGE_LIMIT = 2 * 10**7
 CHUNK_ROWS = 1 << 12
 
 
-def _is_int(value, *kinds) -> bool:
-    """Whether `value` is an int or one of `kinds`, and not a bool."""
-    return isinstance(value, (int, *kinds)) and not isinstance(value, bool)
+def _is_int(value) -> bool:
+    """Whether `value` is an int and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Graph:
@@ -82,7 +82,7 @@ class Graph:
         import numpy as np
 
         n = vertex_count
-        if not _is_int(n, np.integer) or n < 0:
+        if not (_is_int(n) or isinstance(n, np.integer)) or n < 0:
             raise ValueError("vertex_count must be a nonnegative integer")
         u, v = np.asarray(u), np.asarray(v)
         if any(a.size and a.dtype.kind not in "iu" for a in (u, v)):

@@ -961,27 +961,35 @@ class TestImports:
     @pytest.mark.parametrize(
         "argv,exit_code,unloaded",
         [
-            (["generate", "--q", "2", "--g", "3"], 0, {"rcg.formulas", "rcg.spectra", "rcg.oracle"}),
-            (["analyze", "--q", "2", "--g", "3"], 0, {"rcg.spectra", "rcg.oracle", "numpy"}),
+            (
+                ["generate", "--q", "2", "--g", "3"],
+                0,
+                {"rcg.formulas", "rcg.spectra", "rcg.oracle", "scipy"},
+            ),
+            (["analyze", "--q", "2", "--g", "3"], 0, {"rcg.spectra", "rcg.oracle", "numpy", "scipy"}),
             (
                 ["curve", "--quantity", "avg-degree", "--q-list", "2", "--g-max", "3"],
                 0,
-                {"rcg.spectra", "rcg.oracle", "numpy"},
+                {"rcg.spectra", "rcg.oracle", "numpy", "scipy"},
             ),
             (
                 ["spectrum", "--q", "2", "--g", "3", "--matrix", "adjacency"],
                 0,
-                {"rcg.oracle", "numpy"},
+                {"rcg.oracle", "numpy", "scipy"},
             ),
+            # the largest graph that verify admits, with every oracle run; import
+            # scipy.linalg alone costs more than a whole verify child
+            (["verify", "--q", "4", "--g", "3"], 0, {"scipy"}),
             # the oracles' size limits are checked before the other layers load
-            (["verify", "--q", "2", "--g", "6"], 2, {"rcg.formulas", "rcg.spectra", "numpy"}),
-            (["verify", "--q", "2", "--g", "9100"], 2, {"rcg.formulas", "rcg.spectra", "numpy"}),
+            (["verify", "--q", "2", "--g", "6"], 2, {"rcg.formulas", "rcg.spectra", "numpy", "scipy"}),
+            (["verify", "--q", "2", "--g", "9100"], 2, {"rcg.formulas", "rcg.spectra", "numpy", "scipy"}),
         ],
         ids=[
             "generate",
             "analyze",
             "curve",
             "spectrum",
+            "verify-at-its-limit",
             "verify-past-oracle-limits",
             "verify-past-str-limit",
         ],
@@ -990,24 +998,6 @@ class TestImports:
         code, loaded = loaded_by(argv)
         assert code == exit_code
         assert not unloaded & loaded
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["generate", "--q", "2", "--g", "3"],
-            ["analyze", "--q", "2", "--g", "3"],
-            ["spectrum", "--q", "2", "--g", "3", "--matrix", "laplacian"],
-            ["curve", "--quantity", "kirchhoff", "--q-list", "2", "--g-max", "3"],
-            # the largest graph that verify admits, with every oracle run
-            ["verify", "--q", "4", "--g", "3"],
-        ],
-        ids=["generate", "analyze", "spectrum", "curve", "verify-at-its-limit"],
-    )
-    def test_no_command_loads_scipy(self, argv):
-        # import scipy.linalg alone costs more than a whole verify child
-        code, loaded = loaded_by(argv)
-        assert code == 0
-        assert "scipy" not in loaded
 
     def test_every_public_name_is_its_layers_object(self):
         for name in dir(rcg):

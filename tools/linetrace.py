@@ -5,7 +5,7 @@
 `sys.settrace` records every line of src/rcg that runs in the pytest
 process (children, such as those that run `cli.entry`, are not traced).  At
 the end, every line that holds code, as the compiler's line table gives it,
-and did not run is written to LINETRACE_OUT (default linetrace.txt) as
+and did not run is written to linetrace.txt in the working directory as
 `module:line: source`.  The body of an `if TYPE_CHECKING:` block is left
 out: it is read by type checkers and never runs.  Tracing makes the run
 about 1.7 times slower.
@@ -69,4 +69,4 @@ def pytest_unconfigure(config):
         missing -= _type_checking_lines(ast.parse(source))
         text = source.splitlines()
         report += [f"{path.name}:{line}: {text[line - 1].strip()}" for line in sorted(missing)]
-    Path(os.environ.get("LINETRACE_OUT", "linetrace.txt")).write_text("".join(f"{r}\n" for r in report))
+    Path("linetrace.txt").write_text("".join(f"{r}\n" for r in report))
