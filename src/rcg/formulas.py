@@ -186,10 +186,10 @@ def lerch_phi(z: float, a: float) -> float:
 
 
 def asymptotic_clustering(q: int) -> float:
-    """Large-g limit of the network clustering coefficient."""
+    """Large-g limit of the network clustering coefficient, from int divisions at any q."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    return (q - 1) / (q + 1) * lerch_phi(1.0 / (q + 1), (q - 1) / q)
+    return (q - 1) / (q + 1) * lerch_phi(1 / (q + 1), (q - 1) / q)
 
 
 def spanning_trees_closed(params: RcgParams) -> FactoredCount:
@@ -312,10 +312,7 @@ def check_digits(params: RcgParams, quantity: str) -> None:
     """
     q, g = params.q, params.g
     limit = graphs.str_digit_limit()
-    try:
-        log_n = math.log10(q) + g * math.log10(q + 1)
-    except OverflowError:
-        log_n = math.inf
+    log_n = FactoredCount(q, 1, g).log10  # N = q (q+1)^g
     distances = 2 * log_n + math.log10(g + 1)
     if log_n >= limit - 1:  # every bound is at least N: skip the lcm
         bound = log_n

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 import sys
 from collections.abc import Iterator
@@ -60,9 +61,13 @@ EDGE_LIMIT = 2 * 10**7
 CHUNK_ROWS = 1 << 12
 
 
-def _is_int(value) -> bool:
-    """Whether `value` is an int and not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _checked_int(value, low: int, message: str) -> int:
+    """`value` as an int, or ValueError(message) unless it is an integer >= low
+    (numpy's integers are `numbers.Integral`; a bool and np.bool_ are not)."""
+    if type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        if (value := int(value)) >= low:
+            return value
+    raise ValueError(message)
 
 
 class Graph:
@@ -71,8 +76,8 @@ class Graph:
     `Graph(n, u, v)` has the edges (u[i], v[i]).  They must be strictly
     increasing in (u, v) with u < v, which rules out self-loops and
     duplicates; `_check_edges` checks it a chunk at a time and names the
-    first offending edge.  `n` must be an int or a numpy integer, not a
-    bool, and nonempty endpoint arrays must have an integer dtype.
+    first offending edge.  `n` must be an integer and not a bool, and is
+    kept as an int; nonempty endpoint arrays must have an integer dtype.
     Contiguous int64 arrays are kept without a copy and made read-only.
     """
 
@@ -81,9 +86,7 @@ class Graph:
     def __init__(self, vertex_count: int, u: np.ndarray, v: np.ndarray):
         import numpy as np
 
-        n = vertex_count
-        if not (_is_int(n) or isinstance(n, np.integer)) or n < 0:
-            raise ValueError("vertex_count must be a nonnegative integer")
+        n = _checked_int(vertex_count, 0, "vertex_count must be a nonnegative integer")
         u, v = np.asarray(u), np.asarray(v)
         if any(a.size and a.dtype.kind not in "iu" for a in (u, v)):
             raise ValueError("edge endpoints must be integers")
@@ -180,18 +183,17 @@ def _check_edges(n: int, u: np.ndarray, v: np.ndarray, previous: tuple[int, int]
     return int(u[-1]), int(v[-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RcgParams:
     """Parameters (q, g) of a recursive corona graph: K_q coronated g times."""
 
     q: int
     g: int
 
-    def __post_init__(self):
-        if not _is_int(self.q) or self.q < 2:
-            raise ValueError("q must be an integer >= 2")
-        if not _is_int(self.g) or self.g < 0:
-            raise ValueError("g must be an integer >= 0")
+    def __init__(self, q: int, g: int):
+        # kept as ints, so that no count of (q, g) wraps as a numpy integer would
+        object.__setattr__(self, "q", _checked_int(q, 2, "q must be an integer >= 2"))
+        object.__setattr__(self, "g", _checked_int(g, 0, "g must be an integer >= 0"))
 
     @property
     def vertex_count(self):
@@ -268,10 +270,10 @@ def over_limit(limit: int, params: RcgParams, count: str) -> str | None:
     [b^g, b^(g+2)), with b = q+1 for N and M and b = 2 for the bound.  So a
     g past limit.bit_length() is over the limit, and where b^g also has more
     digits than `str_digit_limit()` the count is named by its formula, such
-    as 2*3^9100, without being built.  Otherwise g is at most
-    limit.bit_length() or b^g has at most that many digits, so the count is
-    small enough to build; it is named in decimal where it has at most that
-    many digits.
+    as 2*3^9100, without being built (g is compared with a float, never
+    multiplied by one).  Otherwise g is at most limit.bit_length() or b^g
+    has at most that many digits, so the count is small enough to build; it
+    is named in decimal where it has at most that many digits.
     """
     q, g = params.q, params.g
     if count == "vertices":
@@ -281,7 +283,7 @@ def over_limit(limit: int, params: RcgParams, count: str) -> str | None:
     else:
         base, formula, value = 2, f"3*2^{g}-1", lambda: 3 * 2**g - 1
     digits = str_digit_limit()
-    if g > limit.bit_length() and g * math.log10(base) >= digits:
+    if g > limit.bit_length() and g >= digits / math.log10(base):
         return formula
     n = value()
     if n <= limit:

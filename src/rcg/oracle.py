@@ -16,7 +16,7 @@ from collections import Counter, deque
 from fractions import Fraction
 
 from .errors import ConnectivityError, NumericalError, ResourceLimitError
-from .graphs import CoronaGraph, Graph
+from .graphs import CoronaGraph, Graph, _classes
 
 EIGENVALUE_SIZE_LIMIT = 2000
 MATRIX_TREE_SIZE_LIMIT = 500
@@ -85,18 +85,13 @@ def mean_neighbor_degree_by_class(cg: CoronaGraph) -> dict[int, Fraction]:
 
     Individual vertices of one class can disagree (their attachment vertex
     may be older or younger), so the class value is the average of the
-    per-vertex means, which is what the closed form describes.
+    per-vertex means, which is what the closed form describes.  The classes
+    are the vertex ranges of `graphs._classes`, the one source of births.
     """
     adj = cg.graph.adjacency_lists()
     degrees = cg.graph.degrees()
-    sums: dict[int, Fraction] = {}
-    counts: dict[int, int] = {}
-    for v in range(cg.graph.vertex_count):
-        mean = Fraction(sum(degrees[u] for u in adj[v]), degrees[v])
-        b = cg.birth[v]
-        sums[b] = sums.get(b, Fraction(0)) + mean
-        counts[b] = counts.get(b, 0) + 1
-    return {b: sums[b] / counts[b] for b in sums}
+    means = [Fraction(sum(degrees[u] for u in adj[v]), degrees[v]) for v in range(len(adj))]
+    return {b: sum(means[lo:hi], Fraction(0)) / (hi - lo) for b, lo, hi in _classes(cg.params)}
 
 
 def symmetric_eigenvalues(matrix) -> list[float]:
@@ -204,6 +199,13 @@ def _eliminate(graph: Graph, shift: int, ground: int | None) -> tuple[list, int]
     return factor, fill
 
 
+def _checked_size(graph: Graph, limit: int) -> int:
+    """The vertex count of `graph`, refused past an elimination oracle's `limit`."""
+    if (n := graph.vertex_count) > limit:
+        raise ResourceLimitError(f"graph size {n} exceeds {limit}")
+    return n
+
+
 def _determinant(factor) -> int:
     """The product of the pivots, an integer for an integer matrix."""
     return math.prod(d[0] for _, d, _ in factor) // math.prod(d[1] for _, d, _ in factor)
@@ -217,9 +219,7 @@ def matrix_tree_count(graph: Graph) -> int:
     so a zero pivot means a singular minor: disconnected graphs return 0.
     On 0 or 1 vertices the factor is empty, and its determinant is 1.
     """
-    n = graph.vertex_count
-    if n > MATRIX_TREE_SIZE_LIMIT:
-        raise ResourceLimitError(f"graph size {n} exceeds {MATRIX_TREE_SIZE_LIMIT}")
+    _checked_size(graph, MATRIX_TREE_SIZE_LIMIT)
     return _determinant(_eliminate(graph, 0, 0)[0])
 
 
@@ -229,9 +229,7 @@ def forest_count(graph: Graph) -> int:
     The product of the pivots of `_eliminate` with shift 1 and nothing
     grounded (Chebotarev & Shamis, Automation and Remote Control 58, 1997).
     """
-    n = graph.vertex_count
-    if n > MATRIX_TREE_SIZE_LIMIT:
-        raise ResourceLimitError(f"graph size {n} exceeds {MATRIX_TREE_SIZE_LIMIT}")
+    _checked_size(graph, MATRIX_TREE_SIZE_LIMIT)
     return _determinant(_eliminate(graph, 1, None)[0])
 
 
@@ -247,9 +245,7 @@ def resistance_sum(graph: Graph) -> Fraction:
     X[j, k] = -sum_i L[i, k] X[j, i] and X[k, k] = 1/d_k - sum_j L[j, k] X[j, k],
     for i, j in the pattern of column k, where X[j, i] is already known.
     """
-    n = graph.vertex_count
-    if n > RESISTANCE_SIZE_LIMIT:
-        raise ResourceLimitError(f"graph size {n} exceeds {RESISTANCE_SIZE_LIMIT}")
+    n = _checked_size(graph, RESISTANCE_SIZE_LIMIT)
     if n < 2:
         return Fraction(0)
     factor, _ = _eliminate(graph, 0, 0)

@@ -16,12 +16,13 @@ and integer recursions, never from the float spectrum.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, neg
 
-from .errors import InternalInconsistencyError, ResourceLimitError
+from .errors import ResourceLimitError
 from .formulas import FactoredCount
 from .graphs import RcgParams, over_limit, vertex_budget
 
@@ -33,7 +34,18 @@ class SpectrumMultiset:
     entries: tuple[tuple[float, int], ...]
 
 
-def _children(parents: list[float], q: int, kind: str) -> tuple[list[float], list[float]]:
+def _quadratic(q: int, kind: str) -> tuple[float, float, float, float, float]:
+    """`_children`'s (a, e, b, c, 4q) for `kind`, after refusing a q past the largest float."""
+    if q > sys.float_info.max:
+        raise ResourceLimitError(f"q={q} is past the largest float, {sys.float_info.max!r}")
+    if kind == "laplacian":
+        return q + 1.0, q - 1.0, 1.0, 0.0, 4.0 * q
+    if kind == "adjacency":
+        return q - 1.0, 1.0 - q, q - 1.0, -float(q), 4.0 * q
+    raise ValueError(f"unknown spectrum kind {kind!r}")
+
+
+def _children(parents: list[float], quadratic) -> tuple[list[float], list[float]]:
     """Plus and minus children of a descending list of parents, each run descending.
 
     The children of x are the roots of t^2 - s t + p with s = x + a and
@@ -43,13 +55,7 @@ def _children(parents: list[float], q: int, kind: str) -> tuple[list[float], lis
     s >= 0 form the head of the list, and their big root is the plus child;
     the Laplacian has s >= q+1 for every parent.
     """
-    if kind == "laplacian":
-        a, e, b, c = q + 1.0, q - 1.0, 1.0, 0.0
-    elif kind == "adjacency":
-        a, e, b, c = q - 1.0, 1.0 - q, q - 1.0, -float(q)
-    else:
-        raise ValueError(f"unknown spectrum kind {kind!r}")
-    d, sqrt = 4.0 * q, math.sqrt
+    (a, e, b, c, d), sqrt = quadratic, math.sqrt
     split = bisect_right(parents, a, key=neg)  # parents x >= -a
     head, tail = parents[:split], parents[split:]
     big_head = [(x + a + sqrt((x + e) * (x + e) + d)) * 0.5 for x in head]
@@ -63,7 +69,7 @@ def child_pair(parent: float, q: int, kind: str) -> tuple[float, float]:
     """(plus, minus): the two next-generation eigenvalues spawned by `parent`."""
     if kind == "laplacian" and parent < 0:
         raise ValueError("laplacian eigenvalues are nonnegative")
-    (plus,), (minus,) = _children([parent], q, kind)
+    (plus,), (minus,) = _children([parent], _quadratic(q, kind))
     return plus, minus
 
 
@@ -90,13 +96,14 @@ def _recursive_spectrum(params, kind):
             f"distinct eigenvalues, budget is {limit}"
         )
     q = params.q
+    quadratic = _quadratic(q, kind)
     if kind == "adjacency":
         values, mults = [float(q - 1), -1.0], [1, q - 1]
     else:
         values, mults = [float(q), 0.0], [q - 1, 1]
     m = (q - 1) * q  # m_g = (q-1) N_{g-1}, the structural multiplicity
     for _ in range(params.g):
-        plus, minus = _children(values, q, kind)
+        plus, minus = _children(values, quadratic)
         at = len(plus) + bisect_left(values, 0.0, key=neg)  # after parents > 0
         values, mults = plus + minus, mults + mults
         if kind == "laplacian":
@@ -130,22 +137,19 @@ def nonzero_product(params: RcgParams) -> FactoredCount:
     3*3*3*2 = 54, and an extra q would give 108, contradicting both the
     closed form and the matrix-tree count.)
     """
-    q, g = params.q, params.g
-    a, b, m = q - 1, 0, (q - 1) * q  # K_q: eigenvalue q, q-1 times; m_1 = (q-1) N_0
-    for _ in range(g):
+    q = params.q
+    b, m = 0, (q - 1) * q  # K_q: eigenvalue q, q-1 times; m_1 = (q-1) N_0
+    for _ in range(params.g):
         b, m = b + m + 1, m * (q + 1)
-    closed = FactoredCount(q, q - 1, (q - 1) * ((q + 1) ** g - 1) + g)
-    if FactoredCount(q, a, b) != closed:
-        raise InternalInconsistencyError("nonzero-product recursion != closed form")
-    return closed
+    return FactoredCount(q, q - 1, b)
 
 
 def spanning_trees_spectral(params: RcgParams) -> FactoredCount:
     """Spanning-tree count as (product of nonzero Laplacian eigenvalues)/N.
 
-    N = q (q+1)^g, so dividing subtracts exponents.  The product is
-    `nonzero_product`'s checked closed form q^(q-1) (q+1)^((q-1)((q+1)^g-1)+g),
-    so both differences are nonnegative.
+    N = q (q+1)^g, so dividing subtracts exponents.  Both differences are
+    nonnegative by `nonzero_product`'s recursion: a = q - 1 >= 1, and
+    b = the sum of m_s + 1 over the g generations >= g.
     """
     upsilon = nonzero_product(params)
     return FactoredCount(params.q, upsilon.a - 1, upsilon.b - params.g)

@@ -30,6 +30,9 @@ from rcg.cli import CURVE_QUANTITIES, build_parser, main, verification_checks
 
 from reference import reference_text
 
+# a q or g past the largest float, 1.8e308
+HUGE = 10**400
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -613,10 +616,27 @@ class TestRefusalsAtLargeG:
                 f"spectrum of (q=2, g=14000) has up to {3 * 2**14000 - 1} distinct "
                 "eigenvalues, budget is 1000000",
             ),
+            (
+                ["generate", "--q", "2", "--g", str(HUGE)],
+                f"(q=2, g={HUGE}) requires 2*3^{HUGE} vertices, budget is 1000000",
+            ),
+            (
+                ["verify", "--q", "2", "--g", str(HUGE)],
+                f"(q=2, g={HUGE}) has 2*3^{HUGE} vertices, the matrix-tree oracle takes at most 500",
+            ),
+            (
+                ["spectrum", "--q", "2", "--g", str(HUGE), "--matrix", "adjacency"],
+                f"spectrum of (q=2, g={HUGE}) has up to 3*2^{HUGE}-1 distinct eigenvalues, "
+                "budget is 1000000",
+            ),
         ],
-        ids=["generate", "verify", "spectrum-formula", "spectrum-decimal"],
+        ids=[
+            "generate", "verify", "spectrum-formula", "spectrum-decimal",
+            "generate-10^400", "verify-10^400", "spectrum-10^400",
+        ],
     )
     def test_names_the_count(self, capsys, argv, message):
+        # g = 10^400 passes the largest float: no float product of g is formed
         assert run(capsys, *argv) == (2, "", f"resource limit: {message}\n")
 
     @pytest.mark.parametrize(
@@ -653,6 +673,54 @@ class TestRefusalsAtLargeG:
         assert bool(result.stdout) == (code == 0)
         assert message in result.stderr
         assert bool(result.stderr) == (code != 0)
+
+
+EXTREME_COMMANDS = {
+    "generate": ["generate"],
+    "verify": ["verify"],
+    "spectrum-adjacency": ["spectrum", "--matrix", "adjacency"],
+    "spectrum-laplacian": ["spectrum", "--matrix", "laplacian"],
+    "analyze": ["analyze"],
+    "analyze-csv": ["analyze", "--csv"],
+}
+
+
+def extreme_argvs():
+    """Every command with q or g at 2^1023, 2^1024 or 10^400, as params (argv, exit code)."""
+    cases = []
+    for label, value in (("2^1023", 2**1023), ("2^1024", 2**1024), ("10^400", HUGE)):
+        for name, (command, *rest) in EXTREME_COMMANDS.items():
+            # the q of a spectrum must be a float; a huge q leaves every count
+            # of analyze at g = 0 within the digit limit
+            q_ok = name.startswith("analyze") or (name.startswith("spectrum") and value < 2**1024)
+            for axis, q, g, code in (("q", value, 0, 0 if q_ok else 2), ("g", 2, value, 2)):
+                argv = [command, "--q", str(q), "--g", str(g), *rest]
+                cases.append(pytest.param(argv, code, id=f"{name}-{axis}{label}"))
+        curve = ["curve", "--quantity", "clustering"]
+        cases.append(pytest.param([*curve, "--q-list", str(value), "--g-max", "0"], 0, id=f"curve-q{label}"))
+        cases.append(pytest.param([*curve, "--q-list", "2", "--g-max", str(value)], 2, id=f"curve-g{label}"))
+    return cases
+
+
+class TestExtremeInputs:
+    """Every command, in process, at a q or g near or past the largest float."""
+
+    @pytest.mark.parametrize("argv,code", extreme_argvs())
+    def test_exits_with_a_documented_code(self, capsys, argv, code):
+        result, out, err = run(capsys, *argv)
+        assert result == code
+        if code:
+            assert (out, len(err.splitlines())) == ("", 1)
+            assert err.startswith("resource limit: ")
+        else:
+            assert out and not err
+
+    @pytest.mark.parametrize("q", [2**1024, HUGE], ids=["2^1024", "10^400"])
+    def test_analyze_at_huge_q(self, capsys, q):
+        code, out, _ = run(capsys, "analyze", "--q", str(q), "--g", "0")
+        payload = json.loads(out)
+        assert (code, payload["asymptotic_clustering"]) == (0, 1.0)
+        assert payload["spanning_trees"] == {"factors": [[q, q - 2], [q + 1, 0]]}
 
 
 class TestVertexBudget:

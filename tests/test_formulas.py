@@ -271,6 +271,11 @@ class TestAsymptoticClustering:
     def test_tends_to_one(self):
         assert asymptotic_clustering(200) > 0.99
 
+    @pytest.mark.parametrize("q", [2**1023, 2**1024, 10**400], ids=["2^1023", "2^1024", "10^400"])
+    def test_past_the_largest_float(self, q):
+        # ints divide exactly, so no q is turned into a float that overflows
+        assert asymptotic_clustering(q) == 1.0
+
     def test_rejects_q_below_two(self):
         for q in (1, 0):
             with pytest.raises(ValueError, match="q must be >= 2"):

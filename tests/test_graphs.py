@@ -81,7 +81,8 @@ class TestGraph:
         # integer is an integer
         with pytest.raises(ValueError, match="integer"):
             Graph(3.0, [0], [1])
-        assert Graph(np.int64(3), [0], [1]).vertex_count == 3
+        n = Graph(np.int64(3), [0], [1]).vertex_count
+        assert (n, type(n)) == (3, int)
 
     def test_rejects_negative_vertex_count(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -89,7 +90,7 @@ class TestGraph:
 
     def test_rejects_bool_vertex_count(self):
         # True would pass as one vertex, and the edge (0, 1) be out of range
-        for flag in (True, False):
+        for flag in (True, False, np.bool_(True)):
             with pytest.raises(ValueError, match="^vertex_count must be a nonnegative integer$"):
                 Graph(flag, [0], [1])
 
@@ -200,6 +201,9 @@ class TestRcgParams:
             (2, 1.0, "g must be an integer >= 0"),
             (2, True, "g must be an integer >= 0"),
             (2, False, "g must be an integer >= 0"),
+            (np.bool_(True), 0, "q must be an integer >= 2"),
+            (2, np.bool_(False), "g must be an integer >= 0"),
+            (np.int64(1), 0, "q must be an integer >= 2"),
         ],
     )
     def test_rejects_non_integers_and_out_of_range(self, q, g, message):
@@ -209,6 +213,14 @@ class TestRcgParams:
     def test_accepts_ints(self):
         assert RcgParams(2, 0).vertex_count == 2
         assert repr(RcgParams(3, 1)) == "RcgParams(q=3, g=1)"
+
+    def test_keeps_numpy_integers_as_ints(self):
+        # 2 * 3^40 > 2^63: an int64 q would wrap in (q+1)^g
+        params = RcgParams(np.int64(2), np.int64(40))
+        assert params == RcgParams(2, 40)
+        assert (type(params.q), type(params.g)) == (int, int)
+        assert params.vertex_count == 2 * 3**40
+        assert repr(RcgParams(np.uint8(3), np.int32(1))) == "RcgParams(q=3, g=1)"
 
 
 class TestCoronaProduct:

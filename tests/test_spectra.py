@@ -79,6 +79,18 @@ class TestChildPair:
         with pytest.raises(ValueError):
             child_pair(0.0, 2, "degree")
 
+    @pytest.mark.parametrize(
+        "kind,build", [("adjacency", adjacency_spectrum), ("laplacian", laplacian_spectrum)]
+    )
+    def test_q_past_the_largest_float_refused(self, kind, build):
+        # one check, reached by both routes, before any float is formed
+        q = 2**1024
+        for call in (lambda: child_pair(0.0, q, kind), lambda: build(RcgParams(q, 0))):
+            with pytest.raises(ResourceLimitError, match=f"^q={q} is past the largest float, "):
+                call()
+        # the largest power of two below it still runs
+        assert len(build(RcgParams(2**1023, 0)).entries) == 2
+
     @settings(max_examples=100, deadline=None)
     @given(
         parent=st.floats(-10, 50),
@@ -388,8 +400,8 @@ class TestNonzeroProduct:
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     @pytest.mark.parametrize("g", [0, 1, 2, 3, 4, 5, 6])
     def test_recursion_reproduces_closed_form(self, q, g):
-        # the recursion multiplies by (q+1)^{m+1} only; nonzero_product raises
-        # internally if recursion and closed form ever diverge
+        # the recursion multiplies by (q+1)^{m+1} only; nonzero_product
+        # returns it, so this compares it with the closed form
         value = nonzero_product(RcgParams(q, g)).value
         assert value == q ** (q - 1) * (q + 1) ** ((q - 1) * ((q + 1) ** g - 1) + g)
 
