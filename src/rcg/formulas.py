@@ -81,13 +81,22 @@ def average_degree(params: RcgParams) -> Fraction:
 def degree_multiset(params: RcgParams) -> list[DegreeClass]:
     """All degree classes in ascending degree: degree q(g-b+1) for births
     b = g..1, then the initial vertices of degree q(g+1)-1, the largest."""
-    q, g = params.q, params.g
-    classes = [DegreeClass(degree=q * (g + 1) - 1, count=q, birth=0)]
-    count = q * q  # q^2 (q+1)^{b-1} vertices are born at step b >= 1
-    for b in range(1, g + 1):
-        classes.append(DegreeClass(degree=q * (g - b + 1), count=count, birth=b))
-        count *= q + 1
+    q, classes, count = params.q, [], params.q  # q initial vertices
+    for b in range(params.g + 1):
+        classes.append(DegreeClass(degree=_birth_class(params, b)[1], count=count, birth=b))
+        count = q * q if b == 0 else count * (q + 1)  # q^2 (q+1)^{b-1} born at b >= 1
     return classes[::-1]
+
+
+def _birth_class(params: RcgParams, birth: int) -> tuple[int, int]:
+    """`birth` as an int and its class degree: q(g+1) - 1 at b = 0, q(g-b+1) at b = 1..g."""
+    q, g = params.q, params.g
+    try:  # format the message only to refuse: it costs more than a class of degree_multiset
+        if (b := graphs._checked_int(birth, 0, "")) <= g:
+            return b, q * (g + 1) - 1 if b == 0 else q * (g - b + 1)
+    except ValueError:
+        pass
+    raise ValueError(f"birth {birth} out of range 0..{g}")
 
 
 def cumulative_degree(params: RcgParams, delta: int) -> Fraction:
@@ -96,29 +105,22 @@ def cumulative_degree(params: RcgParams, delta: int) -> Fraction:
     Counted from the degree multiset, not from any asymptotic expression;
     equals (q+1)^{1-k} at delta = kq for 1 <= k <= g.
     """
-    if delta < 1:
-        raise ValueError("delta must be a positive integer")
+    delta = graphs._checked_int(delta, 1, "delta must be a positive integer")
     tail = sum(c.count for c in degree_multiset(params) if c.degree >= delta)
     return Fraction(tail, params.vertex_count)
 
 
 def knn_exact(params: RcgParams, birth: int) -> Fraction:
-    """Mean neighbor degree over the class of vertices born at `birth`."""
-    q, g = params.q, params.g
-    if not (0 <= birth <= g):
-        raise ValueError(f"birth {birth} out of range 0..{g}")
-    if birth == 0:
-        delta0 = q * (g + 1) - 1
-        return Fraction(1, 2) * (delta0 + q + Fraction(1 - q, delta0))
-    return Fraction(q * (g - birth + 2), 2) + Fraction(
-        1 + q - Fraction(2, (q + 1) ** (birth - 1)), q * (g - birth + 1)
-    )
+    """Mean neighbor degree over the class born at `birth`: (delta + q)/2 + t/delta."""
+    q, (birth, delta) = params.q, _birth_class(params, birth)
+    t = Fraction(1 - q, 2) if birth == 0 else 1 + q - Fraction(2, (q + 1) ** (birth - 1))
+    return Fraction(delta + q, 2) + t / delta
 
 
 def knn_approx(delta: int, q: int) -> float:
     """Large-g approximation (q + delta)/2 + q/delta of the mean neighbor degree."""
-    if delta < 1:
-        raise ValueError("delta must be a positive integer")
+    delta = graphs._checked_int(delta, 1, "delta must be a positive integer")
+    q = graphs._checked_int(q, 2, "q must be >= 2")
     return 0.5 * (q + delta) + q / delta
 
 
@@ -145,17 +147,10 @@ def average_distance(params: RcgParams) -> Fraction:
 
 def vertex_clustering(params: RcgParams, birth: int) -> Fraction:
     """Clustering coefficient shared by all vertices of a birth class."""
-    q, g = params.q, params.g
-    if not (0 <= birth <= g):
-        raise ValueError(f"birth {birth} out of range 0..{g}")
-    if birth == 0:
-        delta0 = q * (g + 1) - 1
-        if delta0 < 2:
-            # only q=2, g=0: degree-1 vertices, clustering 0 by convention
-            return Fraction(0)
-        return Fraction((q - 1) * (q - 2) + g * q * (q - 1), delta0 * (delta0 - 1))
-    k = g - birth + 1
-    return Fraction(q - 1, k * q - 1)
+    q, g, (birth, delta) = params.q, params.g, _birth_class(params, birth)
+    # twice the edges among the neighbors; degree 1 only at (2, 0), where c = 0
+    links = (q - 1) * (q - 2) + g * q * (q - 1) if birth == 0 else (q - 1) * delta
+    return Fraction(links, delta * (delta - 1)) if delta > 1 else Fraction(0)
 
 
 def global_clustering(params: RcgParams) -> Fraction:
@@ -177,7 +172,7 @@ def lerch_phi(z: float, a: float) -> float:
     """
     if not (0 <= z < 1):
         raise ValueError("z must lie in [0, 1)")
-    if a <= 0:
+    if not a > 0:  # NaN too, whose sum would never settle
         raise ValueError("a must be positive")
     total, power, k = 0.0, 1.0, 0
     while (step := total + power / (k + a)) != total:
@@ -187,8 +182,7 @@ def lerch_phi(z: float, a: float) -> float:
 
 def asymptotic_clustering(q: int) -> float:
     """Large-g limit of the network clustering coefficient, from int divisions at any q."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    q = graphs._checked_int(q, 2, "q must be >= 2")
     return (q - 1) / (q + 1) * lerch_phi(1 / (q + 1), (q - 1) / q)
 
 

@@ -18,9 +18,8 @@ from fractions import Fraction
 from .errors import ConnectivityError, NumericalError, ResourceLimitError
 from .graphs import CoronaGraph, Graph, _classes
 
-EIGENVALUE_SIZE_LIMIT = 2000
+EIGENVALUE_SIZE_LIMIT = 2000  # the resistance oracle's limit too
 MATRIX_TREE_SIZE_LIMIT = 500
-RESISTANCE_SIZE_LIMIT = 2000
 
 # new entries the elimination may create before it is refused
 FILL_LIMIT = 10**5
@@ -245,7 +244,7 @@ def resistance_sum(graph: Graph) -> Fraction:
     X[j, k] = -sum_i L[i, k] X[j, i] and X[k, k] = 1/d_k - sum_j L[j, k] X[j, k],
     for i, j in the pattern of column k, where X[j, i] is already known.
     """
-    n = _checked_size(graph, RESISTANCE_SIZE_LIMIT)
+    n = _checked_size(graph, EIGENVALUE_SIZE_LIMIT)
     if n < 2:
         return Fraction(0)
     factor, _ = _eliminate(graph, 0, 0)

@@ -24,7 +24,7 @@ from operator import itemgetter, neg
 
 from .errors import ResourceLimitError
 from .formulas import FactoredCount
-from .graphs import RcgParams, over_limit, vertex_budget
+from .graphs import RcgParams, _checked_int, over_limit, vertex_budget
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,13 @@ def _children(parents: list[float], quadratic) -> tuple[list[float], list[float]
     root (s + sign(s) sqrt(disc))/2 adds two terms of one sign, and the
     other root is p divided by it, so neither cancels.  The parents with
     s >= 0 form the head of the list, and their big root is the plus child;
-    the Laplacian has s >= q+1 for every parent.
+    the Laplacian has s >= q+1 for every parent.  Only (x + e)^2 and b x + c
+    can overflow, each largest at an end of the list: finite there, so is every child.
     """
     (a, e, b, c, d), sqrt = quadratic, math.sqrt
+    for x in (parents[0], parents[-1]):
+        if not ((x + e) * (x + e) + d < math.inf and abs(b * x + c) < math.inf):
+            raise ResourceLimitError(f"the children of eigenvalue {x!r} are past the largest float")
     split = bisect_right(parents, a, key=neg)  # parents x >= -a
     head, tail = parents[:split], parents[split:]
     big_head = [(x + a + sqrt((x + e) * (x + e) + d)) * 0.5 for x in head]
@@ -67,6 +71,7 @@ def _children(parents: list[float], quadratic) -> tuple[list[float], list[float]
 
 def child_pair(parent: float, q: int, kind: str) -> tuple[float, float]:
     """(plus, minus): the two next-generation eigenvalues spawned by `parent`."""
+    q = _checked_int(q, 2, "q must be >= 2")
     if kind == "laplacian" and parent < 0:
         raise ValueError("laplacian eigenvalues are nonnegative")
     (plus,), (minus,) = _children([parent], _quadratic(q, kind))

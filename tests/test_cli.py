@@ -532,11 +532,10 @@ class TestVerify:
         assert "resource" in result.stderr
 
     def test_over_oracle_budget_names_the_matrix_tree_limit(self, capsys):
-        # the one size limit that verify reads, and the smallest of the three
+        # the one size limit that verify reads, below the other oracles' one
         from rcg import oracle
 
         assert oracle.MATRIX_TREE_SIZE_LIMIT < oracle.EIGENVALUE_SIZE_LIMIT
-        assert oracle.MATRIX_TREE_SIZE_LIMIT < oracle.RESISTANCE_SIZE_LIMIT
         assert run(capsys, "verify", "--q", "2", "--g", "6") == (
             2,
             "",
@@ -699,7 +698,24 @@ def extreme_argvs():
         curve = ["curve", "--quantity", "clustering"]
         cases.append(pytest.param([*curve, "--q-list", str(value), "--g-max", "0"], 0, id=f"curve-q{label}"))
         cases.append(pytest.param([*curve, "--q-list", "2", "--g-max", str(value)], 2, id=f"curve-g{label}"))
+    # at g = 1 a child passes the largest float from these q on, except the
+    # adjacency spectrum at 2^511, which is still finite
+    for label, q in (("2^511", 2**511), ("2^512", 2**512), ("2^600", 2**600), ("10^308", 10**308)):
+        for name in ("spectrum-adjacency", "spectrum-laplacian"):
+            command, *rest = EXTREME_COMMANDS[name]
+            code = 0 if (label, name) == ("2^511", "spectrum-adjacency") else 2
+            argv = [command, "--q", str(q), "--g", "1", *rest]
+            cases.append(pytest.param(argv, code, id=f"{name}-q{label}-g1"))
     return cases
+
+
+def strict_json(text):
+    """`text` parsed as JSON, with Infinity, -Infinity and NaN refused."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestExtremeInputs:
@@ -714,6 +730,8 @@ class TestExtremeInputs:
             assert err.startswith("resource limit: ")
         else:
             assert out and not err
+            if argv[0] == "spectrum":
+                assert all(math.isfinite(row["value"]) for row in strict_json(out))
 
     @pytest.mark.parametrize("q", [2**1024, HUGE], ids=["2^1024", "10^400"])
     def test_analyze_at_huge_q(self, capsys, q):

@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import re
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rcg import (
@@ -12,6 +14,7 @@ from rcg import (
     average_degree,
     average_distance,
     build_rcg,
+    child_pair,
     cumulative_degree,
     degree_multiset,
     global_clustering,
@@ -253,6 +256,12 @@ class TestLerchPhi:
             lerch_phi(1.0, 1.0)
         with pytest.raises(ValueError):
             lerch_phi(0.5, 0.0)
+
+    @pytest.mark.parametrize("a", [-1.0, float("nan"), -math.inf])
+    def test_refuses_a_not_above_zero(self, a):
+        # a NaN total never stops changing, so the sum would never return
+        with pytest.raises(ValueError, match="a must be positive"):
+            lerch_phi(0.5, a)
 
 
 class TestAsymptoticClustering:
@@ -553,3 +562,68 @@ class TestFitsDigits:
     def test_unknown_quantity(self):
         with pytest.raises(ValueError, match="no digit bound"):
             check_digits(RcgParams(2, 1), "order")
+
+
+# the seven entry points that take a bare integer, as (call, message)
+INTEGER_ARGUMENTS = {
+    "knn_exact-birth": (lambda b: knn_exact(RcgParams(2, 3), b), "birth {} out of range 0..3"),
+    "vertex_clustering-birth": (
+        lambda b: vertex_clustering(RcgParams(2, 3), b),
+        "birth {} out of range 0..3",
+    ),
+    "cumulative_degree-delta": (
+        lambda d: cumulative_degree(RcgParams(2, 3), d),
+        "delta must be a positive integer",
+    ),
+    "knn_approx-delta": (lambda d: knn_approx(d, 2), "delta must be a positive integer"),
+    "knn_approx-q": (lambda q: knn_approx(2, q), "q must be >= 2"),
+    "asymptotic_clustering-q": (asymptotic_clustering, "q must be >= 2"),
+    "child_pair-q": (lambda q: child_pair(1.0, q, "laplacian"), "q must be >= 2"),
+}
+
+
+class TestIntegerArguments:
+    """A birth, a delta or a bare q is an integer in range, or ValueError."""
+
+    # 0 is a birth (the initial vertices), so -1 stands in for it there
+    @pytest.mark.parametrize("value", [True, 1.0, 2.5, 0], ids=repr)
+    @pytest.mark.parametrize("entry", INTEGER_ARGUMENTS)
+    def test_refused_with_its_message(self, entry, value):
+        call, message = INTEGER_ARGUMENTS[entry]
+        if entry.endswith("birth") and value == 0:
+            value = -1
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(value))}$"):
+            call(value)
+
+    def test_numpy_integers_are_ints(self):
+        # at (2, 50) the birth 45 needs 3^44, past int64
+        params = RcgParams(2, 50)
+        for function in (knn_exact, vertex_clustering):
+            assert function(params, np.int64(45)) == function(params, 45)
+        assert knn_exact(params, np.int64(45)) == Fraction(7, 1) + Fraction(3 - Fraction(2, 3**44), 12)
+        assert cumulative_degree(params, np.int64(4)) == cumulative_degree(params, 4)
+        assert knn_approx(np.int64(3), np.int64(3)) == 4.0
+        assert asymptotic_clustering(np.int64(2)) == asymptotic_clustering(2)
+        assert child_pair(0.0, np.int64(3), "laplacian") == (4.0, 0.0)
+
+
+class TestClassDegree:
+    @pytest.mark.parametrize("q,g", GRID)
+    def test_one_degree_per_class(self, q, g):
+        # knn_exact and vertex_clustering use the degree that degree_multiset
+        # lists for a class, and the class's vertices have it in the graph
+        params = RcgParams(q, g)
+        cg = build_rcg(params)
+        degrees = cg.graph.degrees()
+        for c in degree_multiset(params):
+            delta, b = c.degree, c.birth
+            assert {degrees[v] for v in range(len(degrees)) if cg.birth[v] == b} == {delta}
+            if b == 0:
+                knn = Fraction(delta + q + Fraction(1 - q, delta), 2)
+                # at (2, 0) delta is 1 and the numerator 0: clustering 0
+                clustering = Fraction((q - 1) * (q - 2) + g * q * (q - 1), delta * (delta - 1) or 1)
+            else:
+                knn = Fraction(delta + q, 2) + Fraction(1 + q - Fraction(2, (q + 1) ** (b - 1)), delta)
+                clustering = Fraction(q - 1, delta - 1)
+            assert knn_exact(params, b) == knn
+            assert vertex_clustering(params, b) == clustering

@@ -19,7 +19,6 @@ from rcg.formulas import kirchhoff_closed, spanning_trees_closed
 from rcg.oracle import (
     EIGENVALUE_SIZE_LIMIT,
     MATRIX_TREE_SIZE_LIMIT,
-    RESISTANCE_SIZE_LIMIT,
     bfs_total_distance,
     degree_histogram,
     forest_count,
@@ -396,7 +395,7 @@ class TestResistanceSum:
 
     def test_size_guard(self):
         with pytest.raises(ResourceLimitError, match="graph size 2001 exceeds 2000"):
-            resistance_sum(graph_of(RESISTANCE_SIZE_LIMIT + 1, []))
+            resistance_sum(graph_of(EIGENVALUE_SIZE_LIMIT + 1, []))
 
     def test_c21(self):
         graph = build_rcg(RcgParams(2, 1)).graph

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -90,6 +91,17 @@ class TestChildPair:
                 call()
         # the largest power of two below it still runs
         assert len(build(RcgParams(2**1023, 0)).entries) == 2
+
+    @pytest.mark.parametrize(
+        "parent,q,kind",
+        [(1e200, 2, "laplacian"), (math.nan, 2, "laplacian"), (1.0, 10**308, "adjacency")],
+        ids=["square-overflows", "nan-parent", "4q-overflows"],
+    )
+    def test_children_past_the_largest_float_refused(self, parent, q, kind):
+        # each returned (inf, 0.0), (nan, nan) or (inf, 0.0) before
+        message = f"the children of eigenvalue {parent!r} are past the largest float"
+        with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}"):
+            child_pair(parent, q, kind)
 
     @settings(max_examples=100, deadline=None)
     @given(
