@@ -206,7 +206,7 @@ def cmd_verify(args, out) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
-# each quantity by one name: its digit-bound key and its value at a row of the walk
+# each curve quantity by its CLI name: its key in the table of the walk in `formulas`
 CURVE_QUANTITIES = {
     "clustering": "global_clustering",
     "avg-distance": "average_distance",
@@ -227,17 +227,17 @@ def _q_list(text: str) -> list[int]:
 
 
 def cmd_curve(args, out) -> int:
+    """CSV `q,g,value` at g = 0..g_max, one walk per q, once every digit bound holds at g_max."""
     from . import formulas
     from .graphs import RcgParams
 
     quantity = CURVE_QUANTITIES[args.quantity]
-    # RcgParams validates each q and g_max; the digit bounds grow with g
     for q in args.q_list:
         formulas.check_digits(RcgParams(q, args.g_max), quantity)
     rows = ["q,g,value"]
-    for q in args.q_list:  # one walk per q, read at every row
-        for g, row in zip(range(args.g_max + 1), formulas._generations(q)):
-            value = getattr(row, quantity)()
+    for q in args.q_list:
+        # zip stops at the range first, so no row past g_max is read
+        for g, value in zip(range(args.g_max + 1), formulas.curve(q, quantity)):
             rows.append(f"{q},{g},{value.numerator}/{value.denominator}")
     out.write("\n".join(rows) + "\n")
     return EXIT_OK

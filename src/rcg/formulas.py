@@ -23,7 +23,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, takewhile
 from typing import NamedTuple
 
 from . import graphs
@@ -64,8 +64,7 @@ class FactoredCount:
 BigCount = FactoredCount
 
 
-@dataclass(frozen=True)
-class DegreeClass:
+class DegreeClass(NamedTuple):
     """One degree value, how many vertices carry it, and their birth step."""
 
     degree: int
@@ -81,33 +80,38 @@ def average_degree(params: RcgParams) -> Fraction:
 def degree_multiset(params: RcgParams) -> list[DegreeClass]:
     """All degree classes in ascending degree: degree q(g-b+1) for births
     b = g..1, then the initial vertices of degree q(g+1)-1, the largest."""
-    q, classes, count = params.q, [], params.q  # q initial vertices
-    for b in range(params.g + 1):
-        classes.append(DegreeClass(degree=_birth_class(params, b)[1], count=count, birth=b))
+    return list(_degree_classes(params))[::-1]
+
+
+def _degree_classes(params: RcgParams) -> Iterator[DegreeClass]:
+    """The degree classes by birth b = 0..g, so in descending degree."""
+    q, g, count = params.q, params.g, params.q  # q initial vertices
+    for b in range(g + 1):
+        yield DegreeClass(_class_degree(q, g, b), count, b)
         count = q * q if b == 0 else count * (q + 1)  # q^2 (q+1)^{b-1} born at b >= 1
-    return classes[::-1]
+
+
+def _class_degree(q: int, g: int, b: int) -> int:
+    return q * (g + 1) - 1 if b == 0 else q * (g - b + 1)
 
 
 def _birth_class(params: RcgParams, birth: int) -> tuple[int, int]:
-    """`birth` as an int and its class degree: q(g+1) - 1 at b = 0, q(g-b+1) at b = 1..g."""
-    q, g = params.q, params.g
-    try:  # format the message only to refuse: it costs more than a class of degree_multiset
-        if (b := graphs._checked_int(birth, 0, "")) <= g:
-            return b, q * (g + 1) - 1 if b == 0 else q * (g - b + 1)
-    except ValueError:
-        pass
-    raise ValueError(f"birth {birth} out of range 0..{g}")
+    """`birth` as an int in 0..g, and its class degree."""
+    message = f"birth {birth} out of range 0..{params.g}"
+    if (b := graphs._checked_int(birth, 0, message)) > params.g:
+        raise ValueError(message)
+    return b, _class_degree(params.q, params.g, b)
 
 
 def cumulative_degree(params: RcgParams, delta: int) -> Fraction:
     """Exact fraction of vertices with degree >= delta.
 
-    Counted from the degree multiset, not from any asymptotic expression;
-    equals (q+1)^{1-k} at delta = kq for 1 <= k <= g.
+    Summed over the classes from the largest degree down to the first below
+    delta; equals (q+1)^{1-k} at delta = kq for 1 <= k <= g.
     """
     delta = graphs._checked_int(delta, 1, "delta must be a positive integer")
-    tail = sum(c.count for c in degree_multiset(params) if c.degree >= delta)
-    return Fraction(tail, params.vertex_count)
+    tail = takewhile(lambda c: c.degree >= delta, _degree_classes(params))
+    return Fraction(sum(c.count for c in tail), params.vertex_count)
 
 
 def knn_exact(params: RcgParams, birth: int) -> Fraction:
@@ -288,43 +292,45 @@ def _row(params: RcgParams) -> _Row:
     return next(_generations(params.q, params.g))
 
 
+def _clustering_digits(q: int, g: int, log_n: float) -> float:
+    lcm = math.lcm(vertex_clustering(RcgParams(q, g), 0).denominator, *range(q - 1, g * q, q))
+    return log_n + math.log10(lcm)
+
+
+# each quantity read from the walk: (its reader at a row, a bound from (q, g, log10 N),
+# at least log10 N, on the decimal digits of every integer of its exact value)
+_WALK = {
+    # 2M and every count lie below (q+1) N
+    "average_degree": (_Row.average_degree, lambda q, g, n: n + math.log10(q + 1)),
+    # T/(N-1), with T = 2 total_distance/(q (q+1)^g) at most the diameter 2g+1
+    "average_distance": (_Row.average_distance, lambda q, g, n: n + math.log10(2 * g + 1)),
+    # below (g+1) N^2, and a resistance is at most the distance
+    "total_distance": (_Row.total_distance, lambda q, g, n: 2 * n + math.log10(g + 1)),
+    "kirchhoff_closed": (_Row.kirchhoff_closed, lambda q, g, n: 2 * n + math.log10(g + 1)),
+    # N lcm(kq-1 for k = 1..g, c(0)'s denominator) is a multiple of the denominator
+    "global_clustering": (_Row.global_clustering, _clustering_digits),
+}
+
+
+def curve(q: int, quantity: str) -> Iterator:
+    """The exact value of `quantity`, a key of `_WALK`, at g = 0, 1, 2, ... from one walk."""
+    return map(_WALK[quantity][0], _generations(q))
+
+
 def check_digits(params: RcgParams, quantity: str) -> None:
     """Refuse, from (q, g) before any of it is computed, an exact value of
     `quantity` that may hold an integer of more decimal digits than
     `graphs.str_digit_limit()`: the one refusal of `analyze` and `curve`.
-
-    `quantity` names a function of this module, or "structural_report" for
-    all of them; a name with no bound raises ValueError.  A refusal raises
-    ResourceLimitError, and each answer comes from an upper bound, at least N:
-    - 2M and every count lie below (q+1) N;
-    - the mean distance is T/(N-1) with T = 2 total_distance/(q (q+1)^g),
-      at most the diameter 2g+1, so its terms lie below (2g+1) N;
-    - the total distance, and the Kirchhoff index below it (a resistance is
-      at most the distance), lie below (g+1) N^2;
-    - the clustering denominator divides N lcm(kq-1 for k = 1..g, c(0)'s
-      denominator), and its numerator is smaller.
-    """
-    q, g = params.q, params.g
-    limit = graphs.str_digit_limit()
-    log_n = FactoredCount(q, 1, g).log10  # N = q (q+1)^g
-    distances = 2 * log_n + math.log10(g + 1)
-    if log_n >= limit - 1:  # every bound is at least N: skip the lcm
-        bound = log_n
-    elif quantity == "average_degree":
-        bound = log_n + math.log10(q + 1)
-    elif quantity == "average_distance":
-        bound = log_n + math.log10(2 * g + 1)
-    elif quantity in ("total_distance", "kirchhoff_closed"):
-        bound = distances
-    elif quantity in ("global_clustering", "structural_report"):
-        lcm = math.lcm(vertex_clustering(params, 0).denominator, *range(q - 1, g * q, q))
-        bound = log_n + math.log10(lcm)
-        if quantity == "structural_report":
-            bound = max(bound, distances)
-    else:
+    `quantity` is a key of `_WALK`, or "structural_report" for the largest of
+    their bounds; any other name raises ValueError at every (q, g)."""
+    bounds = [row[1] for name, row in _WALK.items() if quantity in (name, "structural_report")]
+    if not bounds:
         raise ValueError(f"no digit bound for {quantity!r}")
+    q, g, limit = params.q, params.g, graphs.str_digit_limit()
+    log_n = FactoredCount(q, 1, g).log10  # N = q (q+1)^g
+    # each bound is at least log10 N: past the limit none (and no lcm) is formed;
     # one digit of slack absorbs the rounding of the float logarithms
-    if bound >= limit - 1:
+    if log_n >= limit - 1 or max(digits(q, g, log_n) for digits in bounds) >= limit - 1:
         raise ResourceLimitError(
             f"{quantity} of (q={q}, g={g}) may hold integers of more "
             f"than {limit} digits, the int->str limit"

@@ -868,13 +868,6 @@ class TestCurve:
         assert out == ""
         assert "int->str limit" in err
 
-    def test_every_quantity_has_a_digit_bound(self):
-        # an unbounded name would surface as a ValueError, exit 1
-        from rcg import formulas
-
-        for quantity in CURVE_QUANTITIES.values():
-            formulas.check_digits(RcgParams(2, 3), quantity)
-
     @pytest.mark.parametrize("quantity", sorted(CURVE_QUANTITIES))
     @pytest.mark.parametrize("q", [2, 3])
     def test_last_fitting_generation(self, capsys, str_limit, quantity, q):

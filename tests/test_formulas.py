@@ -29,7 +29,7 @@ from rcg import (
     vertex_clustering,
 )
 from rcg.errors import InternalInconsistencyError, ResourceLimitError
-from rcg.formulas import DegreeClass, check_digits
+from rcg.formulas import _WALK, DegreeClass, _row, check_digits
 from rcg.oracle import (
     bfs_total_distance,
     degree_histogram,
@@ -120,6 +120,30 @@ class TestCumulativeDegree:
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError):
             cumulative_degree(RcgParams(2, 1), 0)
+
+    @pytest.mark.parametrize("q,g", GRID)
+    def test_equals_the_multiset_tail(self, q, g):
+        params = RcgParams(q, g)
+        classes = degree_multiset(params)
+        for delta in range(1, max(c.degree for c in classes) + 2):
+            tail = sum(c.count for c in classes if c.degree >= delta)
+            assert cumulative_degree(params, delta) == Fraction(tail, params.vertex_count)
+
+    def test_builds_only_the_tail_and_the_first_class_below(self, monkeypatch):
+        # at delta = 2g only the births 0 and 1 reach delta; birth 2 stops
+        # the walk, and the other 998 classes are never built
+        from rcg import formulas
+
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(DegreeClass(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(formulas, "DegreeClass", counted)
+        params = RcgParams(2, 1000)
+        assert cumulative_degree(params, 2000) == Fraction(2 + 4, params.vertex_count)
+        assert [c.birth for c in built] == [0, 1, 2]
 
 
 class TestKnn:
@@ -560,8 +584,41 @@ class TestFitsDigits:
             check_digits(RcgParams(2, 10**400), "structural_report")
 
     def test_unknown_quantity(self):
-        with pytest.raises(ValueError, match="no digit bound"):
-            check_digits(RcgParams(2, 1), "order")
+        # the name is looked up first: past the limit too, where N alone refuses
+        for g in (1, 10**5, 10**400):
+            with pytest.raises(ValueError, match="no digit bound"):
+                check_digits(RcgParams(2, g), "order")
+
+
+class TestWalkTable:
+    """`formulas._WALK`: each quantity of the walk, its reader and its digit bound."""
+
+    def test_every_row_has_a_bound_and_every_curve_quantity_a_row(self):
+        from rcg.cli import CURVE_QUANTITIES
+
+        log_n = FactoredCount(2, 1, 3).log10
+        for read, digits in _WALK.values():
+            assert callable(read) and digits(2, 3, log_n) >= log_n
+        assert set(CURVE_QUANTITIES.values()) <= set(_WALK)
+        # an unbounded name would surface as a ValueError, exit 1
+        for quantity in CURVE_QUANTITIES.values():
+            check_digits(RcgParams(2, 3), quantity)
+
+    @pytest.mark.parametrize("q", [2, 7])
+    @pytest.mark.parametrize("name", sorted(_WALK))
+    def test_exact_value_within_the_bound(self, name, q):
+        read, digits = _WALK[name]
+        admitted = 0
+        for g in (1, 10, 100, 1000):
+            try:
+                check_digits(RcgParams(q, g), name)
+            except ResourceLimitError:
+                continue
+            admitted += 1
+            bound = digits(q, g, FactoredCount(q, 1, g).log10)
+            longest = max(len(str(abs(x))) for x in integers_in(read(_row(RcgParams(q, g)))))
+            assert longest <= math.floor(bound) + 1, g
+        assert admitted >= 3  # so a bound that refuses early still gets checked
 
 
 # the seven entry points that take a bare integer, as (call, message)
