@@ -126,12 +126,8 @@ def verification_checks(params) -> list[tuple[str, bool]]:
     from .graphs import build_rcg, matrix_of, over_limit, vertex_budget
 
     vertex_budget()
-    limit = oracle.MATRIX_TREE_SIZE_LIMIT
-    if n := over_limit(limit, params, "vertices"):
-        raise ResourceLimitError(
-            f"(q={params.q}, g={params.g}) has {n} vertices, "
-            f"the matrix-tree oracle takes at most {limit}"
-        )
+    message = "(q={q}, g={g}) has {n} vertices, the matrix-tree oracle takes at most {limit}"
+    over_limit(oracle.MATRIX_TREE_SIZE_LIMIT, params, "vertices", message)
     from . import formulas, spectra
 
     cg = build_rcg(params)

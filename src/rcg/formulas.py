@@ -96,10 +96,8 @@ def _class_degree(q: int, g: int, b: int) -> int:
 
 
 def _birth_class(params: RcgParams, birth: int) -> tuple[int, int]:
-    """`birth` as an int in 0..g, and its class degree."""
-    message = f"birth {birth} out of range 0..{params.g}"
-    if (b := graphs._checked_int(birth, 0, message)) > params.g:
-        raise ValueError(message)
+    """`birth` as an int in 0..g, and its class degree; only a refusal formats text."""
+    b = graphs._checked_int(birth, 0, "birth {value} out of range 0..{high}", params.g)
     return b, _class_degree(params.q, params.g, b)
 
 
@@ -332,8 +330,8 @@ def check_digits(params: RcgParams, quantity: str) -> None:
     # one digit of slack absorbs the rounding of the float logarithms
     if log_n >= limit - 1 or max(digits(q, g, log_n) for digits in bounds) >= limit - 1:
         raise ResourceLimitError(
-            f"{quantity} of (q={q}, g={g}) may hold integers of more "
-            f"than {limit} digits, the int->str limit"
+            f"{quantity} of (q={graphs._name(q)}, g={graphs._name(g)}) may hold integers of "
+            f"more than {limit} digits, the int->str limit"
         )
 
 

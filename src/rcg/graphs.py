@@ -23,10 +23,10 @@ the edge-list, dot and JSON writers, `writer(params, out)`, check each chunk
 turns each chunk into text through one column-major uint8 block:
 floor-division digits, then the 0 pad bytes dropped from its row-major
 bytes.  numpy is imported on first use, never at module import.
-`vertex_budget` is the one reader of
-CORONA_VERTEX_BUDGET, for `check_limits` (so `build_rcg`) and the spectra;
-`over_limit` decides each size refusal (there and in `verify`) from (q, g)
-without building a count too large to print.
+`vertex_budget` is the one reader of CORONA_VERTEX_BUDGET, for
+`check_limits` (so `build_rcg`) and the spectra; `over_limit` decides and
+raises each size refusal (there and in `verify`) from (q, g) without building
+a count too large to print, and `_name` writes each integer a refusal names.
 """
 from __future__ import annotations
 
@@ -61,13 +61,14 @@ EDGE_LIMIT = 2 * 10**7
 CHUNK_ROWS = 1 << 12
 
 
-def _checked_int(value, low: int, message: str) -> int:
-    """`value` as an int, or ValueError(message) unless it is an integer >= low
-    (numpy's integers are `numbers.Integral`; a bool and np.bool_ are not)."""
+def _checked_int(value, low: int, message: str, high: int | None = None) -> int:
+    """`value` as an int, or ValueError unless it is an integer in low..high
+    (no top if `high` is None; numpy's integers are `numbers.Integral`, a bool
+    is not); only a refusal formats `message`, naming {value} and {high} by `_name`."""
     if type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        if (value := int(value)) >= low:
+        if low <= (value := int(value)) and (high is None or value <= high):
             return value
-    raise ValueError(message)
+    raise ValueError(message.format(value=_name(value), high=_name(high)))
 
 
 class Graph:
@@ -262,46 +263,52 @@ def str_digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or DEFAULT_STR_DIGITS
 
 
-def over_limit(limit: int, params: RcgParams, count: str) -> str | None:
-    """The `count` of (q, g) as text where it exceeds `limit`, else None.
+def _name(value) -> str:
+    """`value` as a refusal writes it: f"{value}", except that an int of more
+    decimal digits than `str_digit_limit()` is named by its sign and bit
+    length, as `<14285-bit integer>` or `-<14285-bit integer>`, without int->str."""
+    if isinstance(value, int) and abs(value) >= 10 ** str_digit_limit():
+        return "-" * (value < 0) + f"<{value.bit_length()}-bit integer>"
+    return f"{value}"
+
+
+def over_limit(limit: int, params: RcgParams, count: str, message: str) -> None:
+    """Raise ResourceLimitError(message) where the `count` of (q, g) exceeds `limit`.
 
     `count` is "vertices" (N), "edges" (M) or "eigenvalues" (3*2^g - 1, the
     bound on the distinct eigenvalues of either spectrum).  Each lies in
     [b^g, b^(g+2)), with b = q+1 for N and M and b = 2 for the bound.  So a
     g past limit.bit_length() is over the limit, and where b^g also has more
-    digits than `str_digit_limit()` the count is named by its formula, such
-    as 2*3^9100, without being built (g is compared with a float, never
-    multiplied by one).  Otherwise g is at most limit.bit_length() or b^g
-    has at most that many digits, so the count is small enough to build; it
-    is named in decimal where it has at most that many digits.
+    digits than `str_digit_limit()` the count {n} is named by its formula,
+    such as 2*3^9100, without being built (g is compared with a float, never
+    multiplied by one).  Otherwise the count is small enough to build, and
+    is named in decimal where it has at most that many digits.  Only a
+    refusal formats `message`; `_name` names {q}, {g}, {limit} and the
+    integers of the formula.
     """
     q, g = params.q, params.g
     if count == "vertices":
-        base, formula, value = q + 1, f"{q}*{q + 1}^{g}", lambda: params.vertex_count
+        base, formula, value = q + 1, "{q}*{p}^{g}", lambda: params.vertex_count
     elif count == "edges":
-        base, formula, value = q + 1, f"{q}*({q + 1}^{g + 1}-2)/2", lambda: params.edge_count
+        base, formula, value = q + 1, "{q}*({p}^{h}-2)/2", lambda: params.edge_count
     else:
-        base, formula, value = 2, f"3*2^{g}-1", lambda: 3 * 2**g - 1
+        base, formula, value = 2, "3*2^{g}-1", lambda: 3 * 2**g - 1
     digits = str_digit_limit()
-    if g > limit.bit_length() and g >= digits / math.log10(base):
-        return formula
-    n = value()
-    if n <= limit:
-        return None
-    return str(n) if n < 10**digits else formula
+    if g <= limit.bit_length() or g < digits / math.log10(base):
+        if (n := value()) <= limit:
+            return
+        if n < 10**digits:
+            formula = _name(n)
+    names = {"q": _name(q), "g": _name(g), "limit": _name(limit)}
+    names["n"] = formula.format(p=_name(q + 1), h=_name(g + 1), **names)
+    raise ResourceLimitError(message.format(**names))
 
 
 def check_limits(params: RcgParams) -> None:
     """Refuse (q, g) past the vertex budget or EDGE_LIMIT, before any work."""
-    budget = vertex_budget()
-    if n := over_limit(budget, params, "vertices"):
-        raise ResourceLimitError(
-            f"(q={params.q}, g={params.g}) requires {n} vertices, budget is {budget}"
-        )
-    if m := over_limit(EDGE_LIMIT, params, "edges"):
-        raise ResourceLimitError(
-            f"(q={params.q}, g={params.g}) has {m} edges, the limit is {EDGE_LIMIT}"
-        )
+    message = "(q={q}, g={g}) requires {n} vertices, budget is {limit}"
+    over_limit(vertex_budget(), params, "vertices", message)
+    over_limit(EDGE_LIMIT, params, "edges", "(q={q}, g={g}) has {n} edges, the limit is {limit}")
 
 
 def _member_rows(q: int, offset: np.ndarray, j0: int, j1: int):
@@ -359,10 +366,9 @@ def _edge_chunks(params: RcgParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 def _check_count(params: RcgParams, rows: int) -> None:
     """Refuse a number of edge rows other than M."""
-    if rows != params.edge_count:
-        raise ValueError(
-            f"{rows} edges made, (q={params.q}, g={params.g}) has {params.edge_count}"
-        )
+    if rows != (m := params.edge_count):
+        q, g = _name(params.q), _name(params.g)
+        raise ValueError(f"{_name(rows)} edges made, (q={q}, g={g}) has {_name(m)}")
 
 
 def _checked_edges(params: RcgParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -421,7 +427,7 @@ def matrix_of(graph: Graph, kind: str) -> np.ndarray:
     n = graph.vertex_count
     if n > MATRIX_VERTEX_LIMIT:
         raise ResourceLimitError(
-            f"dense matrix for {n} vertices exceeds limit {MATRIX_VERTEX_LIMIT}"
+            f"dense matrix for {_name(n)} vertices exceeds limit {MATRIX_VERTEX_LIMIT}"
         )
     a = np.zeros((n, n))
     a[graph.u, graph.v] = 1

@@ -16,7 +16,7 @@ from collections import Counter, deque
 from fractions import Fraction
 
 from .errors import ConnectivityError, NumericalError, ResourceLimitError
-from .graphs import CoronaGraph, Graph, _classes
+from .graphs import CoronaGraph, Graph, _classes, _name
 
 EIGENVALUE_SIZE_LIMIT = 2000  # the resistance oracle's limit too
 MATRIX_TREE_SIZE_LIMIT = 500
@@ -110,7 +110,7 @@ def symmetric_eigenvalues(matrix) -> list[float]:
         raise ValueError("matrix must be square")
     n = shape[0]
     if n > EIGENVALUE_SIZE_LIMIT:
-        raise ResourceLimitError(f"matrix size {n} exceeds {EIGENVALUE_SIZE_LIMIT}")
+        raise ResourceLimitError(f"matrix size {_name(n)} exceeds {EIGENVALUE_SIZE_LIMIT}")
     a = np.asarray(matrix, dtype=float)
     if not np.isfinite(a).all():
         i, j = np.argwhere(~np.isfinite(a))[0].tolist()
@@ -201,7 +201,7 @@ def _eliminate(graph: Graph, shift: int, ground: int | None) -> tuple[list, int]
 def _checked_size(graph: Graph, limit: int) -> int:
     """The vertex count of `graph`, refused past an elimination oracle's `limit`."""
     if (n := graph.vertex_count) > limit:
-        raise ResourceLimitError(f"graph size {n} exceeds {limit}")
+        raise ResourceLimitError(f"graph size {_name(n)} exceeds {limit}")
     return n
 
 

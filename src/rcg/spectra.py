@@ -24,7 +24,7 @@ from operator import itemgetter, neg
 
 from .errors import ResourceLimitError
 from .formulas import FactoredCount
-from .graphs import RcgParams, _checked_int, over_limit, vertex_budget
+from .graphs import RcgParams, _checked_int, _name, over_limit, vertex_budget
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class SpectrumMultiset:
 def _quadratic(q: int, kind: str) -> tuple[float, float, float, float, float]:
     """`_children`'s (a, e, b, c, 4q) for `kind`, after refusing a q past the largest float."""
     if q > sys.float_info.max:
-        raise ResourceLimitError(f"q={q} is past the largest float, {sys.float_info.max!r}")
+        raise ResourceLimitError(f"q={_name(q)} is past the largest float, {sys.float_info.max!r}")
     if kind == "laplacian":
         return q + 1.0, q - 1.0, 1.0, 0.0, 4.0 * q
     if kind == "adjacency":
@@ -94,12 +94,8 @@ def _recursive_spectrum(params, kind):
     swap order; one sort at the end, run only when the list is out of order,
     restores the descending order.
     """
-    limit = vertex_budget()
-    if bound := over_limit(limit, params, "eigenvalues"):
-        raise ResourceLimitError(
-            f"spectrum of (q={params.q}, g={params.g}) has up to {bound} "
-            f"distinct eigenvalues, budget is {limit}"
-        )
+    message = "spectrum of (q={q}, g={g}) has up to {n} distinct eigenvalues, budget is {limit}"
+    over_limit(vertex_budget(), params, "eigenvalues", message)
     q = params.q
     quadratic = _quadratic(q, kind)
     if kind == "adjacency":

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -25,8 +26,11 @@ from rcg import (
     laplacian_spectrum,
     write_edgelist,
 )
-from rcg import cli
+from rcg import cli, graphs, oracle
 from rcg.cli import CURVE_QUANTITIES, build_parser, main, verification_checks
+from rcg.errors import ResourceLimitError
+from rcg.formulas import check_digits
+from rcg.graphs import check_limits
 
 from reference import reference_text
 
@@ -672,6 +676,107 @@ class TestRefusalsAtLargeG:
         assert bool(result.stdout) == (code == 0)
         assert message in result.stderr
         assert bool(result.stderr) == (code != 0)
+
+
+def long_name(x):
+    """How a refusal names an int past the int->str limit: by its bit length."""
+    return f"<{x.bit_length()}-bit integer>"
+
+
+# the twelve library calls at a q, g or vertex count x past the int->str
+# limit, as (call, expected); each raised the int->str ValueError before
+# refusals named such an integer by its bit length
+LONG_INTEGER_CALLS = {
+    # 2G+3 over 2, less t/delta with t = -1/2 and delta = 2G+1
+    "knn_exact": (
+        lambda x: rcg.knn_exact(RcgParams(2, x), 0),
+        lambda x: Fraction(2 * x + 3, 2) - Fraction(1, 2 * (2 * x + 1)),
+    ),
+    # 2G neighbor links of 2G+1 neighbors
+    "vertex_clustering": (
+        lambda x: rcg.vertex_clustering(RcgParams(2, x), 0),
+        lambda x: Fraction(1, 2 * x + 1),
+    ),
+    "check_digits": (
+        lambda x: check_digits(RcgParams(x, 1), "average_degree"),
+        "average_degree of (q={x}, g=1) may hold integers of more than {limit} digits, "
+        "the int->str limit",
+    ),
+    "check_limits-q": (
+        lambda x: check_limits(RcgParams(x, 0)),
+        "(q={x}, g=0) requires {x}*{x}^0 vertices, budget is 1000000",
+    ),
+    "check_limits-g": (
+        lambda x: check_limits(RcgParams(2, x)),
+        "(q=2, g={x}) requires 2*3^{x} vertices, budget is 1000000",
+    ),
+    "build_rcg": (
+        lambda x: build_rcg(RcgParams(x, 0)),
+        "(q={x}, g=0) requires {x}*{x}^0 vertices, budget is 1000000",
+    ),
+    "laplacian_spectrum-q": (
+        lambda x: laplacian_spectrum(RcgParams(x, 0)),
+        "q={x} is past the largest float, 1.7976931348623157e+308",
+    ),
+    "laplacian_spectrum-g": (
+        lambda x: laplacian_spectrum(RcgParams(2, x)),
+        "spectrum of (q=2, g={x}) has up to 3*2^{x}-1 distinct eigenvalues, budget is 1000000",
+    ),
+    "verification_checks": (
+        lambda x: verification_checks(RcgParams(x, 0)),
+        "(q={x}, g=0) has {x}*{x}^0 vertices, the matrix-tree oracle takes at most 500",
+    ),
+    "matrix_tree_count": (
+        lambda x: oracle.matrix_tree_count(Graph(x, [], [])),
+        "graph size {x} exceeds 500",
+    ),
+    "resistance_sum": (
+        lambda x: oracle.resistance_sum(Graph(x, [], [])),
+        "graph size {x} exceeds 2000",
+    ),
+    "matrix_of": (
+        lambda x: rcg.matrix_of(Graph(x, [], []), "adjacency"),
+        "dense matrix for {x} vertices exceeds limit 10000",
+    ),
+}
+
+
+class TestLongIntegers:
+    """No call raises the int->str ValueError for an integer past the limit."""
+
+    @pytest.fixture(params=[4300, 640], ids=["limit-4300", "limit-640"])
+    def limit(self, request, monkeypatch):
+        monkeypatch.delenv("CORONA_VERTEX_BUDGET", raising=False)
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(request.param)
+        yield request.param
+        sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("name", LONG_INTEGER_CALLS)
+    def test_named_by_bit_length(self, limit, name):
+        # 10^limit has one digit more than the limit allows
+        call, expected = LONG_INTEGER_CALLS[name]
+        x = 10**limit
+        if callable(expected):
+            assert call(x) == expected(x)
+            return
+        # x + 1, the base of N at q = x, has the bit length of x
+        message = expected.format(x=long_name(x), limit=limit)
+        with pytest.raises(ResourceLimitError) as refused:
+            call(x)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_birth_keeps_its_sign(self, limit, sign):
+        x = sign * 10**limit
+        name = long_name(x) if sign > 0 else f"-{long_name(x)}"
+        assert graphs._name(x) == name
+        with pytest.raises(ValueError, match=f"^birth {re.escape(name)} out of range 0..3$"):
+            rcg.knn_exact(RcgParams(2, 3), x)
+
+    def test_decimal_up_to_the_limit(self, limit):
+        x = 10**limit - 1  # as many digits as the limit allows
+        assert graphs._name(x) == str(x) and graphs._name(-x) == str(-x)
 
 
 EXTREME_COMMANDS = {
