@@ -43,9 +43,7 @@ class _Parser(argparse.ArgumentParser):
 def cmd_generate(args, out) -> int:
     from . import graphs
 
-    params = graphs.RcgParams(args.q, args.g)
-    graphs.check_limits(params)
-    getattr(graphs, f"write_{args.format}")(params, out)
+    getattr(graphs, f"write_{args.format}")(graphs.RcgParams(args.q, args.g), out)
     return EXIT_OK
 
 

@@ -14,8 +14,8 @@ error in either one cannot go unnoticed.
 
 Decimal output keeps to one bound, `graphs.str_digit_limit()`, read through
 the module on every call.  `check_digits` is the one refusal of an output
-past it, and `StructuralReport.to_json_dict` writes the spanning-tree count
-in factors, not digits, where its decimal form would pass it.
+past it; `StructuralReport.to_json_dict` raises it where int->str fails, and
+writes the spanning-tree count in factors where its digits would pass it.
 """
 from __future__ import annotations
 
@@ -372,22 +372,26 @@ class StructuralReport:
             # the exponents are exact; log10 is left out where it is not finite
             spanning_trees = {"log10": log10} if math.isfinite(log10) else {}
             spanning_trees["factors"] = [[trees.q, trees.a], [trees.q + 1, trees.b]]
-        return {
-            "q": self.params.q,
-            "g": self.params.g,
-            "order": str(self.order),
-            "size": str(self.size),
-            "average_degree": frac(self.average_degree),
-            "degree_classes": [
-                {"degree": c.degree, "count": str(c.count)} for c in self.degree_classes
-            ],
-            "total_distance": str(self.total_distance),
-            "average_distance": frac(self.average_distance),
-            "global_clustering": frac(self.global_clustering),
-            "asymptotic_clustering": self.asymptotic_clustering,
-            "spanning_trees": spanning_trees,
-            "kirchhoff": frac(self.kirchhoff),
-        }
+        try:
+            return {
+                "q": self.params.q,
+                "g": self.params.g,
+                "order": str(self.order),
+                "size": str(self.size),
+                "average_degree": frac(self.average_degree),
+                "degree_classes": [
+                    {"degree": c.degree, "count": str(c.count)} for c in self.degree_classes
+                ],
+                "total_distance": str(self.total_distance),
+                "average_distance": frac(self.average_distance),
+                "global_clustering": frac(self.global_clustering),
+                "asymptotic_clustering": self.asymptotic_clustering,
+                "spanning_trees": spanning_trees,
+                "kirchhoff": frac(self.kirchhoff),
+            }
+        except ValueError:
+            check_digits(self.params, "structural_report")
+            raise
 
 
 def structural_report(params: RcgParams) -> StructuralReport:

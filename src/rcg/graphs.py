@@ -17,12 +17,12 @@ helper checks that rule a chunk at a time, given the edge before the chunk.
 One generator, `_edge_chunks`, yields the edges of C_q(g) straight from the
 block layout in their final (u, v) order, in chunks of at most CHUNK_ROWS
 (4096) rows: `build_rcg` copies them into two preallocated arrays, and
-the edge-list, dot and JSON writers, `writer(params, out)`, check each chunk
-(seam included) and the final row count, and write its text to the stream
-`out`, so the writers never hold a whole-graph array.  `_decimal_rows`
-turns each chunk into text through one column-major uint8 block:
-floor-division digits, then the 0 pad bytes dropped from its row-major
-bytes.  numpy is imported on first use, never at module import.
+the writers, `writer(params, out)`, refuse (q, g) by `check_limits` before
+their first byte, check each chunk (seam included) and the final row count,
+and write its text to the stream `out`, never holding a whole-graph array.
+`_chunk_text` turns each chunk into text through one column-major uint8
+block: floor-division digits, then the 0 pad bytes dropped from its
+row-major bytes.  numpy is imported on first use, never at module import.
 `vertex_budget` is the one reader of CORONA_VERTEX_BUDGET, for
 `check_limits` (so `build_rcg`) and the spectra; `over_limit` decides and
 raises each size refusal (there and in `verify`) from (q, g) without building
@@ -131,7 +131,7 @@ class Graph:
         )
 
     def __repr__(self):
-        return f"Graph(vertex_count={self._n}, edge_count={self.edge_count})"
+        return f"Graph(vertex_count={_name(self._n)}, edge_count={self.edge_count})"
 
     def adjacency_lists(self):
         """Neighbor lists, sorted ascending, read off a CSR layout.
@@ -184,7 +184,7 @@ def _check_edges(n: int, u: np.ndarray, v: np.ndarray, previous: tuple[int, int]
     return int(u[-1]), int(v[-1])
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, repr=False)
 class RcgParams:
     """Parameters (q, g) of a recursive corona graph: K_q coronated g times."""
 
@@ -195,6 +195,9 @@ class RcgParams:
         # kept as ints, so that no count of (q, g) wraps as a numpy integer would
         object.__setattr__(self, "q", _checked_int(q, 2, "q must be an integer >= 2"))
         object.__setattr__(self, "g", _checked_int(g, 0, "g must be an integer >= 0"))
+
+    def __repr__(self):
+        return f"RcgParams(q={_name(self.q)}, g={_name(self.g)})"
 
     @property
     def vertex_count(self):
@@ -440,29 +443,17 @@ def matrix_of(graph: Graph, kind: str) -> np.ndarray:
     return a
 
 
-def _decimal_rows(chunks, separator: str = "") -> Iterator[str]:
-    """Text rows from chunks of integer columns, one str per chunk.
-
-    Each chunk mixes str literals and equal-length, nonempty arrays of
-    integers in [0, 2**32); row i joins the literals with the decimal digits
-    of each array's element i, and `separator` starts every row but the
-    first.  Nothing of a chunk outlives its str, which the caller holds.
-    """
-    skip = len(separator)
-    for parts in chunks:
-        yield _chunk_text((separator, *parts))[skip:]
-        skip = 0
-
-
 def _chunk_text(parts) -> str:
-    """The rows of one chunk of `_decimal_rows`.
+    """The text rows of one chunk of integer columns, as one str.
 
-    The chunk is one uint8 block, built column-major so that every array
-    operation is contiguous, with a fixed-width cell per part: the digits
-    sit right-aligned in their cell, the unused leading bytes are 0, and
-    dropping the 0 bytes (which no literal contains) from the row-major
-    bytes leaves the text.  Each copy on the way to the str replaces the one
-    before it, so at most two are alive at once.
+    `parts` mixes str literals and equal-length, nonempty arrays of integers
+    in [0, 2**32); row i joins the literals with the decimal digits of each
+    array's element i.  The chunk is one uint8 block, built column-major so
+    that every array operation is contiguous, with a fixed-width cell per
+    part: the digits sit right-aligned in their cell, the unused leading
+    bytes are 0, and dropping the 0 bytes (which no literal contains) from
+    the row-major bytes leaves the text.  Each copy on the way to the str
+    replaces the one before it, so at most two are alive at once.
     """
     import numpy as np
 
@@ -509,36 +500,42 @@ def _digits(part: np.ndarray, cell: np.ndarray) -> None:
 
 
 def write_edgelist(params: RcgParams, out: TextIO) -> None:
-    """Text edge list with header comments recording q, g, N, M."""
+    """Text edge list, headed by q, g, N and M, once `check_limits` admits (q, g)."""
+    check_limits(params)
     out.write(
         f"# q {params.q}\n# g {params.g}\n"
         f"# N {params.vertex_count}\n# M {params.edge_count}\n"
     )
-    out.writelines(_decimal_rows((u, " ", v, "\n") for u, v in _checked_edges(params)))
+    out.writelines(_chunk_text((u, " ", v, "\n")) for u, v in _checked_edges(params))
 
 
 def write_dot(params: RcgParams, out: TextIO) -> None:
-    """Graphviz text, each vertex labelled with its birth generation."""
+    """Graphviz text labelling each vertex with its birth, once `check_limits` admits (q, g)."""
+    check_limits(params)
     import numpy as np
 
     out.write("graph rcg {\n")
     runs = (("  ", np.arange(lo, hi), f' [label="{b}"];\n') for b, lo, hi in _runs(params))
-    out.writelines(_decimal_rows(runs))
-    out.writelines(_decimal_rows(("  ", u, " -- ", v, ";\n") for u, v in _checked_edges(params)))
+    out.writelines(map(_chunk_text, runs))
+    out.writelines(_chunk_text(("  ", u, " -- ", v, ";\n")) for u, v in _checked_edges(params))
     out.write("}\n")
 
 
 def write_json(params: RcgParams, out: TextIO) -> None:
-    """JSON object with q, g, N, M, edges and birth.
+    """JSON object with q, g, N, M, edges and birth, once `check_limits` admits (q, g).
 
     The bytes are those of `json.dumps(payload, indent=2)` plus a newline.
+    Each row starts with its `,` separator, dropped from the first row.
     """
+    check_limits(params)
     out.write(
         f'{{\n  "q": {params.q},\n  "g": {params.g},\n'
         f'  "N": {params.vertex_count},\n  "M": {params.edge_count},\n  "edges": ['
     )
-    edges = (("\n    [\n      ", u, ",\n      ", v, "\n    ]") for u, v in _checked_edges(params))
-    out.writelines(_decimal_rows(edges, separator=","))
+    pairs = _checked_edges(params)
+    edges = (_chunk_text((",\n    [\n      ", u, ",\n      ", v, "\n    ]")) for u, v in pairs)
+    out.write(next(edges)[1:])
+    out.writelines(edges)
     out.write('\n  ],\n  "birth": [')
     births = (f",\n    {b}" * (hi - lo) for b, lo, hi in _runs(params))
     out.write(next(births)[1:])

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -1150,6 +1151,15 @@ class TestImports:
                 0,
                 {"rcg.formulas", "rcg.spectra", "rcg.oracle", "scipy"},
             ),
+            # each writer refuses (q, g) before it loads numpy
+            *(
+                (
+                    ["generate", "--q", "9", "--g", "9", "--format", fmt],
+                    2,
+                    {"rcg.formulas", "rcg.spectra", "rcg.oracle", "numpy", "scipy"},
+                )
+                for fmt in ("edgelist", "dot", "json")
+            ),
             (["analyze", "--q", "2", "--g", "3"], 0, {"rcg.spectra", "rcg.oracle", "numpy", "scipy"}),
             (
                 ["curve", "--quantity", "avg-degree", "--q-list", "2", "--g-max", "3"],
@@ -1170,6 +1180,9 @@ class TestImports:
         ],
         ids=[
             "generate",
+            "generate-refused-edgelist",
+            "generate-refused-dot",
+            "generate-refused-json",
             "analyze",
             "curve",
             "spectrum",
@@ -1323,6 +1336,22 @@ class TestProcessEntry:
         result = child(["generate", "--q", "2", "--g", "1"], f"import atexit, gc, sys; {hook}")
         assert result.returncode == 0
         assert result.stderr.decode().splitlines()[-1] == "frozen True"
+
+    def test_main_block_in_process(self, capsys, monkeypatch):
+        # `python -m rcg.cli` run in this process, so that a line trace of the
+        # test run sees `entry` and the `__main__` guard run
+        argv = ["generate", "--q", "2", "--g", "1"]
+        code, out, _ = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["rcg", *argv])
+        # runpy warns where the module it runs as __main__ is already loaded
+        monkeypatch.delitem(sys.modules, "rcg.cli")
+        try:
+            with pytest.raises(SystemExit) as exited:
+                runpy.run_module("rcg.cli", run_name="__main__")
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert (exited.value.code, capsys.readouterr().out) == (code, out)
 
     def test_main_in_process_leaves_the_heap_unfrozen(self, capsys):
         frozen = gc.get_freeze_count()

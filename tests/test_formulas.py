@@ -408,6 +408,28 @@ class TestStructuralReport:
         assert "log10" in payload["spanning_trees"]
         assert payload["spanning_trees"]["factors"] == [[3, 1], [4, 2 * (4**10 - 1)]]
 
+    def test_past_the_str_limit_refuses_as_check_digits(self, str_limit):
+        # the report of (2, 5000) is built in integers; only its JSON needs
+        # int->str, and where that fails it refuses with check_digits' message
+        sys.set_int_max_str_digits(4300)
+        params = RcgParams(2, 5000)
+        with pytest.raises(ResourceLimitError) as expected:
+            check_digits(params, "structural_report")
+        report = structural_report(params)
+        with pytest.raises(ResourceLimitError, match=f"^{re.escape(str(expected.value))}$"):
+            report.to_json_dict()
+
+    def test_admitted_int_to_str_error_propagates(self, str_limit, monkeypatch):
+        # a bound of 4300 digits admits (2, 1000), but the interpreter's 640
+        # fail its total distance: the int->str ValueError itself propagates
+        from rcg import graphs
+
+        monkeypatch.setattr(graphs, "str_digit_limit", lambda: 4300)
+        check_digits(RcgParams(2, 1000), "structural_report")
+        report = structural_report(RcgParams(2, 1000))
+        with pytest.raises(ValueError, match="integer string conversion"):
+            report.to_json_dict()
+
 
 # -- reference routes: the same quantities evaluated step by step in Fraction
 

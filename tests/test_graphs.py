@@ -222,6 +222,17 @@ class TestRcgParams:
         assert params.vertex_count == 2 * 3**40
         assert repr(RcgParams(np.uint8(3), np.int32(1))) == "RcgParams(q=3, g=1)"
 
+    @pytest.mark.parametrize("digits", [4300, 640])
+    def test_reprs_past_the_str_limit(self, str_limit, digits):
+        # 10^digits has one digit more than the limit allows: the reprs name
+        # it by its bit length, as a refusal does, without int->str
+        sys.set_int_max_str_digits(digits)
+        x = 10**digits
+        name = f"<{x.bit_length()}-bit integer>"
+        assert repr(RcgParams(x, 0)) == f"RcgParams(q={name}, g=0)"
+        assert repr(RcgParams(2, x)) == f"RcgParams(q=2, g={name})"
+        assert repr(Graph(x, [], [])) == f"Graph(vertex_count={name}, edge_count=0)"
+
 
 class TestCoronaProduct:
     def test_k1_k1_is_single_edge(self):
@@ -646,6 +657,26 @@ class TestWriters:
         assert len(out.sizes) > 10
         assert max(out.sizes) <= 7 * lines_per_row + 4
 
+    @pytest.mark.parametrize("writer", [write_edgelist, write_dot, write_json])
+    @pytest.mark.parametrize("case", ["vertex-budget", "edge-limit", "long-q"])
+    def test_refuses_before_the_first_byte(self, writer, case, monkeypatch):
+        # each writer refuses (q, g) itself, with the message of check_limits
+        # (so of `generate`), and writes nothing
+        monkeypatch.delenv("CORONA_VERTEX_BUDGET", raising=False)
+        params = RcgParams(2, 3)  # N = 54, M = 79
+        if case == "vertex-budget":
+            monkeypatch.setenv("CORONA_VERTEX_BUDGET", "10")
+        elif case == "edge-limit":
+            monkeypatch.setattr(graphs, "EDGE_LIMIT", 78)
+        else:
+            params = RcgParams(10**4300, 0)
+        with pytest.raises(ResourceLimitError) as expected:
+            graphs.check_limits(params)
+        out = _Recorder()
+        with pytest.raises(ResourceLimitError, match=f"^{re.escape(str(expected.value))}$"):
+            writer(params, out)
+        assert (out.sizes, out.getvalue()) == ([], "")
+
     @pytest.mark.parametrize("fault", ["duplicate", "swap", "drop"])
     def test_faulty_chunks_are_refused(self, fault, monkeypatch, capsys):
         # one fault at a seam between two chunks of (2, 5); the writers and
@@ -694,34 +725,37 @@ class TestDecimalRows:
         # vertex id a writer formats is below 2**32, the kernel's range
         assert graphs.EDGE_LIMIT + 1 < 2**32
 
-    # the literal shapes of the edge-list, dot (vertex and edge) and JSON rows
+    # the literal shapes of the edge-list, dot (vertex and edge) and JSON rows;
+    # a JSON row starts with its "," separator, and the writer drops the first
+    # byte of its first chunk
     @pytest.mark.parametrize(
-        "shape,separator",
+        "shape",
         [
-            (("u", " ", "v", "\n"), ""),
-            (("  ", "u", ' [label="3"];\n'), ""),
-            (("  ", "u", " -- ", "v", ";\n"), ""),
-            (("\n    [\n      ", "u", ",\n      ", "v", "\n    ]"), ","),
+            ("u", " ", "v", "\n"),
+            ("  ", "u", ' [label="3"];\n'),
+            ("  ", "u", " -- ", "v", ";\n"),
+            (",\n    [\n      ", "u", ",\n      ", "v", "\n    ]"),
         ],
         ids=["edgelist", "dot-vertices", "dot-edges", "json"],
     )
     # one chunk; a one-row chunk first; four chunks, one whose u cells all have two digits
     @pytest.mark.parametrize("bounds", [[0, 21], [0, 1, 21], [0, 2, 4, 10, 21]])
-    def test_rows_match_str(self, shape, separator, bounds):
+    def test_rows_match_str(self, shape, bounds):
         values = np.array(self.VALUES, dtype=np.int64)
         assert len(values) == 21
         columns = {"u": values, "v": values[::-1].copy()}
+        separator = "," if shape[0].startswith(",") else ""
+        skip = len(separator)
 
         def parts(lo, hi):
             return tuple(columns[p][lo:hi] if p in columns else p for p in shape)
 
-        chunks = [parts(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        text = [graphs._chunk_text(parts(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        text[0] = text[0][skip:]
         rows = [
-            "".join(str(columns[p][i]) if p in columns else p for p in shape)
+            "".join(str(columns[p][i]) if p in columns else p for p in shape)[skip:]
             for i in range(len(values))
         ]
-        text = list(graphs._decimal_rows(iter(chunks), separator))
-        assert len(text) == len(chunks)
         assert "".join(text) == separator.join(rows)
 
 

@@ -3,18 +3,21 @@
     PYTHONPATH=src:tools python -m pytest -q -p linetrace
 
 `sys.settrace` records every line of src/rcg that runs in the pytest
-process (children, such as those that run `cli.entry`, are not traced).  At
-the end, every line that holds code, as the compiler's line table gives it,
-and did not run is written to linetrace.txt in the working directory as
-`module:line: source`.  The body of an `if TYPE_CHECKING:` block is left
-out: it is read by type checkers and never runs.  Tracing makes the run
-about 1.7 times slower.
+process.  Children are not traced, so a test runs `rcg.cli` as `__main__`
+in process to reach `cli.entry`.  At the end, every line that holds code,
+as the compiler's line table gives it, and did not run is written to
+linetrace.txt in the working directory as `module:line: source`.  The
+body of an `if TYPE_CHECKING:` block is left out: it is read by type
+checkers and never runs.  Where any line is left, the run exits non-zero,
+as if a test had failed.  Tracing makes the run about 1.7 times slower.
 """
 import ast
 import os
 import sys
 import threading
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent / "src" / "rcg"
 PREFIX = f"{ROOT}{os.sep}"
@@ -58,7 +61,7 @@ def _type_checking_lines(tree) -> set[int]:
     }
 
 
-def pytest_unconfigure(config):
+def pytest_sessionfinish(session, exitstatus):
     sys.settrace(None)
     threading.settrace(None)
     report = []
@@ -70,3 +73,6 @@ def pytest_unconfigure(config):
         text = source.splitlines()
         report += [f"{path.name}:{line}: {text[line - 1].strip()}" for line in sorted(missing)]
     Path("linetrace.txt").write_text("".join(f"{r}\n" for r in report))
+    if report:
+        print(f"\nlinetrace: {len(report)} lines of src/rcg never ran, see linetrace.txt")
+        session.exitstatus = session.exitstatus or pytest.ExitCode.TESTS_FAILED
