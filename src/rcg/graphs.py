@@ -14,12 +14,15 @@ writers write, run by run, are all read off it.
 A `Graph` stores its edges as two int64 arrays u and v, strictly increasing
 in (u, v) with u < v; `Graph(n, u, v)` is the one constructor, and one
 helper checks that rule a chunk at a time, given the edge before the chunk.
-One generator, `_edge_chunks`, yields the edges of C_q(g) straight from the
-block layout in their final (u, v) order, in chunks of at most CHUNK_ROWS
-(4096) rows: `build_rcg` copies them into two preallocated arrays, and
-the writers, `writer(params, out)`, refuse (q, g) by `check_limits` before
-their first byte, check each chunk (seam included) and the final row count,
-and write its text to the stream `out`, never holding a whole-graph array.
+It is the one run-time check of edges.  One generator, `_edge_chunks`,
+yields the edges of C_q(g) straight from the block layout in their final
+(u, v) order, in chunks of at most CHUNK_ROWS (4096) rows: `build_rcg`
+copies them into two zeroed arrays that the Graph checks, and the writers,
+`writer(params, out)`, refuse (q, g) by `check_limits` before their first
+byte and write each chunk's text to the stream `out` unchecked, never
+holding a whole-graph array.  That the stream is the edge set of C_q(g),
+in order, is proved from vertex arithmetic alone by the tests
+(`TestEdgeStream` in tests/test_graphs.py).
 `_chunk_text` turns each chunk into text through one column-major uint8
 block: floor-division digits, then the 0 pad bytes dropped from its
 row-major bytes.  numpy is imported on first use, never at module import.
@@ -367,50 +370,26 @@ def _edge_chunks(params: RcgParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
                     yield (bases + member).ravel(), v.ravel()
 
 
-def _check_count(params: RcgParams, rows: int) -> None:
-    """Refuse a number of edge rows other than M."""
-    if rows != (m := params.edge_count):
-        q, g = _name(params.q), _name(params.g)
-        raise ValueError(f"{_name(rows)} edges made, (q={q}, g={g}) has {_name(m)}")
-
-
-def _checked_edges(params: RcgParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The chunks of `_edge_chunks`, each checked as `Graph` checks its edges.
-
-    The check of each chunk starts from the last edge of the one before, so
-    the seams are checked too; at the end the rows must number M.
-    """
-    n, previous, rows = params.vertex_count, None, 0
-    for u, v in _edge_chunks(params):
-        previous = _check_edges(n, u, v, previous)
-        rows += len(u)
-        yield u, v
-    _check_count(params, rows)
-
-
 def build_rcg(params: RcgParams) -> CoronaGraph:
     """Construct the explicit recursive corona graph for (q, g).
 
-    `check_limits` refuses (q, g) before any array is made.  The chunks of
-    `_edge_chunks`, the one construction of the edges, are copied into two
-    preallocated arrays of M edges, and the Graph checks them once.  The
-    result equals the iterated corona product of K_q with K_q index for
+    `check_limits` refuses (q, g) before numpy is imported or any array is
+    made.  The chunks of `_edge_chunks`, the one construction of the edges,
+    are copied into two zeroed arrays of M edges, and the Graph checks them
+    once: a stream that ran short would leave (0, 0) rows, which it refuses.
+    The result equals the iterated corona product of K_q with K_q index for
     index.
     """
+    check_limits(params)
     import numpy as np
 
-    check_limits(params)
-    m = params.edge_count
-    u = np.empty(m, dtype=np.int64)
-    v = np.empty(m, dtype=np.int64)
+    u = np.zeros(params.edge_count, dtype=np.int64)
+    v = np.zeros(params.edge_count, dtype=np.int64)
     row = 0
     for chunk_u, chunk_v in _edge_chunks(params):
-        end = row + len(chunk_u)
-        if end <= m:
-            u[row:end] = chunk_u
-            v[row:end] = chunk_v
-        row = end
-    _check_count(params, row)
+        u[row : row + len(chunk_u)] = chunk_u
+        v[row : row + len(chunk_v)] = chunk_v
+        row += len(chunk_u)
     return CoronaGraph(graph=Graph(params.vertex_count, u, v), params=params)
 
 
@@ -506,7 +485,7 @@ def write_edgelist(params: RcgParams, out: TextIO) -> None:
         f"# q {params.q}\n# g {params.g}\n"
         f"# N {params.vertex_count}\n# M {params.edge_count}\n"
     )
-    out.writelines(_chunk_text((u, " ", v, "\n")) for u, v in _checked_edges(params))
+    out.writelines(_chunk_text((u, " ", v, "\n")) for u, v in _edge_chunks(params))
 
 
 def write_dot(params: RcgParams, out: TextIO) -> None:
@@ -517,7 +496,7 @@ def write_dot(params: RcgParams, out: TextIO) -> None:
     out.write("graph rcg {\n")
     runs = (("  ", np.arange(lo, hi), f' [label="{b}"];\n') for b, lo, hi in _runs(params))
     out.writelines(map(_chunk_text, runs))
-    out.writelines(_chunk_text(("  ", u, " -- ", v, ";\n")) for u, v in _checked_edges(params))
+    out.writelines(_chunk_text(("  ", u, " -- ", v, ";\n")) for u, v in _edge_chunks(params))
     out.write("}\n")
 
 
@@ -532,7 +511,7 @@ def write_json(params: RcgParams, out: TextIO) -> None:
         f'{{\n  "q": {params.q},\n  "g": {params.g},\n'
         f'  "N": {params.vertex_count},\n  "M": {params.edge_count},\n  "edges": ['
     )
-    pairs = _checked_edges(params)
+    pairs = _edge_chunks(params)
     edges = (_chunk_text((",\n    [\n      ", u, ",\n      ", v, "\n    ]")) for u, v in pairs)
     out.write(next(edges)[1:])
     out.writelines(edges)

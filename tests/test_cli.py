@@ -1126,6 +1126,14 @@ class TestImports:
             "['spectrum', '--q', '3', '--g', '4', '--matrix', 'laplacian'])",
             "import sys, rcg.cli; rcg.cli.main("
             "['curve', '--quantity', 'kirchhoff', '--q-list', '2,3', '--g-max', '6'])",
+            # a build refused by the vertex budget stops before numpy
+            pytest.param(
+                "import sys, rcg\n"
+                "try: rcg.build_rcg(rcg.RcgParams(9, 9))\n"
+                "except rcg.ResourceLimitError: refused = True\n"
+                "assert refused",
+                id="build_rcg-refused",
+            ),
         ],
     )
     def test_numpy_not_imported(self, code):

@@ -471,6 +471,34 @@ class TestBuildRcg:
         params = RcgParams(q, g)
         assert traced_peak(lambda: build_rcg(params)) <= 1.5 * 16 * params.edge_count
 
+    @pytest.mark.parametrize("fault", ["duplicate", "swap", "drop"])
+    def test_faulty_chunks_are_refused(self, fault, monkeypatch):
+        # one fault at a seam between two chunks of (2, 5); build_rcg refuses
+        # it with the text that Graph gives for the same edges, and a stream
+        # that runs short leaves (0, 0) rows, refused as a self-loop
+        params = RcgParams(2, 5)
+        monkeypatch.setattr(graphs, "CHUNK_ROWS", 7)
+        chunks = list(graphs._edge_chunks(params))
+        k = len(chunks) // 2
+        if fault == "duplicate":
+            (u, v), (next_u, next_v) = chunks[k - 1 : k + 1]
+            chunks[k] = (np.r_[u[-1], next_u[1:]], np.r_[v[-1], next_v[1:]])
+        elif fault == "swap":
+            chunks[k - 1], chunks[k] = chunks[k], chunks[k - 1]
+        else:
+            chunks.pop()
+        monkeypatch.setattr(graphs, "_edge_chunks", lambda params: iter(chunks))
+        if fault == "drop":
+            message = "self-loop at vertex 0"
+        else:
+            u, v = (np.concatenate(column) for column in zip(*chunks))
+            with pytest.raises(ValueError) as expected:
+                Graph(params.vertex_count, u, v)
+            message = str(expected.value)
+            assert fault.replace("swap", "out of order") in message
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_rcg(params)
+
     def test_graph_order_mismatch_rejected(self):
         cg = build_rcg(RcgParams(2, 1))
         with pytest.raises(ValueError, match="graph order"):
@@ -482,6 +510,110 @@ class TestBuildRcg:
         cg = build_rcg(RcgParams(2, 3))
         assert "birth" not in vars(cg)  # built on first use
         assert cg.birth is cg.birth
+
+
+def _born_and_parent(q: int, g: int, x: np.ndarray):
+    """The birth step b of each vertex in `x`, and its parent where b >= 1.
+
+    From the class starts alone: class 0 is the initial K_q, 0..q-1, and
+    class b >= 1 starts at N_{b-1} = q (q+1)^(b-1), where a vertex v has
+    the parent (v - N_{b-1}) // q.  Class 0 reads as parent 0, its one block.
+    """
+    starts = np.array([0, *(q * (q + 1) ** b for b in range(g))], dtype=np.int64)
+    born = np.searchsorted(starts, x, side="right") - 1
+    return born, (x - starts[born]) // q
+
+
+def _stream_fault(q: int, g: int, chunks) -> str | None:
+    """The first way the (u, v) chunks fail to be the edges of C_q(g) in order.
+
+    Reads no construction code.  An edge of C_q(g) joins two mates of one
+    block (same birth and same parent) or a parent u and its child v, on the
+    vertices 0..N-1, N = q (q+1)^g.  If every edge is one of these, the
+    edges are strictly increasing in (u, v) with u < v across the seams
+    too, so distinct, and they number M = q ((q+1)^(g+1) - 2) / 2, the size
+    of that edge set, then they are that set, in order.  None if so.
+    """
+    n, m = q * (q + 1) ** g, q * ((q + 1) ** (g + 1) - 2) // 2
+    previous_u, previous_v, rows = -1, -1, 0
+    for u, v in chunks:
+        born_u, parent_u = _born_and_parent(q, g, u)
+        born_v, parent_v = _born_and_parent(q, g, v)
+        mates = (born_u == born_v) & (parent_u == parent_v) & (u < v)
+        child = (born_v > 0) & (parent_v == u)
+        bad = ~(mates | child) | (u < 0) | (v >= n)
+        if bad.any():
+            i = bad.argmax()
+            return f"({u[i]}, {v[i]}) is no edge of C_{q}({g})"
+        before_u, before_v = np.r_[previous_u, u[:-1]], np.r_[previous_v, v[:-1]]
+        later = (u > before_u) | ((u == before_u) & (v > before_v))
+        if not later.all():
+            i = later.argmin()
+            return f"({u[i]}, {v[i]}) does not follow ({before_u[i]}, {before_v[i]})"
+        previous_u, previous_v, rows = u[-1], v[-1], rows + len(u)
+    if rows != m:
+        return f"{rows} edges, C_{q}({g}) has {m}"
+    return None
+
+
+class TestEdgeStream:
+    """`_edge_chunks` yields the edge set of C_q(g), in order, by `_stream_fault`.
+
+    The writers stream these chunks unchecked, so this is their proof.
+    """
+
+    # the grid, the largest explicit points, and (130, 0) and (100, 1), where
+    # block rows are split by members
+    @pytest.mark.parametrize(
+        "q,g",
+        [(q, g) for q in range(2, 6) for g in range(4)]
+        + [(2, 11), (5, 6), (9, 5), (130, 0), (100, 1)],
+    )
+    def test_is_the_edge_set_in_order(self, q, g):
+        assert _stream_fault(q, g, graphs._edge_chunks(RcgParams(q, g))) is None
+
+    def test_small_chunks(self, monkeypatch):
+        # every block row is split, so most edges sit next to a seam
+        monkeypatch.setattr(graphs, "CHUNK_ROWS", 7)
+        chunks = list(graphs._edge_chunks(RcgParams(2, 5)))
+        assert len(chunks) > 100
+        assert _stream_fault(2, 5, chunks) is None
+
+    @pytest.mark.parametrize("q,g", [(3, 2), (2, 5)])
+    @pytest.mark.parametrize(
+        "fault,found",
+        [("moved-child", "is no edge"), ("swap", "does not follow"), ("drop", "edges, C_")],
+        ids=["moved-child", "swap", "drop"],
+    )
+    def test_faults_are_found(self, q, g, fault, found, monkeypatch):
+        # each fault keeps the other two properties, so only one check finds it
+        monkeypatch.setattr(graphs, "CHUNK_ROWS", 7)
+        chunks = [(u.copy(), v.copy()) for u, v in graphs._edge_chunks(RcgParams(q, g))]
+        assert _stream_fault(q, g, chunks) is None
+        if fault == "moved-child":
+            # the last edge of vertex 0 joins it to its last child; join it
+            # to the same member of vertex 1's last block instead
+            u, v = next(chunk for chunk in reversed(chunks) if (chunk[0] == 0).any())
+            i = np.flatnonzero(u == 0)[-1]
+            assert v[i] == q * (q + 1) ** (g - 1) + q - 1
+            v[i] += q
+        elif fault == "swap":
+            # the rows of two children of one block, on both sides of a seam
+            def mates(a, b):
+                born, parent = _born_and_parent(q, g, np.array([a, b]))
+                return born[0] == born[1] > 0 and parent[0] == parent[1]
+
+            (u, v), (next_u, next_v) = next(
+                pair for pair in zip(chunks, chunks[1:]) if mates(pair[0][0][-1], pair[1][0][0])
+            )
+            u[-1], next_u[0] = next_u[0], u[-1]
+            v[-1], next_v[0] = next_v[0], v[-1]
+        else:
+            # every row of the last block of class 1, which ends at N_1 = q (q+1)
+            end = q * (q + 1)
+            keep = [(u < end - q) | (u >= end) for u, v in chunks]
+            chunks = [(u[k], v[k]) for (u, v), k in zip(chunks, keep) if k.any()]
+        assert found in _stream_fault(q, g, chunks)
 
 
 class TestBirthGeneration:
@@ -676,41 +808,6 @@ class TestWriters:
         with pytest.raises(ResourceLimitError, match=f"^{re.escape(str(expected.value))}$"):
             writer(params, out)
         assert (out.sizes, out.getvalue()) == ([], "")
-
-    @pytest.mark.parametrize("fault", ["duplicate", "swap", "drop"])
-    def test_faulty_chunks_are_refused(self, fault, monkeypatch, capsys):
-        # one fault at a seam between two chunks of (2, 5); the writers and
-        # `generate` refuse it with the text that Graph (or, for a missing
-        # chunk, build_rcg's count) gives for the same edges
-        from rcg import cli
-
-        params = RcgParams(2, 5)
-        monkeypatch.setattr(graphs, "CHUNK_ROWS", 7)
-        chunks = list(graphs._edge_chunks(params))
-        k = len(chunks) // 2
-        if fault == "duplicate":
-            (u, v), (next_u, next_v) = chunks[k - 1 : k + 1]
-            chunks[k] = (np.r_[u[-1], next_u], np.r_[v[-1], next_v])
-        elif fault == "swap":
-            chunks[k - 1], chunks[k] = chunks[k], chunks[k - 1]
-        else:
-            chunks.pop()
-        monkeypatch.setattr(graphs, "_edge_chunks", lambda params: iter(chunks))
-        if fault == "drop":
-            with pytest.raises(ValueError) as expected:
-                build_rcg(params)
-            assert "edges made" in str(expected.value)
-        else:
-            u, v = (np.concatenate(column) for column in zip(*chunks))
-            with pytest.raises(ValueError) as expected:
-                Graph(params.vertex_count, u, v)
-            assert fault.replace("swap", "out of order") in str(expected.value)
-        message = str(expected.value)
-        for writer in (write_edgelist, write_dot, write_json):
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                writer(params, _Discard())
-        assert cli.main(["generate", "--q", "2", "--g", "5"]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestDecimalRows:
