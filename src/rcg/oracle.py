@@ -1,57 +1,56 @@
 """Brute-force measurements on explicitly constructed graphs.
 
 Everything here is an independent ground truth for the closed forms and
-spectral recursions: BFS distance sums, degree histograms, neighbor-degree
-averages and LAPACK eigenvalues.  One exact sparse LDLᵀ elimination of
-`L + sI` (`_eliminate`) serves three more: the spanning-tree count as the
-determinant of a Laplacian minor, the rooted-forest count det(I + L), and
-the Kirchhoff index as an exact Fraction, by selected inversion of the
-grounded Laplacian; no dense inverse is formed.  No function in this
-module consults any formula it is meant to check.
+spectral recursions: the distance sum by one bit-parallel BFS sweep, degree
+histograms, neighbor-degree averages and LAPACK eigenvalues.  One exact
+sparse LDLᵀ elimination of `L + sI` (`_eliminate`) serves three more: the
+spanning-tree count as the determinant of a Laplacian minor, the rooted-forest
+count det(I + L), and the Kirchhoff index as an exact Fraction, by selected
+inversion of the grounded Laplacian; no dense inverse is formed.  No function
+in this module consults any formula it is meant to check.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 
 from .errors import ConnectivityError, NumericalError, ResourceLimitError
 from .graphs import CoronaGraph, Graph, _classes, _name
 
-EIGENVALUE_SIZE_LIMIT = 2000  # the resistance oracle's limit too
+EIGENVALUE_SIZE_LIMIT = 2000  # the resistance and distance oracles' limit too
 MATRIX_TREE_SIZE_LIMIT = 500
 
 # new entries the elimination may create before it is refused
 FILL_LIMIT = 10**5
 
 
-def _bfs_distances(adj: list[list[int]], source: int) -> list[int]:
-    """Distances from `source` over the neighbor lists `adj`; -1 where unreached."""
-    dist = [-1] * len(adj)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
 def bfs_total_distance(graph: Graph) -> int:
     """Sum of shortest-path distances over unordered vertex pairs.
 
-    A graph that one BFS reaches whole is connected, so only the first BFS
-    looks for an unreached vertex.
+    One breadth-first sweep from every source at once, with each vertex's
+    ball as a bitset (bit-parallel BFS; Akiba, Iwata & Yoshida, SIGMOD 2013):
+    at each level a ball takes the union of its neighbors' balls.  A pair at
+    distance d lies outside both its balls at levels 0..d-1, so the vertices
+    outside the balls, summed over the levels, count every distance twice.
+    A level that grows no ball before all are full means a disconnected graph.
     """
+    n = _checked_size(graph, EIGENVALUE_SIZE_LIMIT)
     adj = graph.adjacency_lists()
-    total = 0
-    for source in range(graph.vertex_count):
-        dist = _bfs_distances(adj, source)
-        if source == 0 and -1 in dist:
+    balls = [1 << v for v in range(n)]
+    total = outside = n * n - n
+    while outside:
+        grown = []
+        for ball, nbrs in zip(balls, adj):
+            for u in nbrs:
+                ball |= balls[u]
+            grown.append(ball)
+        balls = grown
+        left = n * n - sum(ball.bit_count() for ball in balls)
+        if left == outside:
             raise ConnectivityError("graph is disconnected")
-        total += sum(dist)
+        total += left
+        outside = left
     return total // 2
 
 
@@ -199,7 +198,7 @@ def _eliminate(graph: Graph, shift: int, ground: int | None) -> tuple[list, int]
 
 
 def _checked_size(graph: Graph, limit: int) -> int:
-    """The vertex count of `graph`, refused past an elimination oracle's `limit`."""
+    """The vertex count of `graph`, refused past an oracle's `limit`."""
     if (n := graph.vertex_count) > limit:
         raise ResourceLimitError(f"graph size {_name(n)} exceeds {limit}")
     return n

@@ -735,6 +735,10 @@ LONG_INTEGER_CALLS = {
         lambda x: oracle.resistance_sum(Graph(x, [], [])),
         "graph size {x} exceeds 2000",
     ),
+    "bfs_total_distance": (
+        lambda x: oracle.bfs_total_distance(Graph(x, [], [])),
+        "graph size {x} exceeds 2000",
+    ),
     "matrix_of": (
         lambda x: rcg.matrix_of(Graph(x, [], []), "adjacency"),
         "dense matrix for {x} vertices exceeds limit 10000",

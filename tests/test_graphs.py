@@ -325,8 +325,8 @@ class TestBuildRcg:
         cg = build_rcg(params)
         assert cg.graph.vertex_count == q * (q + 1) ** g
         assert cg.graph.edge_count == q * ((q + 1) ** (g + 1) - 2) // 2
-        # connected: the oracle's BFS from vertex 0 reaches every vertex
-        assert -1 not in oracle._bfs_distances(cg.graph.adjacency_lists(), 0)
+        # connected: the distance oracle refuses a disconnected graph
+        oracle.bfs_total_distance(cg.graph)
 
     @pytest.mark.parametrize(
         "q,g",

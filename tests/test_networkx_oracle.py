@@ -1,15 +1,16 @@
 """networkx as a second brute-force oracle, independent of `rcg.oracle`."""
 import pytest
 
-from rcg import RcgParams, build_rcg
+from rcg import ConnectivityError, RcgParams, build_rcg
 from rcg.formulas import (
     global_clustering,
     kirchhoff_closed,
     spanning_trees_closed,
     total_distance,
 )
+from rcg.oracle import bfs_total_distance
 
-from reference import edge_pairs
+from reference import edge_pairs, graph_of
 
 nx = pytest.importorskip("networkx")
 
@@ -52,3 +53,16 @@ def test_effective_graph_resistance(point):
     params, graph = point
     expected = float(kirchhoff_closed(params))
     assert nx.effective_graph_resistance(graph) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_bfs_total_distance_random(seed):
+    # the distance oracle against networkx on dense and sparse random graphs
+    n, p = 1 + seed % 40, (1 + seed % 7) / 8
+    graph = nx.gnp_random_graph(n, p, seed=seed)
+    ours = graph_of(n, graph.edges)
+    if nx.is_connected(graph):
+        assert bfs_total_distance(ours) == nx.wiener_index(graph)
+    else:
+        with pytest.raises(ConnectivityError, match="^graph is disconnected$"):
+            bfs_total_distance(ours)

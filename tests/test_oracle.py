@@ -78,30 +78,40 @@ class TestBfsTotalDistance:
             bfs_total_distance(graph_of(3, [(0, 1)]))
 
     @pytest.mark.parametrize("edges", [[(0, 1)], [(1, 2)], [(0, 1), (2, 3)]])
-    def test_first_bfs_decides_connectivity(self, edges, monkeypatch):
-        # a graph is connected if the BFS from vertex 0 reaches every vertex,
-        # so only that BFS's distances are scanned for an unreached vertex
-        calls, scans = [], []
-        bfs = oracle._bfs_distances
-
-        class Distances(list):
-            def __contains__(self, item):
-                scans.append(item)
-                return super().__contains__(item)
-
-        def counted(adj, source):
-            calls.append(source)
-            return Distances(bfs(adj, source))
-
-        monkeypatch.setattr(oracle, "_bfs_distances", counted)
+    def test_disconnected_refused(self, edges):
+        # [(1, 2)] leaves vertex 0 isolated
         with pytest.raises(ConnectivityError, match="^graph is disconnected$"):
             bfs_total_distance(graph_of(4, edges))
-        assert calls == [0]
-        calls.clear()
-        scans.clear()
-        assert bfs_total_distance(graph_of(4, [(0, 1), (1, 2), (2, 3)])) == 10
-        assert calls == [0, 1, 2, 3]
-        assert scans == [-1]
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_cycle(self, n):
+        assert bfs_total_distance(cycle(n)) == n * (n * n // 4) // 2
+
+    @pytest.mark.parametrize("n", range(1, 51))
+    def test_path(self, n):
+        # n - 1 levels, one per distance
+        path = graph_of(n, [(i, i + 1) for i in range(n - 1)])
+        assert bfs_total_distance(path) == (n**3 - n) // 6
+
+    @pytest.mark.parametrize(
+        "graph,total",
+        [(petersen(), 75), (k33(), 21), (grid(4, 5), 570)],
+        ids=["petersen", "k33", "grid4x5"],
+    )
+    def test_not_block_graphs(self, graph, total):
+        assert bfs_total_distance(graph) == total
+
+    def test_size_guard(self):
+        # the balls would take N^2 bits, so the size is refused first
+        with pytest.raises(ResourceLimitError, match="^graph size 2001 exceeds 2000$"):
+            bfs_total_distance(graph_of(EIGENVALUE_SIZE_LIMIT + 1, []))
+        edgeless = graph_of(10**6, [])
+
+        def refused():
+            with pytest.raises(ResourceLimitError):
+                bfs_total_distance(edgeless)
+
+        assert traced_peak(refused) < 10**6
 
     def test_empty_graph(self):
         assert bfs_total_distance(graph_of(0, [])) == 0
