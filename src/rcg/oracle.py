@@ -2,12 +2,13 @@
 
 Everything here is an independent ground truth for the closed forms and
 spectral recursions: the distance sum by one bit-parallel BFS sweep, degree
-histograms, neighbor-degree averages and LAPACK eigenvalues.  One exact
-sparse LDLᵀ elimination of `L + sI` (`_eliminate`) serves three more: the
-spanning-tree count as the determinant of a Laplacian minor, the rooted-forest
-count det(I + L), and the Kirchhoff index as an exact Fraction, by selected
-inversion of the grounded Laplacian; no dense inverse is formed.  No function
-in this module consults any formula it is meant to check.
+histograms, clustering by neighbor-set intersections, neighbor-degree averages
+and LAPACK eigenvalues.  One exact sparse LDLᵀ elimination of `L + sI`
+(`_eliminate`) serves three more: the spanning-tree count as the determinant of
+a Laplacian minor, the rooted-forest count det(I + L), and the Kirchhoff index
+as an exact Fraction, by selected inversion of the grounded Laplacian; no dense
+inverse is formed.  No function in this module consults any formula it is
+meant to check.
 """
 from __future__ import annotations
 
@@ -59,23 +60,17 @@ def degree_histogram(graph: Graph) -> dict[int, int]:
 
 
 def local_clustering(graph: Graph) -> list[Fraction]:
-    """Per-vertex clustering coefficient 2*e_v/(d_v(d_v-1)); 0 below degree 2."""
-    adj = graph.adjacency_lists()
-    neighbor_sets = [set(nbrs) for nbrs in adj]
-    result = []
-    for v in range(graph.vertex_count):
-        degree = len(adj[v])
-        if degree < 2:
-            result.append(Fraction(0))
-            continue
-        links = sum(
-            1
-            for i, u in enumerate(adj[v])
-            for w in adj[v][i + 1 :]
-            if w in neighbor_sets[u]
-        )
-        result.append(Fraction(2 * links, degree * (degree - 1)))
-    return result
+    """Per-vertex clustering coefficient 2*e_v/(d_v(d_v-1)); 0 below degree 2.
+
+    Each of the e_v links among v's neighbors lies in the neighbor sets of
+    both its ends, so the sum of |N(u) ∩ N(v)| over u in N(v) is 2*e_v: one
+    set intersection per edge end, at the cost of the smaller set.
+    """
+    sets = [set(nbrs) for nbrs in graph.adjacency_lists()]
+    return [
+        Fraction(sum(len(nbrs & sets[u]) for u in nbrs), len(nbrs) * (len(nbrs) - 1) or 1)
+        for nbrs in sets
+    ]
 
 
 def mean_neighbor_degree_by_class(cg: CoronaGraph) -> dict[int, Fraction]:
@@ -87,8 +82,7 @@ def mean_neighbor_degree_by_class(cg: CoronaGraph) -> dict[int, Fraction]:
     are the vertex ranges of `graphs._classes`, the one source of births.
     """
     adj = cg.graph.adjacency_lists()
-    degrees = cg.graph.degrees()
-    means = [Fraction(sum(degrees[u] for u in adj[v]), degrees[v]) for v in range(len(adj))]
+    means = [Fraction(sum(len(adj[u]) for u in nbrs), len(nbrs)) for nbrs in adj]
     return {b: sum(means[lo:hi], Fraction(0)) / (hi - lo) for b, lo, hi in _classes(cg.params)}
 
 
@@ -149,7 +143,7 @@ _ZERO = (0, 1)
 _MINUS_ONE = (-1, 1)
 
 
-def _eliminate(graph: Graph, shift: int, ground: int | None) -> tuple[list, int]:
+def _eliminate(graph: Graph, shift: int, ground: int | None) -> list:
     """The LDLᵀ factor of `L + shift*I`, without row and column `ground` if given.
 
     Exact symmetric Gaussian elimination on dict rows of `_sub_mul` pairs,
@@ -158,9 +152,8 @@ def _eliminate(graph: Graph, shift: int, ground: int | None) -> tuple[list, int]
     order only changes the fill-in, which is counted (one per new entry, so
     two per new edge) and refused past FILL_LIMIT.  Returns the factor as
     (k, d_k, l_k) in elimination order, with l_k mapping each later vertex
-    i to L[i, k], and the fill-in.  The matrix is positive semidefinite for
-    shift >= 0, so a zero pivot means it is singular: the factor then ends
-    at that pivot.
+    i to L[i, k].  The matrix is positive semidefinite for shift >= 0, so a
+    zero pivot means it is singular: the factor then ends at that pivot.
     """
     n = graph.vertex_count
     rows: list[dict[int, tuple[int, int]]] = [{a: (shift, 1)} for a in range(n)]
@@ -194,7 +187,7 @@ def _eliminate(graph: Graph, shift: int, ground: int | None) -> tuple[list, int]
                     fill += 2
         if fill > FILL_LIMIT:
             raise ResourceLimitError(f"elimination fill-in {fill} exceeds {FILL_LIMIT}")
-    return factor, fill
+    return factor
 
 
 def _checked_size(graph: Graph, limit: int) -> int:
@@ -218,7 +211,7 @@ def matrix_tree_count(graph: Graph) -> int:
     On 0 or 1 vertices the factor is empty, and its determinant is 1.
     """
     _checked_size(graph, MATRIX_TREE_SIZE_LIMIT)
-    return _determinant(_eliminate(graph, 0, 0)[0])
+    return _determinant(_eliminate(graph, 0, 0))
 
 
 def forest_count(graph: Graph) -> int:
@@ -228,7 +221,7 @@ def forest_count(graph: Graph) -> int:
     grounded (Chebotarev & Shamis, Automation and Remote Control 58, 1997).
     """
     _checked_size(graph, MATRIX_TREE_SIZE_LIMIT)
-    return _determinant(_eliminate(graph, 1, None)[0])
+    return _determinant(_eliminate(graph, 1, None))
 
 
 def resistance_sum(graph: Graph) -> Fraction:
@@ -246,7 +239,7 @@ def resistance_sum(graph: Graph) -> Fraction:
     n = _checked_size(graph, EIGENVALUE_SIZE_LIMIT)
     if n < 2:
         return Fraction(0)
-    factor, _ = _eliminate(graph, 0, 0)
+    factor = _eliminate(graph, 0, 0)
     if not factor[-1][1][0]:
         raise ConnectivityError("graph is disconnected")
     z = [(1, 1)] * n

@@ -1,4 +1,6 @@
 """networkx as a second brute-force oracle, independent of `rcg.oracle`."""
+from fractions import Fraction
+
 import pytest
 
 from rcg import ConnectivityError, RcgParams, build_rcg
@@ -8,7 +10,7 @@ from rcg.formulas import (
     spanning_trees_closed,
     total_distance,
 )
-from rcg.oracle import bfs_total_distance
+from rcg.oracle import bfs_total_distance, local_clustering
 
 from reference import edge_pairs, graph_of
 
@@ -66,3 +68,17 @@ def test_bfs_total_distance_random(seed):
     else:
         with pytest.raises(ConnectivityError, match="^graph is disconnected$"):
             bfs_total_distance(ours)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_local_clustering_random(seed):
+    # the clustering oracle against networkx's triangle counts, exactly, on
+    # graphs that are mostly not block graphs
+    n, p = 1 + seed % 40, (1 + seed % 7) / 8
+    graph = nx.gnp_random_graph(n, p, seed=seed)
+    triangles = nx.triangles(graph)
+    expected = [
+        Fraction(2 * triangles[v], d * (d - 1)) if (d := graph.degree(v)) >= 2 else 0
+        for v in range(n)
+    ]
+    assert local_clustering(graph_of(n, graph.edges)) == expected

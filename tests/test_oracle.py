@@ -139,6 +139,11 @@ class TestLocalClustering:
     def test_star_center_zero(self):
         assert local_clustering(star(4))[0] == 0
 
+    def test_below_degree_two_zero(self):
+        # the star's leaves have degree 1, the isolated vertex 0
+        assert local_clustering(star(4))[1:] == [0] * 4
+        assert local_clustering(graph_of(3, [(0, 1)])) == [0] * 3
+
 
 class TestMeanNeighborDegree:
     def test_c21(self):
@@ -274,7 +279,7 @@ class TestMatrixTreeCount:
         # the elimination grounded at any vertex gives the one count
         graph = build_rcg(RcgParams(q, g)).graph
         counts = {
-            oracle._determinant(oracle._eliminate(graph, 0, i)[0])
+            oracle._determinant(oracle._eliminate(graph, 0, i))
             for i in range(graph.vertex_count)
         }
         assert counts == {matrix_tree_count(graph)}
@@ -289,7 +294,7 @@ class TestMatrixTreeCount:
     def test_trivial_graphs_have_one_tree(self, n):
         # with vertex 0 grounded nothing is left to eliminate: the empty factor
         graph = graph_of(n, [])
-        assert oracle._eliminate(graph, 0, 0)[0] == []
+        assert oracle._eliminate(graph, 0, 0) == []
         assert matrix_tree_count(graph) == 1
 
     def test_size_guard(self):
@@ -320,17 +325,25 @@ ACCEPTANCE_GRID = [(q, g) for q in (2, 3, 4, 5) for g in (0, 1, 2)] + [(2, 3)]
 class TestElimination:
     """The one exact elimination behind the tree, forest and resistance oracles."""
 
-    # neither graph is chordal, so reverse index order fills in
+    # neither graph is chordal, so reverse index order fills in: a budget one
+    # short of the fill-in refuses it by its count, and the fill-in itself passes
     @pytest.mark.parametrize("graph,kirchhoff,fill", [(k33(), 9, 2), (petersen(), 33, 26)])
-    def test_fill_is_counted(self, graph, kirchhoff, fill):
-        assert oracle._eliminate(graph, 0, 0)[1] == fill
+    def test_fill_is_counted(self, graph, kirchhoff, fill, monkeypatch):
+        monkeypatch.setattr(oracle, "FILL_LIMIT", fill - 1)
+        message = f"^elimination fill-in {fill} exceeds {fill - 1}$"
+        with pytest.raises(ResourceLimitError, match=message):
+            resistance_sum(graph)
+        monkeypatch.setattr(oracle, "FILL_LIMIT", fill)
         assert resistance_sum(graph) == kirchhoff
 
     @pytest.mark.parametrize("q,g", ACCEPTANCE_GRID + [(2, 5), (3, 4)])
-    def test_corona_graphs_fill_nothing(self, q, g):
+    def test_corona_graphs_fill_nothing(self, q, g, monkeypatch):
+        # a zero budget: every pivot is eliminated, none is refused
+        monkeypatch.setattr(oracle, "FILL_LIMIT", 0)
         graph = build_rcg(RcgParams(q, g)).graph
-        assert oracle._eliminate(graph, 0, 0)[1] == 0
-        assert oracle._eliminate(graph, 1, None)[1] == 0
+        n = graph.vertex_count
+        assert len(oracle._eliminate(graph, 0, 0)) == n - 1
+        assert len(oracle._eliminate(graph, 1, None)) == n
 
     def test_grid_resistance_is_exact(self):
         # the 4x5 grid fills in; its Kirchhoff index against a dense pseudoinverse
