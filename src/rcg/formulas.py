@@ -7,10 +7,12 @@ class denominators), so each step works on Python ints and a Fraction is
 built once, at the return.  Floating point appears only in the Lerch
 transcendent, the asymptotic clustering limit and the log10 of counts.
 
-The generation recursions advance together in one walk, `_generations(q)`;
-a single-g function reads row g of one walk.  Reading a quantity at a row
-compares its recursion with its closed form in integers, so a transcription
-error in either one cannot go unnoticed.
+One walk, `_generations(q)`, steps (q+1)^g, its square and the clustering
+sum, which has no closed form; a single-g function reads row g of one walk.
+The total distance, the Kirchhoff index and the spanning-tree exponent are
+their closed forms in (q+1)^g and its square, with no second route at run
+time: tests/test_formulas.py proves each equal to its generation recursion
+at every (q, g).
 
 Decimal output keeps to one bound, `graphs.str_digit_limit()`, read through
 the module on every call.  `check_digits` is the one refusal of an output
@@ -127,11 +129,9 @@ def knn_approx(delta: int, q: int) -> float:
 
 
 def total_distance(params: RcgParams) -> int:
-    """Sum of distances over unordered vertex pairs.
-
-    Evaluates both the closed form
-    q/2 (2g q^2 (q+1)^{2g-1} + (q+1)^g + (q-2)(q+1)^{2g}) and the generation
-    recursion, each in integers at twice its value, and insists they agree.
+    """Sum of distances over unordered vertex pairs, by the closed form
+    q/2 (2g q^2 (q+1)^{2g-1} + (q+1)^g + (q-2)(q+1)^{2g}), in integers at
+    twice its value; it equals the generation recursion at every g.
     """
     return _row(params).total_distance()
 
@@ -191,7 +191,7 @@ def asymptotic_clustering(q: int) -> float:
 def spanning_trees_closed(params: RcgParams) -> FactoredCount:
     """Number of spanning trees, q^{q-2} (q+1)^{(q-1)((q+1)^g - 1)}.
 
-    Cross-checked against the generation recursion, which multiplies by
+    Equal at every g to the generation recursion, which multiplies by
     (q+1)^{(q-1) N_{g-1}} at each step.
     """
     return _row(params).spanning_trees_closed()
@@ -200,60 +200,49 @@ def spanning_trees_closed(params: RcgParams) -> FactoredCount:
 def kirchhoff_closed(params: RcgParams) -> Fraction:
     """Kirchhoff index (q^3(2g+1) - 2q - 1)(q+1)^{2g-2} + q(q+1)^{g-1}.
 
-    Cross-checked against the resistance recursion from R(0) = q - 1, which
-    is integer throughout, by comparing (q+1)^2 times each.
+    Equal at every g to the resistance recursion from R(0) = q - 1, which is
+    integer throughout; evaluated as (q+1)^2 times the form.
     """
     return _row(params).kirchhoff_closed()
 
 
 class _Row(NamedTuple):
-    """Generation g of the walk: integer state, read lazily per quantity."""
+    """Generation g of the walk: the state that each quantity's reader reads."""
 
     q: int
     g: int
     power: int  # (q+1)^g
     square: int  # (q+1)^{2g}
-    distance: int  # total distance, by the recursion
-    kirchhoff: int  # Kirchhoff index, by the resistance recursion (an integer)
-    trees: int  # exponent b of the spanning-tree count q^{q-2} (q+1)^b
     lcm: int  # lcm of kq - 1 for k = 1..g
     clustering: int  # sum over k = 1..g of lcm/(kq-1) (q+1)^{g-k}
 
     def average_degree(self) -> Fraction:
-        q, params = self.q, RcgParams(self.q, self.g)
-        twice_edges, n = 2 * params.edge_count, params.vertex_count
-        # together these give 2M (q+1)^g = ((q+1) (q+1)^g - 2) N, in linear time
-        if n != q * self.power or twice_edges != (q + 1) * n - 2 * q:
-            raise InternalInconsistencyError("average degree identities disagree")
-        return Fraction(twice_edges, n)
+        q, n = self.q, self.q * self.power
+        # 2M = q (q+1)^{g+1} - 2q = (q+1) N - 2q, with no product of two large integers
+        return Fraction((q + 1) * n - 2 * q, n)
 
     def total_distance(self) -> int:
         q, p, square = self.q, self.power, self.square
-        # (q+1)^{2g-1} as square // (q+1); its factor 2g is 0 at g = 0
-        twice_closed = q * (2 * self.g * q * q * square // (q + 1) + p + (q - 2) * square)
-        if 2 * self.distance != twice_closed:
-            raise InternalInconsistencyError("distance recursion != closed form")
-        return self.distance
+        # (q+1)^{2g-1} as square // (q+1), exact since its factor 2g is 0 at g = 0;
+        # twice the total is even, as the recursion is integer
+        return q * (2 * self.g * q * q * square // (q + 1) + p + (q - 2) * square) // 2
 
     def average_distance(self) -> Fraction:
         # T / C(N, 2) = X / (N - 1) with X = 2T / N, so the reduction works on
-        # half the digits; N >= q >= 2.  N divides the checked closed form:
+        # half the digits; N >= q >= 2.  N divides the closed form:
         # X = 2g q^2 (q+1)^{g-1} + 1 + (q-2)(q+1)^g, and q - 1 at g = 0
         n = self.q * self.power
         return Fraction(2 * self.total_distance() // n, n - 1)
 
     def kirchhoff_closed(self) -> Fraction:
         q, qp = self.q, self.q + 1
-        # (q+1)^2 times the closed form: an integer at every g, g = 0 included
+        # (q+1)^2 times the closed form, at every g, g = 0 included; the index
+        # is an integer, as the resistance recursion is
         scaled = (q**3 * (2 * self.g + 1) - 2 * q - 1) * self.square + q * self.power * qp
-        if qp * qp * self.kirchhoff != scaled:
-            raise InternalInconsistencyError("kirchhoff recursion != closed form")
-        return Fraction(self.kirchhoff)
+        return Fraction(scaled // (qp * qp))
 
     def spanning_trees_closed(self) -> FactoredCount:
-        if self.trees != (self.q - 1) * (self.power - 1):
-            raise InternalInconsistencyError("spanning tree recursion != closed form")
-        return FactoredCount(self.q, self.q - 2, self.trees)
+        return FactoredCount(self.q, self.q - 2, (self.q - 1) * (self.power - 1))
 
     def global_clustering(self) -> Fraction:
         q, lcm, initial = self.q, self.lcm, vertex_clustering(RcgParams(self.q, self.g), 0)
@@ -265,19 +254,15 @@ class _Row(NamedTuple):
 def _generations(q: int, first: int = 0) -> Iterator[_Row]:
     """Rows g = first, first + 1, ...: the only code that advances generation state.
 
-    A step costs a few products with small integers, one exact division by
-    one and one gcd with one; rows before `first` are stepped over, not built.
+    It steps (q+1)^g, its square, the lcm and the clustering sum, which is not
+    C-finite; a step costs a few products with small integers, one exact
+    division and one gcd; rows before `first` are stepped over, not built.
     """
-    qp, qp2, q2, births = q + 1, (q + 1) ** 2, q * q, (q - 1) * q
-    p, square, distance, kirchhoff, trees, lcm, clustering = 1, 1, q * (q - 1) // 2, q - 1, 0, 1, 0
+    qp, qp2 = q + 1, (q + 1) ** 2
+    p, square, lcm, clustering = 1, 1, 1, 0
     for g in count():
         if g >= first:
-            yield _Row(q, g, p, square, distance, kirchhoff, trees, lcm, clustering)
-        # step g + 1 reads (q+1)^g and its square; q(q+1) is even
-        growth = q2 * (2 * q * square - p)
-        distance = qp2 * distance + qp * growth // 2
-        kirchhoff = qp2 * kirchhoff + growth
-        trees += births * p
+            yield _Row(q, g, p, square, lcm, clustering)
         k = (g + 1) * q - 1
         ratio = k // math.gcd(lcm, k)
         lcm *= ratio

@@ -5,15 +5,18 @@
 so iterating it from K_q gives C_q(g) with the vertex indices of
 `rcg.build_rcg`; `birth_generation` reads one vertex's birth step off that
 layout, vertex by vertex, where `CoronaGraph.birth` builds all of them at
-once; `laplacian_reciprocal_sum` reads the reciprocal eigenvalue sum off
-the Kirchhoff index; `reference_text` renders each output format line by
-line with f-strings, or with `json.dumps`.  None of these is used by the
-`rcg` package itself.  `traced_peak` is the in-process memory measure of
-the footprint tests.
+once; `reference_walk` steps the total distance, the Kirchhoff index and
+the spanning-tree exponent by their generation recursions, which the closed
+forms of `rcg.formulas` are proved equal to; `laplacian_reciprocal_sum`
+reads the reciprocal eigenvalue sum off the Kirchhoff index;
+`reference_text` renders each output format line by line with f-strings,
+or with `json.dumps`.  None of these is used by the `rcg` package itself.
+`traced_peak` is the in-process memory measure of the footprint tests.
 """
 import json
 import tracemalloc
 from fractions import Fraction
+from itertools import count
 
 import numpy as np
 
@@ -67,6 +70,21 @@ def birth_generation(v: int, params: RcgParams) -> int:
         n *= q + 1
         b += 1
     return b
+
+
+def reference_walk(q: int):
+    """(g, total distance, Kirchhoff index, exponent b of the spanning-tree count
+    q^{q-2} (q+1)^b) at g = 0, 1, 2, ..., each by its generation recursion."""
+    qp, qp2, q2, births = q + 1, (q + 1) ** 2, q * q, (q - 1) * q
+    p, square, distance, kirchhoff, trees = 1, 1, q * (q - 1) // 2, q - 1, 0
+    for g in count():
+        yield g, distance, kirchhoff, trees
+        # step g + 1 reads (q+1)^g and its square; q(q+1) is even
+        growth = q2 * (2 * q * square - p)
+        distance = qp2 * distance + qp * growth // 2
+        kirchhoff = qp2 * kirchhoff + growth
+        trees += births * p
+        p, square = p * qp, square * qp2
 
 
 def laplacian_reciprocal_sum(params: RcgParams) -> Fraction:

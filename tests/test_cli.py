@@ -50,19 +50,6 @@ def failed_rows(table):
     return {line[: -len("FAIL")].rstrip() for line in table.splitlines() if line.endswith("FAIL")}
 
 
-def perturb_walk(monkeypatch, field, first=100):
-    """Put `field` of every walk row from g = `first` on off by one."""
-    from rcg import formulas
-
-    walk = formulas._generations
-
-    def perturbed(*args):
-        for row in walk(*args):
-            yield row._replace(**{field: getattr(row, field) + 1}) if row.g >= first else row
-
-    monkeypatch.setattr(formulas, "_generations", perturbed)
-
-
 def count_walks(monkeypatch):
     """The argument tuples of every walk started from here on."""
     from rcg import formulas
@@ -1003,17 +990,6 @@ class TestCurve:
         assert out == ""
         assert f"more than {str_limit} digits" in err
 
-    @pytest.mark.parametrize("quantity", ["avg-distance", "kirchhoff", "avg-degree"])
-    def test_perturbed_middle_row_exits_verify(self, capsys, monkeypatch, quantity):
-        fields = {"avg-distance": "distance", "kirchhoff": "kirchhoff", "avg-degree": "power"}
-        perturb_walk(monkeypatch, fields[quantity])
-        argv = ["curve", "--quantity", quantity, "--q-list", "2", "--g-max"]
-        assert run(capsys, *argv, "99")[0] == 0
-        code, out, err = run(capsys, *argv, "200")
-        assert code == 3
-        assert out == ""
-        assert "internal inconsistency" in err
-
     @pytest.mark.parametrize("quantity", sorted(CURVE_QUANTITIES))
     def test_one_walk_per_q(self, capsys, monkeypatch, quantity):
         walks = count_walks(monkeypatch)
@@ -1039,23 +1015,6 @@ class TestCurve:
 
 
 class TestOneWalk:
-    @pytest.mark.parametrize(
-        "function,field",
-        [
-            ("total_distance", "distance"),
-            ("kirchhoff_closed", "kirchhoff"),
-            ("spanning_trees_closed", "trees"),
-            ("average_degree", "power"),
-        ],
-    )
-    def test_perturbed_middle_row_raises(self, monkeypatch, function, field):
-        from rcg import InternalInconsistencyError, formulas
-
-        perturb_walk(monkeypatch, field)
-        getattr(formulas, function)(RcgParams(2, 99))
-        with pytest.raises(InternalInconsistencyError):
-            getattr(formulas, function)(RcgParams(2, 150))
-
     @pytest.mark.parametrize(
         "function",
         [

@@ -3,9 +3,11 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
+import sympy
 
 from rcg import (
     FactoredCount,
@@ -17,6 +19,7 @@ from rcg import (
     child_pair,
     cumulative_degree,
     degree_multiset,
+    formulas,
     global_clustering,
     kirchhoff_closed,
     kirchhoff_spectral,
@@ -39,7 +42,7 @@ from rcg.oracle import (
     resistance_sum,
 )
 
-from reference import laplacian_reciprocal_sum
+from reference import laplacian_reciprocal_sum, reference_walk
 
 GRID = [(q, g) for q in (2, 3, 4, 5) for g in (0, 1, 2)] + [(2, 3)]
 
@@ -522,6 +525,114 @@ class TestReferenceRoute:
             classes = report.degree_classes
             assert classes == sorted(classes, key=lambda c: c.degree)
             assert len({c.degree for c in classes}) == g + 1
+
+
+# -- the closed forms against the generation recursions
+
+Q, G, P = sympy.symbols("q g P", positive=True, integer=True)  # P stands for (q+1)^g
+GROWTH = Q**2 * (2 * Q * P**2 - P)
+# per reader: its closed form, scaled to the integer that `_Row` evaluates;
+# the recursion's value at g = 0; and the recursion's step from g to g + 1
+RECURSIONS = {
+    # twice the total distance: 2T' = (q+1)^2 2T + (q+1) growth
+    "total_distance": (
+        Q * (2 * G * Q**2 * P**2 / (Q + 1) + P + (Q - 2) * P**2),
+        Q * (Q - 1),
+        lambda form: (Q + 1) ** 2 * form + (Q + 1) * GROWTH,
+    ),
+    # (q+1)^2 times the Kirchhoff index K, with K' = (q+1)^2 K + growth
+    "kirchhoff_closed": (
+        (Q**3 * (2 * G + 1) - 2 * Q - 1) * P**2 + Q * (Q + 1) * P,
+        (Q + 1) ** 2 * (Q - 1),
+        lambda form: (Q + 1) ** 2 * form + (Q + 1) ** 2 * GROWTH,
+    ),
+    # the exponent b of the spanning-tree count q^{q-2} (q+1)^b: b' = b + (q-1) N
+    "spanning_trees_closed": (
+        (Q - 1) * (P - 1),
+        0,
+        lambda form: form + (Q - 1) * Q * P,
+    ),
+    # twice the edge count: each of the N = qP vertices gains a K_q and q edges to it
+    "average_degree": (
+        (Q + 1) * Q * P - 2 * Q,
+        Q * (Q - 1),
+        lambda form: form + Q * (Q + 1) * Q * P,
+    ),
+}
+
+
+def reference_values(q):
+    """Each closed-form reader's value at g = 0, 1, 2, ... by `reference_walk` and `RcgParams`."""
+    for g, distance, kirchhoff, trees in reference_walk(q):
+        params = RcgParams(q, g)
+        n = params.vertex_count
+        yield {
+            "average_degree": Fraction(2 * params.edge_count, n),
+            "total_distance": distance,
+            "average_distance": Fraction(2 * distance, n * (n - 1)),
+            "kirchhoff_closed": Fraction(kirchhoff),
+            "spanning_trees_closed": FactoredCount(q, q - 2, trees),
+        }
+
+
+def curve_mismatches(q, g_max):
+    """(quantity, g) of each `formulas.curve` row to g_max that differs from `reference_values`."""
+    expected = list(islice(reference_values(q), g_max + 1))
+    return [
+        (name, g)
+        for name in sorted(expected[0].keys() & _WALK.keys())
+        for g, value in enumerate(islice(formulas.curve(q, name), g_max + 1))
+        if value != expected[g][name]
+    ]
+
+
+def perturb_walk(monkeypatch, field, first=100):
+    """Put `field` of every walk row from g = `first` on off by one."""
+    walk = formulas._generations
+
+    def perturbed(*args):
+        for row in walk(*args):
+            yield row._replace(**{field: getattr(row, field) + 1}) if row.g >= first else row
+
+    monkeypatch.setattr(formulas, "_generations", perturbed)
+
+
+class TestClosedFormsEqualRecursions:
+    """Each closed form in `RECURSIONS`, a polynomial in q, g and P = (q+1)^g,
+    meets its recursion at g = 0 and takes the recursion's step from g to
+    g + 1, where P becomes (q+1) P; so by induction it equals the recursion
+    (those of `reference.reference_walk`, and the edge count's) at every
+    (q, g).  That is why the readers make no run-time comparison, and why
+    their integer divisions are exact: `// (q+1)` takes (q+1)^{2g-1} out of
+    2g (q+1)^{2g}, whose factor 2g is 0 at g = 0, and `// 2` and `// (q+1)^2`
+    divide twice the total distance and (q+1)^2 times the Kirchhoff index,
+    which are integers because their recursions are.  The tests that follow
+    tie the library's readers to the recursions, row by row."""
+
+    @pytest.mark.parametrize("name", RECURSIONS)
+    def test_value_at_generation_zero(self, name):
+        form, initial, _ = RECURSIONS[name]
+        assert sympy.cancel(form.subs({G: 0, P: 1}) - initial) == 0
+
+    @pytest.mark.parametrize("name", RECURSIONS)
+    def test_step(self, name):
+        form, _, step = RECURSIONS[name]
+        following = form.subs({G: G + 1, P: (Q + 1) * P}, simultaneous=True)
+        assert sympy.cancel(following - step(form)) == 0
+
+    @pytest.mark.parametrize("q", [2, 3, 7, 10])
+    def test_every_curve_row_equals_the_recursion(self, q):
+        assert curve_mismatches(q, 300) == []
+
+    @pytest.mark.parametrize("q", range(2, 14))
+    def test_single_reads_equal_the_recursion(self, q):
+        for g, expected in enumerate(islice(reference_values(q), 13)):
+            for name, value in expected.items():
+                assert getattr(formulas, name)(RcgParams(q, g)) == value, (name, g)
+
+    def test_a_perturbed_walk_fails_the_comparison(self, monkeypatch):
+        perturb_walk(monkeypatch, "power")
+        assert {g for _, g in curve_mismatches(2, 300)} == set(range(100, 301))
 
 
 class TestLargeGeneration:
