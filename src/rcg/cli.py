@@ -231,8 +231,8 @@ def cmd_curve(args, out) -> int:
     rows = ["q,g,value"]
     for q in args.q_list:
         # zip stops at the range first, so no row past g_max is read
-        for g, value in zip(range(args.g_max + 1), formulas.curve(q, quantity)):
-            rows.append(f"{q},{g},{value.numerator}/{value.denominator}")
+        for g, (num, den) in zip(range(args.g_max + 1), formulas.curve(q, quantity)):
+            rows.append(f"{q},{g},{num}/{den}")
     out.write("\n".join(rows) + "\n")
     return EXIT_OK
 

@@ -1,11 +1,11 @@
 """Closed-form structural quantities of recursive corona graphs.
 
-Every rational quantity is evaluated in exact integer arithmetic: a closed
-form with a known denominator is scaled by it (twice the total distance,
-(q+1)^2 times the Kirchhoff index, the clustering sum over the lcm of its
-class denominators), so each step works on Python ints and a Fraction is
-built once, at the return.  Floating point appears only in the Lerch
-transcendent, the asymptotic clustering limit and the log10 of counts.
+Every rational quantity is an exact (numerator, denominator) pair of ints
+that `_lowest` puts in lowest terms by a small integer that its reader names,
+one that every prime common to the two divides; `curve` yields the pairs,
+and a single read or the report builds a Fraction from one.  Floating point
+appears only in the Lerch transcendent, the asymptotic clustering limit and
+the log10 of counts.
 
 One walk, `_generations(q)`, steps (q+1)^g, its square and the clustering
 sum, which has no closed form; a single-g function reads row g of one walk.
@@ -76,7 +76,7 @@ class DegreeClass(NamedTuple):
 
 def average_degree(params: RcgParams) -> Fraction:
     """2M/N, equal to q + 1 - 2(q+1)^{-g}; tends to q+1 for large g."""
-    return _row(params).average_degree()
+    return Fraction(*_row(params).average_degree())
 
 
 def degree_multiset(params: RcgParams) -> list[DegreeClass]:
@@ -144,7 +144,7 @@ def average_distance(params: RcgParams) -> Fraction:
     ratio mu/(2g*q/(q+1)) approaches 1 slowly for larger q (1.036 at
     q = 5, g = 10).
     """
-    return _row(params).average_distance()
+    return Fraction(*_row(params).average_distance())
 
 
 def vertex_clustering(params: RcgParams, birth: int) -> Fraction:
@@ -159,11 +159,10 @@ def global_clustering(params: RcgParams) -> Fraction:
     """Exact network clustering coefficient: mean of c(v) over all vertices.
 
     The q^2 (q+1)^{g-k} vertices with k = g-b+1 have c = (q-1)/(kq-1), and
-    the q initial ones c(0).  The sum is one integer over the lcm of the
-    denominators, carried from generation to generation by Horner's rule in
-    q+1 and rescaled by the ratio of successive lcms.
+    the q initial ones c(0).  The sum S of (q+1)^{g-k}/(kq-1) is carried from
+    generation to generation by Horner's rule in q+1, in lowest terms.
     """
-    return _row(params).global_clustering()
+    return Fraction(*_row(params).global_clustering())
 
 
 def lerch_phi(z: float, a: float) -> float:
@@ -203,23 +202,29 @@ def kirchhoff_closed(params: RcgParams) -> Fraction:
     Equal at every g to the resistance recursion from R(0) = q - 1, which is
     integer throughout; evaluated as (q+1)^2 times the form.
     """
-    return _row(params).kirchhoff_closed()
+    return Fraction(*_row(params).kirchhoff_closed())
+
+
+def _lowest(num: int, den: int, small: int) -> tuple[int, int]:
+    """num/den in lowest terms, where every prime common to the two divides `small`."""
+    while (common := math.gcd(math.gcd(num, small), den)) > 1:
+        num, den = num // common, den // common
+    return num, den
 
 
 class _Row(NamedTuple):
-    """Generation g of the walk: the state that each quantity's reader reads."""
+    """Generation g of the walk; a reader of a ratio returns it as a pair in lowest terms."""
 
     q: int
     g: int
     power: int  # (q+1)^g
     square: int  # (q+1)^{2g}
-    lcm: int  # lcm of kq - 1 for k = 1..g
-    clustering: int  # sum over k = 1..g of lcm/(kq-1) (q+1)^{g-k}
+    clustering: tuple[int, int]  # sum over k = 1..g of (q+1)^{g-k}/(kq-1), in lowest terms
 
-    def average_degree(self) -> Fraction:
+    def average_degree(self) -> tuple[int, int]:
         q, n = self.q, self.q * self.power
-        # 2M = q (q+1)^{g+1} - 2q = (q+1) N - 2q, with no product of two large integers
-        return Fraction((q + 1) * n - 2 * q, n)
+        # 2M = (q+1) N - 2q, no product of two large integers; a prime of 2M and N divides 2q
+        return _lowest((q + 1) * n - 2 * q, n, 2 * q)
 
     def total_distance(self) -> int:
         q, p, square = self.q, self.power, self.square
@@ -227,46 +232,43 @@ class _Row(NamedTuple):
         # twice the total is even, as the recursion is integer
         return q * (2 * self.g * q * q * square // (q + 1) + p + (q - 2) * square) // 2
 
-    def average_distance(self) -> Fraction:
-        # T / C(N, 2) = X / (N - 1) with X = 2T / N, so the reduction works on
-        # half the digits; N >= q >= 2.  N divides the closed form:
-        # X = 2g q^2 (q+1)^{g-1} + 1 + (q-2)(q+1)^g, and q - 1 at g = 0
-        n = self.q * self.power
-        return Fraction(2 * self.total_distance() // n, n - 1)
+    def average_distance(self) -> tuple[int, int]:
+        q, g, p = self.q, self.g, self.power
+        # T / C(N, 2) = X / (N - 1), X = 2T / N (`// (q+1)` exact: 2g is 0 at g = 0);
+        # q (q+1) X - c is a multiple of N - 1 = qP - 1, so a prime of both divides c
+        x = 2 * g * q * q * p // (q + 1) + 1 + (q - 2) * p
+        return _lowest(x, q * p - 1, 2 * g * q * q + (2 * q - 2) * (q + 1))
 
-    def kirchhoff_closed(self) -> Fraction:
+    def kirchhoff_closed(self) -> tuple[int, int]:
         q, qp = self.q, self.q + 1
         # (q+1)^2 times the closed form, at every g, g = 0 included; the index
         # is an integer, as the resistance recursion is
         scaled = (q**3 * (2 * self.g + 1) - 2 * q - 1) * self.square + q * self.power * qp
-        return Fraction(scaled // (qp * qp))
+        return scaled // (qp * qp), 1
 
     def spanning_trees_closed(self) -> FactoredCount:
         return FactoredCount(self.q, self.q - 2, (self.q - 1) * (self.power - 1))
 
-    def global_clustering(self) -> Fraction:
-        q, lcm, initial = self.q, self.lcm, vertex_clustering(RcgParams(self.q, self.g), 0)
-        numerator = (q - 1) * q * q * self.clustering * initial.denominator
-        numerator += q * initial.numerator * lcm  # the c(0) term
-        return Fraction(numerator, lcm * initial.denominator * q * self.power)
+    def global_clustering(self) -> tuple[int, int]:
+        q, (a, d), k = self.q, self.clustering, (self.g + 1) * self.q - 1
+        # ((q-1) q^2 S + q c(0)) / (qP) with S = a/d, and c(0) = (q-1)/k at the initial degree
+        # k, but 0 where k = 1; a prime of both divides k, q+1, or d and then q-1 (not a, q)
+        return _lowest((q - 1) * (q * k * a + (k > 1) * d), d * k * self.power, (q * q - 1) * k)
 
 
 def _generations(q: int, first: int = 0) -> Iterator[_Row]:
-    """Rows g = first, first + 1, ...: the only code that advances generation state.
-
-    It steps (q+1)^g, its square, the lcm and the clustering sum, which is not
-    C-finite; a step costs a few products with small integers, one exact
-    division and one gcd; rows before `first` are stepped over, not built.
+    """Rows g = first, first + 1, ...: the only code that advances generation state;
+    rows before `first` are stepped over, not built.  It steps (q+1)^g, its square and
+    the clustering sum S = a/d, which is not C-finite: S' = (q+1) S + 1/k, k = (g+1)q - 1,
+    and a prime of both d k and (q+1) a k + d divides k, or d but not a, so (q+1) k.
     """
     qp, qp2 = q + 1, (q + 1) ** 2
-    p, square, lcm, clustering = 1, 1, 1, 0
+    p, square, clustering = 1, 1, (0, 1)
     for g in count():
         if g >= first:
-            yield _Row(q, g, p, square, lcm, clustering)
-        k = (g + 1) * q - 1
-        ratio = k // math.gcd(lcm, k)
-        lcm *= ratio
-        clustering = clustering * qp * ratio + lcm // k
+            yield _Row(q, g, p, square, clustering)
+        k, (a, d) = (g + 1) * q - 1, clustering
+        clustering = _lowest(a * (qp * k) + d, d * k, qp * k)
         p, square = p * qp, square * qp2
 
 
@@ -296,7 +298,7 @@ _WALK = {
 
 
 def curve(q: int, quantity: str) -> Iterator:
-    """The exact value of `quantity`, a key of `_WALK`, at g = 0, 1, 2, ... from one walk."""
+    """`quantity`, a key of `_WALK`, at g = 0, 1, 2, ... of one walk: a reduced pair, or an int."""
     return map(_WALK[quantity][0], _generations(q))
 
 
@@ -385,12 +387,12 @@ def structural_report(params: RcgParams) -> StructuralReport:
         params=params,
         order=params.vertex_count,
         size=params.edge_count,
-        average_degree=row.average_degree(),
+        average_degree=Fraction(*row.average_degree()),
         degree_classes=degree_multiset(params),
         total_distance=row.total_distance(),
-        average_distance=row.average_distance(),
-        global_clustering=row.global_clustering(),
+        average_distance=Fraction(*row.average_distance()),
+        global_clustering=Fraction(*row.global_clustering()),
         asymptotic_clustering=asymptotic_clustering(params.q),
         spanning_trees=row.spanning_trees_closed(),
-        kirchhoff=row.kirchhoff_closed(),
+        kirchhoff=Fraction(*row.kirchhoff_closed()),
     )

@@ -7,20 +7,33 @@ so iterating it from K_q gives C_q(g) with the vertex indices of
 layout, vertex by vertex, where `CoronaGraph.birth` builds all of them at
 once; `reference_walk` steps the total distance, the Kirchhoff index and
 the spanning-tree exponent by their generation recursions, which the closed
-forms of `rcg.formulas` are proved equal to; `laplacian_reciprocal_sum`
+forms of `rcg.formulas` are proved equal to; `lcm_walk` steps the clustering
+sum as one integer over the lcm of its class denominators, and its rows read
+each rational quantity as a `Fraction`, the route whose values the reduced
+pairs of `rcg.formulas.curve` are checked against; `laplacian_reciprocal_sum`
 reads the reciprocal eigenvalue sum off the Kirchhoff index;
 `reference_text` renders each output format line by line with f-strings,
 or with `json.dumps`.  None of these is used by the `rcg` package itself.
 `traced_peak` is the in-process memory measure of the footprint tests.
 """
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 from itertools import count
+from typing import NamedTuple
 
 import numpy as np
 
-from rcg import Graph, RcgParams, kirchhoff_spectral, write_dot, write_edgelist, write_json
+from rcg import (
+    Graph,
+    RcgParams,
+    kirchhoff_spectral,
+    vertex_clustering,
+    write_dot,
+    write_edgelist,
+    write_json,
+)
 
 
 def graph_of(n: int, pairs) -> Graph:
@@ -84,6 +97,62 @@ def reference_walk(q: int):
         distance = qp2 * distance + qp * growth // 2
         kirchhoff = qp2 * kirchhoff + growth
         trees += births * p
+        p, square = p * qp, square * qp2
+
+
+class LcmRow(NamedTuple):
+    """Generation g of `lcm_walk`: the state that each quantity's reader reads."""
+
+    q: int
+    g: int
+    power: int  # (q+1)^g
+    square: int  # (q+1)^{2g}
+    lcm: int  # lcm of kq - 1 for k = 1..g
+    clustering: int  # sum over k = 1..g of lcm/(kq-1) (q+1)^{g-k}
+
+    def average_degree(self) -> Fraction:
+        q, n = self.q, self.q * self.power
+        # 2M = q (q+1)^{g+1} - 2q = (q+1) N - 2q, with no product of two large integers
+        return Fraction((q + 1) * n - 2 * q, n)
+
+    def total_distance(self) -> int:
+        q, p, square = self.q, self.power, self.square
+        # (q+1)^{2g-1} as square // (q+1), exact since its factor 2g is 0 at g = 0;
+        # twice the total is even, as the recursion is integer
+        return q * (2 * self.g * q * q * square // (q + 1) + p + (q - 2) * square) // 2
+
+    def average_distance(self) -> Fraction:
+        # T / C(N, 2) = X / (N - 1) with X = 2T / N, so the reduction works on
+        # half the digits; N >= q >= 2.  N divides the closed form:
+        # X = 2g q^2 (q+1)^{g-1} + 1 + (q-2)(q+1)^g, and q - 1 at g = 0
+        n = self.q * self.power
+        return Fraction(2 * self.total_distance() // n, n - 1)
+
+    def kirchhoff_closed(self) -> Fraction:
+        q, qp = self.q, self.q + 1
+        # (q+1)^2 times the closed form, at every g, g = 0 included; the index
+        # is an integer, as the resistance recursion is
+        scaled = (q**3 * (2 * self.g + 1) - 2 * q - 1) * self.square + q * self.power * qp
+        return Fraction(scaled // (qp * qp))
+
+    def global_clustering(self) -> Fraction:
+        q, lcm, initial = self.q, self.lcm, vertex_clustering(RcgParams(self.q, self.g), 0)
+        numerator = (q - 1) * q * q * self.clustering * initial.denominator
+        numerator += q * initial.numerator * lcm  # the c(0) term
+        return Fraction(numerator, lcm * initial.denominator * q * self.power)
+
+
+def lcm_walk(q: int):
+    """`LcmRow`s at g = 0, 1, 2, ...: a step takes a few products with small
+    integers, one exact division and one gcd of the lcm with kq - 1."""
+    qp, qp2 = q + 1, (q + 1) ** 2
+    p, square, lcm, clustering = 1, 1, 1, 0
+    for g in count():
+        yield LcmRow(q, g, p, square, lcm, clustering)
+        k = (g + 1) * q - 1
+        ratio = k // math.gcd(lcm, k)
+        lcm *= ratio
+        clustering = clustering * qp * ratio + lcm // k
         p, square = p * qp, square * qp2
 
 

@@ -392,14 +392,14 @@ class TestVerify:
         assert out.splitlines()[-1] == "1 of 12 checks failed"
 
     # each formula route, perturbed, fails exactly these rows at (2, 2);
-    # global_clustering reads vertex_clustering(params, 0)
+    # global_clustering reads c(0) as (q-1)/delta, not through vertex_clustering
     @pytest.mark.parametrize(
         "module,name,failed",
         [
             ("formulas", "degree_multiset", {"degree histogram"}),
             ("formulas", "total_distance", {"total distance"}),
             ("formulas", "knn_exact", {"mean neighbor degree"}),
-            ("formulas", "vertex_clustering", {"local clustering", "global clustering"}),
+            ("formulas", "vertex_clustering", {"local clustering"}),
             ("formulas", "global_clustering", {"global clustering"}),
             ("spectra", "adjacency_spectrum", {"adjacency spectrum"}),
             ("spectra", "laplacian_spectrum", {"laplacian spectrum"}),

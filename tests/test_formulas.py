@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import sys
+import types
 from fractions import Fraction
 from itertools import islice
 
@@ -42,7 +43,7 @@ from rcg.oracle import (
     resistance_sum,
 )
 
-from reference import laplacian_reciprocal_sum, reference_walk
+from reference import laplacian_reciprocal_sum, lcm_walk, reference_walk
 
 GRID = [(q, g) for q in (2, 3, 4, 5) for g in (0, 1, 2)] + [(2, 3)]
 
@@ -434,7 +435,12 @@ class TestStructuralReport:
             report.to_json_dict()
 
 
-# -- reference routes: the same quantities evaluated step by step in Fraction
+# -- reference routes: the same quantities in Fraction, by definition or closed form
+
+
+def recursion_at(q, g):
+    """(g, total distance, Kirchhoff index, tree exponent) of `reference_walk` at g."""
+    return next(islice(reference_walk(q), g, None))
 
 
 def reference_total_distance(q, g):
@@ -442,13 +448,7 @@ def reference_total_distance(q, g):
     closed = Fraction(q, 2) * (
         2 * g * q * q * Fraction(qp ** (2 * g), qp) + qp**g + (q - 2) * qp ** (2 * g)
     )
-    assert closed.denominator == 1
-    recursive = q * (q - 1) // 2
-    for step in range(1, g + 1):
-        growth = Fraction(q * q, 2) * (2 * q * qp ** (step - 1) - 1) * qp**step
-        assert growth.denominator == 1
-        recursive = qp * qp * recursive + growth.numerator
-    assert recursive == closed.numerator
+    assert closed == recursion_at(q, g)[1]
     return closed.numerator
 
 
@@ -457,10 +457,7 @@ def reference_kirchhoff_closed(q, g):
     closed = (q**3 * (2 * g + 1) - 2 * q - 1) * Fraction(qp ** (2 * g), qp * qp) + q * Fraction(
         qp**g, qp
     )
-    recursive = Fraction(q - 1)
-    for step in range(g):
-        recursive = q * q * (2 * q * qp**step - 1) * qp**step + qp * qp * recursive
-    assert recursive == closed
+    assert closed == recursion_at(q, g)[2]
     return closed
 
 
@@ -560,6 +557,11 @@ RECURSIONS = {
     ),
 }
 
+# X = 2T / N, the numerator of `_Row.average_distance` over N - 1 = qP - 1, and
+# the small c by which the pair is reduced
+DISTANCE_X = 2 * G * Q**2 * P / (Q + 1) + 1 + (Q - 2) * P
+DISTANCE_C = 2 * G * Q**2 + (2 * Q - 2) * (Q + 1)
+
 
 def reference_values(q):
     """Each closed-form reader's value at g = 0, 1, 2, ... by `reference_walk` and `RcgParams`."""
@@ -575,6 +577,11 @@ def reference_values(q):
         }
 
 
+def as_row(value):
+    """`value` as `formulas.curve` yields it: a Fraction as its (numerator, denominator)."""
+    return (value.numerator, value.denominator) if isinstance(value, Fraction) else value
+
+
 def curve_mismatches(q, g_max):
     """(quantity, g) of each `formulas.curve` row to g_max that differs from `reference_values`."""
     expected = list(islice(reference_values(q), g_max + 1))
@@ -582,7 +589,7 @@ def curve_mismatches(q, g_max):
         (name, g)
         for name in sorted(expected[0].keys() & _WALK.keys())
         for g, value in enumerate(islice(formulas.curve(q, name), g_max + 1))
-        if value != expected[g][name]
+        if value != as_row(expected[g][name])
     ]
 
 
@@ -634,6 +641,65 @@ class TestClosedFormsEqualRecursions:
         perturb_walk(monkeypatch, "power")
         assert {g for _, g in curve_mismatches(2, 300)} == set(range(100, 301))
 
+    def test_distance_numerator_is_twice_the_total_over_n(self):
+        assert sympy.cancel(Q * P * DISTANCE_X - RECURSIONS["total_distance"][0]) == 0
+
+    def test_distance_numerator_is_c_modulo_n_minus_one(self):
+        # q (q+1) X - c = (N - 1) times a polynomial with integer coefficients,
+        # so a prime of X and N - 1 divides c
+        quotient = sympy.cancel((Q * (Q + 1) * DISTANCE_X - DISTANCE_C) / (Q * P - 1))
+        assert all(c.is_integer for c in sympy.Poly(quotient, Q, G, P).coeffs())
+
+    def test_initial_clustering_over_the_initial_degree(self):
+        # `vertex_clustering` at birth 0 is (q-1)/delta, as `_Row.global_clustering` reads it
+        delta = Q * (G + 1) - 1
+        links = (Q - 1) * (Q - 2) + G * Q * (Q - 1)
+        assert sympy.cancel(links / (delta * (delta - 1)) - (Q - 1) / delta) == 0
+
+
+# the quantities of the walk that are ratios, each a `formulas.curve` pair
+RATIOS = ("average_degree", "average_distance", "kirchhoff_closed", "global_clustering")
+
+
+class TestLowestTerms:
+    """`formulas._lowest` reduces each pair by the small integer its reader
+    names, and never takes a gcd of two integers that grow with g.  The
+    reference is `reference.lcm_walk`: it carries the clustering sum over the
+    lcm of its denominators and builds each value as a `Fraction`, which puts
+    it in lowest terms by a full gcd."""
+
+    @pytest.mark.parametrize("q", range(2, 10))
+    def test_reference_walk_equals_the_definitions(self, q):
+        for row, expected in zip(lcm_walk(q), islice(reference_values(q), 13)):
+            assert row.global_clustering() == reference_global_clustering(q, row.g), row.g
+            for name in RATIOS[:3] + ("total_distance",):
+                assert getattr(row, name)() == expected[name], (name, row.g)
+
+    @pytest.mark.parametrize("q", [2, 3, 7, 10])
+    def test_every_curve_row_is_the_reference_in_lowest_terms(self, q):
+        # the walk's clustering sum S too, which a reader's reduction could hide
+        for row, reference in zip(formulas._generations(q), islice(lcm_walk(q), 301)):
+            assert row.clustering == as_row(Fraction(reference.clustering, reference.lcm)), row.g
+        for name in RATIOS:
+            rows = zip(formulas.curve(q, name), islice(lcm_walk(q), 301))
+            for g, (value, reference) in enumerate(rows):
+                expected = getattr(reference, name)()
+                assert type(value) is tuple and [type(x) for x in value] == [int, int], (name, g)
+                assert math.gcd(*value) == 1 and value == as_row(expected), (name, g)
+
+    def test_no_gcd_of_two_large_integers(self, monkeypatch):
+        def gcd(a, b):
+            assert min(a, b) < 2**64, "a gcd of two large integers"
+            return math.gcd(a, b)
+
+        def no_fraction(*args):
+            raise AssertionError("a Fraction on the curve path")
+
+        monkeypatch.setattr(formulas, "math", types.SimpleNamespace(gcd=gcd))
+        monkeypatch.setattr(formulas, "Fraction", no_fraction)
+        for name in _WALK:
+            assert sum(1 for _ in islice(formulas.curve(2, name), 1001)) == 1001
+
 
 class TestLargeGeneration:
     def test_log10_past_the_largest_float(self):
@@ -654,9 +720,9 @@ class TestLargeGeneration:
 
 
 def integers_in(value):
-    if isinstance(value, Fraction):
-        return [value.numerator, value.denominator]
-    return [value]
+    """The integers of a value: a Fraction's two, a reader's pair, or an int."""
+    value = as_row(value)
+    return list(value) if isinstance(value, tuple) else [value]
 
 
 def last_fitting_generation(q, quantity):
