@@ -149,10 +149,9 @@ def average_distance(params: RcgParams) -> Fraction:
 
 def vertex_clustering(params: RcgParams, birth: int) -> Fraction:
     """Clustering coefficient shared by all vertices of a birth class."""
-    q, g, (birth, delta) = params.q, params.g, _birth_class(params, birth)
-    # twice the edges among the neighbors; degree 1 only at (2, 0), where c = 0
-    links = (q - 1) * (q - 2) + g * q * (q - 1) if birth == 0 else (q - 1) * delta
-    return Fraction(links, delta * (delta - 1)) if delta > 1 else Fraction(0)
+    q, (birth, delta) = params.q, _birth_class(params, birth)
+    # (q-1)/delta at birth 0, else (q-1)/(delta-1); degree 1 only at (2, 0), where c = 0
+    return Fraction(q - 1, delta - (birth > 0)) if delta > 1 else Fraction(0)
 
 
 def global_clustering(params: RcgParams) -> Fraction:

@@ -3,12 +3,12 @@
 Everything here is an independent ground truth for the closed forms and
 spectral recursions: the distance sum by one bit-parallel BFS sweep, degree
 histograms, clustering by neighbor-set intersections, neighbor-degree averages
-and LAPACK eigenvalues.  One exact sparse LDLᵀ elimination of `L + sI`
-(`_eliminate`) serves three more: the spanning-tree count as the determinant of
-a Laplacian minor, the rooted-forest count det(I + L), and the Kirchhoff index
-as an exact Fraction, by selected inversion of the grounded Laplacian; no dense
-inverse is formed.  No function in this module consults any formula it is
-meant to check.
+and LAPACK eigenvalues.  One exact sparse LDLᵀ elimination of the Laplacian
+grounded at vertex 0 (`_eliminate`) serves two more: the spanning-tree count
+as the determinant of that minor, and the Kirchhoff index as an exact
+Fraction, by selected inversion of the same minor; no dense inverse is
+formed.  No function in this module consults any formula it is meant to
+check.
 """
 from __future__ import annotations
 
@@ -143,8 +143,8 @@ _ZERO = (0, 1)
 _MINUS_ONE = (-1, 1)
 
 
-def _eliminate(graph: Graph, shift: int, ground: int | None) -> list:
-    """The LDLᵀ factor of `L + shift*I`, without row and column `ground` if given.
+def _eliminate(graph: Graph) -> list:
+    """The LDLᵀ factor of the Laplacian without row and column 0.
 
     Exact symmetric Gaussian elimination on dict rows of `_sub_mul` pairs,
     in reverse index order.  That is a perfect elimination order of the
@@ -152,20 +152,19 @@ def _eliminate(graph: Graph, shift: int, ground: int | None) -> list:
     order only changes the fill-in, which is counted (one per new entry, so
     two per new edge) and refused past FILL_LIMIT.  Returns the factor as
     (k, d_k, l_k) in elimination order, with l_k mapping each later vertex
-    i to L[i, k].  The matrix is positive semidefinite for shift >= 0, so a
-    zero pivot means it is singular: the factor then ends at that pivot.
+    i to L[i, k].  The minor is positive semidefinite, so a zero pivot means
+    it is singular: the factor then ends at that pivot.
     """
     n = graph.vertex_count
-    rows: list[dict[int, tuple[int, int]]] = [{a: (shift, 1)} for a in range(n)]
+    rows: list[dict[int, tuple[int, int]]] = [{a: _ZERO} for a in range(n)]
+    # u < v, so only u can be the grounded vertex
     for u, v in zip(graph.u.tolist(), graph.v.tolist()):
         rows[u][u] = (rows[u][u][0] + 1, 1)
         rows[v][v] = (rows[v][v][0] + 1, 1)
-        if ground not in (u, v):
+        if u:
             rows[u][v] = rows[v][u] = _MINUS_ONE
     factor, fill = [], 0
-    for k in reversed(range(n)):
-        if k == ground:
-            continue
+    for k in range(n - 1, 0, -1):
         row = rows[k]
         pivot = row.pop(k)
         if not pivot[0]:
@@ -197,31 +196,16 @@ def _checked_size(graph: Graph, limit: int) -> int:
     return n
 
 
-def _determinant(factor) -> int:
-    """The product of the pivots, an integer for an integer matrix."""
-    return math.prod(d[0] for _, d, _ in factor) // math.prod(d[1] for _, d, _ in factor)
-
-
 def matrix_tree_count(graph: Graph) -> int:
     """Spanning-tree count: exact determinant of a Laplacian minor.
 
-    The product of the pivots of `_eliminate` with vertex 0 grounded; any
-    other ground gives the same count.  The minor is positive semidefinite,
-    so a zero pivot means a singular minor: disconnected graphs return 0.
-    On 0 or 1 vertices the factor is empty, and its determinant is 1.
+    The product of the pivots of `_eliminate`; any other ground gives the
+    same count.  A zero pivot means a singular minor, so disconnected graphs
+    return 0, and the empty factor of 0 or 1 vertices gives 1.
     """
     _checked_size(graph, MATRIX_TREE_SIZE_LIMIT)
-    return _determinant(_eliminate(graph, 0, 0))
-
-
-def forest_count(graph: Graph) -> int:
-    """Rooted spanning-forest count det(I + L), by the matrix-forest theorem.
-
-    The product of the pivots of `_eliminate` with shift 1 and nothing
-    grounded (Chebotarev & Shamis, Automation and Remote Control 58, 1997).
-    """
-    _checked_size(graph, MATRIX_TREE_SIZE_LIMIT)
-    return _determinant(_eliminate(graph, 1, None))
+    factor = _eliminate(graph)
+    return math.prod(d[0] for _, d, _ in factor) // math.prod(d[1] for _, d, _ in factor)
 
 
 def resistance_sum(graph: Graph) -> Fraction:
@@ -239,7 +223,7 @@ def resistance_sum(graph: Graph) -> Fraction:
     n = _checked_size(graph, EIGENVALUE_SIZE_LIMIT)
     if n < 2:
         return Fraction(0)
-    factor = _eliminate(graph, 0, 0)
+    factor = _eliminate(graph)
     if not factor[-1][1][0]:
         raise ConnectivityError("graph is disconnected")
     z = [(1, 1)] * n

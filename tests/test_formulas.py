@@ -651,7 +651,9 @@ class TestClosedFormsEqualRecursions:
         assert all(c.is_integer for c in sympy.Poly(quotient, Q, G, P).coeffs())
 
     def test_initial_clustering_over_the_initial_degree(self):
-        # `vertex_clustering` at birth 0 is (q-1)/delta, as `_Row.global_clustering` reads it
+        # twice the links among an initial vertex's neighbors, (q-2)(q-1) in the initial
+        # clique and q(q-1) in each generation's, over delta(delta-1) give the (q-1)/delta
+        # that `vertex_clustering` and `_Row.global_clustering` read
         delta = Q * (G + 1) - 1
         links = (Q - 1) * (Q - 2) + G * Q * (Q - 1)
         assert sympy.cancel(links / (delta * (delta - 1)) - (Q - 1) / delta) == 0

@@ -21,7 +21,6 @@ from rcg.oracle import (
     MATRIX_TREE_SIZE_LIMIT,
     bfs_total_distance,
     degree_histogram,
-    forest_count,
     local_clustering,
     matrix_tree_count,
     mean_neighbor_degree_by_class,
@@ -29,7 +28,7 @@ from rcg.oracle import (
     symmetric_eigenvalues,
 )
 
-from reference import complete_graph, graph_of, traced_peak
+from reference import complete_graph, edge_pairs, graph_of, traced_peak
 
 
 def star(n):
@@ -276,12 +275,14 @@ class TestMatrixTreeCount:
 
     @pytest.mark.parametrize("q,g", [(2, 2), (3, 1)])
     def test_removed_index_irrelevant(self, q, g):
-        # the elimination grounded at any vertex gives the one count
+        # swapping labels 0 and i grounds vertex i instead, and eliminates in an
+        # order that is not a perfect elimination order: the count stays
         graph = build_rcg(RcgParams(q, g)).graph
-        counts = {
-            oracle._determinant(oracle._eliminate(graph, 0, i))
-            for i in range(graph.vertex_count)
-        }
+        counts = set()
+        for i in range(graph.vertex_count):
+            swap = {0: i, i: 0}
+            pairs = [(swap.get(u, u), swap.get(v, v)) for u, v in edge_pairs(graph)]
+            counts.add(matrix_tree_count(graph_of(graph.vertex_count, pairs)))
         assert counts == {matrix_tree_count(graph)}
 
     def test_disconnected_returns_zero(self):
@@ -294,7 +295,7 @@ class TestMatrixTreeCount:
     def test_trivial_graphs_have_one_tree(self, n):
         # with vertex 0 grounded nothing is left to eliminate: the empty factor
         graph = graph_of(n, [])
-        assert oracle._eliminate(graph, 0, 0) == []
+        assert oracle._eliminate(graph) == []
         assert matrix_tree_count(graph) == 1
 
     def test_size_guard(self):
@@ -323,7 +324,7 @@ ACCEPTANCE_GRID = [(q, g) for q in (2, 3, 4, 5) for g in (0, 1, 2)] + [(2, 3)]
 
 
 class TestElimination:
-    """The one exact elimination behind the tree, forest and resistance oracles."""
+    """The one exact elimination behind the tree and resistance oracles."""
 
     # neither graph is chordal, so reverse index order fills in: a budget one
     # short of the fill-in refuses it by its count, and the fill-in itself passes
@@ -342,8 +343,7 @@ class TestElimination:
         monkeypatch.setattr(oracle, "FILL_LIMIT", 0)
         graph = build_rcg(RcgParams(q, g)).graph
         n = graph.vertex_count
-        assert len(oracle._eliminate(graph, 0, 0)) == n - 1
-        assert len(oracle._eliminate(graph, 1, None)) == n
+        assert len(oracle._eliminate(graph)) == n - 1
 
     def test_grid_resistance_is_exact(self):
         # the 4x5 grid fills in; its Kirchhoff index against a dense pseudoinverse
@@ -354,7 +354,7 @@ class TestElimination:
 
     def test_fill_budget_is_refused(self, monkeypatch):
         monkeypatch.setattr(oracle, "FILL_LIMIT", 1)
-        for call in (matrix_tree_count, forest_count, resistance_sum):
+        for call in (matrix_tree_count, resistance_sum):
             with pytest.raises(ResourceLimitError):
                 call(k33())
         # the corona graphs fill in nothing, so no budget refuses them
@@ -364,43 +364,19 @@ class TestElimination:
         calls = []
         eliminate = oracle._eliminate
 
-        def counted(graph, shift, ground):
-            calls.append((shift, ground))
-            return eliminate(graph, shift, ground)
+        def counted(graph):
+            calls.append(graph)
+            return eliminate(graph)
 
         monkeypatch.setattr(oracle, "_eliminate", counted)
         graph = build_rcg(RcgParams(2, 2)).graph
         matrix_tree_count(graph)
-        forest_count(graph)
         resistance_sum(graph)
-        assert calls == [(0, 0), (1, None), (0, 0)]
+        assert calls == [graph, graph]
 
     def test_div_keeps_the_denominator_positive(self):
         assert oracle._div((1, 1), (-2, 1)) == (-1, 2)
         assert oracle._div((-3, 4), (-9, 2)) == (1, 6)
-
-
-class TestForestCount:
-    @pytest.mark.parametrize("q,g", [(2, 3), (3, 2), (5, 2)])
-    def test_matches_slogdet(self, q, g):
-        graph = build_rcg(RcgParams(q, g)).graph
-        laplacian = matrix_of(graph, "laplacian")
-        sign, logdet = np.linalg.slogdet(np.eye(graph.vertex_count) + laplacian)
-        assert sign == 1.0
-        assert math.log(forest_count(graph)) == pytest.approx(logdet, rel=1e-12)
-
-    @pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 8)])
-    def test_paths(self, n, count):
-        # det(I + L) of a path counts rooted forests: F(2n), a Fibonacci number
-        assert forest_count(graph_of(n, [(i, i + 1) for i in range(n - 1)])) == count
-
-    def test_edgeless_graph(self):
-        assert forest_count(graph_of(4, [])) == 1
-
-    def test_size_guard(self):
-        n = oracle.MATRIX_TREE_SIZE_LIMIT + 1
-        with pytest.raises(ResourceLimitError):
-            forest_count(graph_of(n, []))
 
 
 class TestResistanceSum:
