@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 _LAYERS = {
     "errors": (
         "ConnectivityError",
-        "InternalInconsistencyError",
         "NumericalError",
         "RcgError",
         "ResourceLimitError",

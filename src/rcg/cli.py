@@ -6,8 +6,8 @@ once; a command that fails later leaves FILE empty or partial, as `> FILE`
 does.  Exit codes: 0 success, 1 usage error (q < 2, g < 0,
 CORONA_VERTEX_BUDGET not a nonnegative integer, or an --output FILE that
 cannot be opened or written), 2 resource limit exceeded (a budget, a limit
-or the interpreter out of memory), 3 verification failure (a failed check,
-or two routes of an internal cross-check that disagree), 4 numerical error.
+or the interpreter out of memory), 3 a failed `verify` check, 4 numerical
+error.
 `graphs.vertex_budget` caps the vertices of `generate` and `verify` and the
 distinct eigenvalues of `spectrum`; `generate` also caps edges at 2*10^7.
 Each command imports the layers it runs when it runs, so `--help` loads
@@ -22,7 +22,7 @@ import contextlib
 import gc
 import sys
 
-from .errors import InternalInconsistencyError, NumericalError, RcgError, ResourceLimitError
+from .errors import NumericalError, RcgError, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -221,19 +221,19 @@ def _q_list(text: str) -> list[int]:
 
 
 def cmd_curve(args, out) -> int:
-    """CSV `q,g,value` at g = 0..g_max, one walk per q, once every digit bound holds at g_max."""
+    """CSV `q,g,value` at g = 0..g_max, one walk per q, once every digit bound holds at
+    g_max; each row is written as the walk yields it, so the text is never held whole."""
     from . import formulas
     from .graphs import RcgParams
 
     quantity = CURVE_QUANTITIES[args.quantity]
     for q in args.q_list:
         formulas.check_digits(RcgParams(q, args.g_max), quantity)
-    rows = ["q,g,value"]
+    out.write("q,g,value\n")
     for q in args.q_list:
         # zip stops at the range first, so no row past g_max is read
-        for g, (num, den) in zip(range(args.g_max + 1), formulas.curve(q, quantity)):
-            rows.append(f"{q},{g},{num}/{den}")
-    out.write("\n".join(rows) + "\n")
+        rows = zip(range(args.g_max + 1), formulas.curve(q, quantity))
+        out.writelines(f"{q},{g},{num}/{den}\n" for g, (num, den) in rows)
     return EXIT_OK
 
 
@@ -293,9 +293,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except InternalInconsistencyError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except (ValueError, RcgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,9 +13,5 @@ class NumericalError(RcgError):
     """A numerical routine (an eigensolver or a matrix inverse) failed."""
 
 
-class InternalInconsistencyError(RcgError):
-    """Two computations that must agree by construction disagreed."""
-
-
 class ConnectivityError(RcgError):
     """An operation requiring a connected graph received a disconnected one."""

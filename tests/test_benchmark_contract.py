@@ -131,6 +131,16 @@ def test_verify_at_its_size_limit_peaks_near_a_small_verify(tmp_path):
     assert over_mib <= 5.5, over_mib
 
 
+def test_curve_streams_its_rows(tmp_path):
+    # the clustering curve of q = 2 to g = 3000 is 12 MB of rows; written as
+    # the walk yields them, the child holds about one row beyond the g = 0
+    # child (joined into one string, it peaked 31 MiB above it)
+    base = "curve --quantity clustering --q-list 2 --g-max"
+    peaks = child_peaks(tmp_path, [f"{base} 0", f"{base} 3000"])
+    over_mib = (peaks[f"{base} 3000"][2] - peaks[f"{base} 0"][2]) / 1024
+    assert over_mib <= 2, over_mib
+
+
 def test_largest_spectra_pass_their_gates(tmp_path):
     # (2, 11) and (3, 9) are the largest points where `exact` runs the spectra
     exact = load("workloads").Exact(tmp_path)

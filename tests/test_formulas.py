@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 import sys
@@ -32,7 +31,7 @@ from rcg import (
     total_distance,
     vertex_clustering,
 )
-from rcg.errors import InternalInconsistencyError, ResourceLimitError
+from rcg.errors import ResourceLimitError
 from rcg.formulas import _WALK, DegreeClass, _row, check_digits
 from rcg.oracle import (
     bfs_total_distance,
@@ -92,6 +91,16 @@ class TestDegreeMultiset:
         assert sum(c.degree * c.count for c in classes) == 2 * params.edge_count
         measured = degree_histogram(build_rcg(params).graph)
         assert measured == {c.degree: c.count for c in classes}
+
+    @pytest.mark.parametrize("q", [2, 3, 7, 10])
+    def test_class_sums_to_g_300(self, q):
+        # the two sums that `TestDegreeClassSums` proves from the class rule,
+        # read off the classes the library builds, at every g to 300
+        for g in range(301):
+            params = RcgParams(q, g)
+            classes = degree_multiset(params)
+            assert sum(c.count for c in classes) == params.vertex_count, g
+            assert sum(c.degree * c.count for c in classes) == 2 * params.edge_count, g
 
     @pytest.mark.parametrize("q,g", [(2, 3), (4, 2)])
     def test_birth_class_shape(self, q, g):
@@ -394,19 +403,6 @@ class TestStructuralReport:
             {"degree": 3, "count": "2"},
         ]
 
-    @pytest.mark.parametrize(
-        "extra,message",
-        [
-            (DegreeClass(degree=1, count=1, birth=1), "degree sum != 2M"),
-            # degree 0 leaves the degree sum at 2M but adds a vertex
-            (DegreeClass(degree=0, count=1, birth=1), "class counts do not sum to N"),
-        ],
-    )
-    def test_inconsistent_degree_classes_are_refused(self, extra, message):
-        report = structural_report(RcgParams(2, 1))
-        with pytest.raises(InternalInconsistencyError, match=message):
-            dataclasses.replace(report, degree_classes=[*report.degree_classes, extra])
-
     def test_inexact_spanning_trees_serialization(self):
         payload = structural_report(RcgParams(3, 10)).to_json_dict()
         assert "log10" in payload["spanning_trees"]
@@ -657,6 +653,61 @@ class TestClosedFormsEqualRecursions:
         delta = Q * (G + 1) - 1
         links = (Q - 1) * (Q - 2) + G * Q * (Q - 1)
         assert sympy.cancel(links / (delta * (delta - 1)) - (Q - 1) / delta) == 0
+
+
+# -- the sums of the degree classes, from the class rule
+
+B = sympy.symbols("b", positive=True, integer=True)
+# the class rule of `formulas._degree_classes`, (count, degree) in generation g:
+# the q initial vertices, and the class born at step b = 1..g
+INITIAL_CLASS = (Q, Q * (G + 1) - 1)
+LATER_CLASS = (Q**2 * (Q + 1) ** (B - 1), Q * (G - B + 1))
+# the class born at g + 1, in generation g + 1: q^2 P vertices of degree q
+NEWEST_CLASS = tuple(
+    side.subs({G: G + 1, B: G + 1}, simultaneous=True).subs((Q + 1) ** G, P)
+    for side in LATER_CLASS
+)
+COUNT_SUM = Q * P  # N
+# per sum over the classes: its closed form in q and P = (q+1)^g; its value at g = 0,
+# where the initial class is the only one; and its step from g to g + 1, where
+# every class keeps its count and gains q in degree, and the newest class joins
+CLASS_SUMS = {
+    "count": (COUNT_SUM, INITIAL_CLASS[0], lambda form: form + NEWEST_CLASS[0]),
+    "degree": (
+        Q * ((Q + 1) * P - 2),  # 2M
+        INITIAL_CLASS[0] * INITIAL_CLASS[1].subs(G, 0),
+        lambda form: form + Q * COUNT_SUM + NEWEST_CLASS[0] * NEWEST_CLASS[1],
+    ),
+}
+
+
+class TestDegreeClassSums:
+    """The class counts sum to N = q(q+1)^g and the degrees, weighted by the
+    counts, to 2M = q((q+1)^{g+1} - 2) at every (q, g): each sum of
+    `CLASS_SUMS` meets its closed form at g = 0 and takes the step from g to
+    g + 1 that the class rule gives, so by induction it equals the form.  That
+    is why `structural_report` makes no run-time check of either sum.
+    `TestDegreeMultiset::test_class_sums_to_g_300` ties the rule to the
+    classes that `degree_multiset` builds."""
+
+    def test_each_class_keeps_its_count_and_gains_q_in_degree(self):
+        for count, degree in (INITIAL_CLASS, LATER_CLASS):
+            assert G not in count.free_symbols
+            assert sympy.expand(degree.subs(G, G + 1) - degree) == Q
+
+    @pytest.mark.parametrize("name", CLASS_SUMS)
+    def test_value_at_generation_zero(self, name):
+        form, initial, _ = CLASS_SUMS[name]
+        assert sympy.cancel(form.subs(P, 1) - initial) == 0
+
+    @pytest.mark.parametrize("name", CLASS_SUMS)
+    def test_step(self, name):
+        form, _, step = CLASS_SUMS[name]
+        assert sympy.cancel(form.subs(P, (Q + 1) * P) - step(form)) == 0
+
+    def test_the_degree_sum_is_twice_the_edge_count(self):
+        # the form of 2M that `RECURSIONS` proves equal to the edge recursion
+        assert sympy.cancel(CLASS_SUMS["degree"][0] - RECURSIONS["average_degree"][0]) == 0
 
 
 # the quantities of the walk that are ratios, each a `formulas.curve` pair
