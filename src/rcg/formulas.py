@@ -7,12 +7,10 @@ and a single read or the report builds a Fraction from one.  Floating point
 appears only in the Lerch transcendent, the asymptotic clustering limit and
 the log10 of counts.
 
-One walk, `_generations(q)`, steps (q+1)^g, its square and the clustering
-sum, which has no closed form; a single-g function reads row g of one walk.
-The total distance, the Kirchhoff index and the spanning-tree exponent are
-their closed forms in (q+1)^g and its square, with no second route at run
-time: tests/test_formulas.py proves each equal to its generation recursion
-at every (q, g).
+The mean degree, the total and mean distance, the Kirchhoff index and the
+spanning-tree exponent are closed forms in one power (q+1)^g, with no second
+route at run time (tests/test_formulas.py proves each equal to its recursion
+at every (q, g)); only the clustering sum, not C-finite, is walked.
 
 Decimal output keeps to one bound, `graphs.str_digit_limit()`, read through
 the module on every call.  `check_digits` is the one refusal of an output
@@ -25,7 +23,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, takewhile
+from itertools import count, islice, starmap, takewhile
 from typing import NamedTuple
 
 from . import graphs
@@ -76,7 +74,7 @@ class DegreeClass(NamedTuple):
 
 def average_degree(params: RcgParams) -> Fraction:
     """2M/N, equal to q + 1 - 2(q+1)^{-g}; tends to q+1 for large g."""
-    return Fraction(*_row(params).average_degree())
+    return Fraction(*_row(params.q, params.g).average_degree())
 
 
 def degree_multiset(params: RcgParams) -> list[DegreeClass]:
@@ -133,7 +131,7 @@ def total_distance(params: RcgParams) -> int:
     q/2 (2g q^2 (q+1)^{2g-1} + (q+1)^g + (q-2)(q+1)^{2g}), in integers at
     twice its value; it equals the generation recursion at every g.
     """
-    return _row(params).total_distance()
+    return _row(params.q, params.g).total_distance()
 
 
 def average_distance(params: RcgParams) -> Fraction:
@@ -144,7 +142,7 @@ def average_distance(params: RcgParams) -> Fraction:
     ratio mu/(2g*q/(q+1)) approaches 1 slowly for larger q (1.036 at
     q = 5, g = 10).
     """
-    return Fraction(*_row(params).average_distance())
+    return Fraction(*_row(params.q, params.g).average_distance())
 
 
 def vertex_clustering(params: RcgParams, birth: int) -> Fraction:
@@ -161,7 +159,8 @@ def global_clustering(params: RcgParams) -> Fraction:
     the q initial ones c(0).  The sum S of (q+1)^{g-k}/(kq-1) is carried from
     generation to generation by Horner's rule in q+1, in lowest terms.
     """
-    return Fraction(*_row(params).global_clustering())
+    row, clustering = next(islice(_clustering_walk(params.q), params.g, None))
+    return Fraction(*row.global_clustering(clustering))
 
 
 def lerch_phi(z: float, a: float) -> float:
@@ -192,7 +191,7 @@ def spanning_trees_closed(params: RcgParams) -> FactoredCount:
     Equal at every g to the generation recursion, which multiplies by
     (q+1)^{(q-1) N_{g-1}} at each step.
     """
-    return _row(params).spanning_trees_closed()
+    return _row(params.q, params.g).spanning_trees_closed()
 
 
 def kirchhoff_closed(params: RcgParams) -> Fraction:
@@ -201,7 +200,7 @@ def kirchhoff_closed(params: RcgParams) -> Fraction:
     Equal at every g to the resistance recursion from R(0) = q - 1, which is
     integer throughout; evaluated as (q+1)^2 times the form.
     """
-    return Fraction(*_row(params).kirchhoff_closed())
+    return Fraction(*_row(params.q, params.g).kirchhoff_closed())
 
 
 def _lowest(num: int, den: int, small: int) -> tuple[int, int]:
@@ -212,13 +211,11 @@ def _lowest(num: int, den: int, small: int) -> tuple[int, int]:
 
 
 class _Row(NamedTuple):
-    """Generation g of the walk; a reader of a ratio returns it as a pair in lowest terms."""
+    """Generation g and (q+1)^g; a reader of a ratio returns it as a pair in lowest terms."""
 
     q: int
     g: int
     power: int  # (q+1)^g
-    square: int  # (q+1)^{2g}
-    clustering: tuple[int, int]  # sum over k = 1..g of (q+1)^{g-k}/(kq-1), in lowest terms
 
     def average_degree(self) -> tuple[int, int]:
         q, n = self.q, self.q * self.power
@@ -226,7 +223,7 @@ class _Row(NamedTuple):
         return _lowest((q + 1) * n - 2 * q, n, 2 * q)
 
     def total_distance(self) -> int:
-        q, p, square = self.q, self.power, self.square
+        q, p, square = self.q, self.power, self.power**2
         # (q+1)^{2g-1} as square // (q+1), exact since its factor 2g is 0 at g = 0;
         # twice the total is even, as the recursion is integer
         return q * (2 * self.g * q * q * square // (q + 1) + p + (q - 2) * square) // 2
@@ -239,41 +236,37 @@ class _Row(NamedTuple):
         return _lowest(x, q * p - 1, 2 * g * q * q + (2 * q - 2) * (q + 1))
 
     def kirchhoff_closed(self) -> tuple[int, int]:
-        q, qp = self.q, self.q + 1
+        q, qp, p = self.q, self.q + 1, self.power
         # (q+1)^2 times the closed form, at every g, g = 0 included; the index
         # is an integer, as the resistance recursion is
-        scaled = (q**3 * (2 * self.g + 1) - 2 * q - 1) * self.square + q * self.power * qp
+        scaled = (q**3 * (2 * self.g + 1) - 2 * q - 1) * p**2 + q * p * qp
         return scaled // (qp * qp), 1
 
     def spanning_trees_closed(self) -> FactoredCount:
         return FactoredCount(self.q, self.q - 2, (self.q - 1) * (self.power - 1))
 
-    def global_clustering(self) -> tuple[int, int]:
-        q, (a, d), k = self.q, self.clustering, (self.g + 1) * self.q - 1
+    def global_clustering(self, clustering: tuple[int, int]) -> tuple[int, int]:
+        q, (a, d), k = self.q, clustering, (self.g + 1) * self.q - 1
         # ((q-1) q^2 S + q c(0)) / (qP) with S = a/d, and c(0) = (q-1)/k at the initial degree
         # k, but 0 where k = 1; a prime of both divides k, q+1, or d and then q-1 (not a, q)
         return _lowest((q - 1) * (q * k * a + (k > 1) * d), d * k * self.power, (q * q - 1) * k)
 
 
-def _generations(q: int, first: int = 0) -> Iterator[_Row]:
-    """Rows g = first, first + 1, ...: the only code that advances generation state;
-    rows before `first` are stepped over, not built.  It steps (q+1)^g, its square and
-    the clustering sum S = a/d, which is not C-finite: S' = (q+1) S + 1/k, k = (g+1)q - 1,
-    and a prime of both d k and (q+1) a k + d divides k, or d but not a, so (q+1) k.
-    """
-    qp, qp2 = q + 1, (q + 1) ** 2
-    p, square, clustering = 1, 1, (0, 1)
+def _row(q: int, g: int) -> _Row:
+    """Row g of q, the route of every closed-form read."""
+    return _Row(q, g, (q + 1) ** g)
+
+
+def _clustering_walk(q: int) -> Iterator[tuple[_Row, tuple[int, int]]]:
+    """(row g, S = a/d) at g = 0, 1, 2, ...: the only walk, as S is not C-finite.
+    S' = (q+1) S + 1/k, k = (g+1)q - 1, and a prime of both d k and (q+1) a k + d
+    divides k, or d but not a, so (q+1) k."""
+    qp, p, clustering = q + 1, 1, (0, 1)
     for g in count():
-        if g >= first:
-            yield _Row(q, g, p, square, clustering)
+        yield _Row(q, g, p), clustering
         k, (a, d) = (g + 1) * q - 1, clustering
         clustering = _lowest(a * (qp * k) + d, d * k, qp * k)
-        p, square = p * qp, square * qp2
-
-
-def _row(params: RcgParams) -> _Row:
-    """Row g of one walk."""
-    return next(_generations(params.q, params.g))
+        p *= qp
 
 
 def _clustering_digits(q: int, g: int, log_n: float) -> float:
@@ -281,7 +274,7 @@ def _clustering_digits(q: int, g: int, log_n: float) -> float:
     return log_n + math.log10(lcm)
 
 
-# each quantity read from the walk: (its reader at a row, a bound from (q, g, log10 N),
+# each quantity that `curve` reads: (its reader at a row, a bound from (q, g, log10 N),
 # at least log10 N, on the decimal digits of every integer of its exact value)
 _WALK = {
     # 2M and every count lie below (q+1) N
@@ -297,8 +290,11 @@ _WALK = {
 
 
 def curve(q: int, quantity: str) -> Iterator:
-    """`quantity`, a key of `_WALK`, at g = 0, 1, 2, ... of one walk: a reduced pair, or an int."""
-    return map(_WALK[quantity][0], _generations(q))
+    """`quantity`, a `_WALK` key, at g = 0, 1, ...: one power a row, or the clustering walk."""
+    read = _WALK[quantity][0]
+    if quantity == "global_clustering":
+        return starmap(read, _clustering_walk(q))
+    return (read(_row(q, g)) for g in count())
 
 
 def check_digits(params: RcgParams, quantity: str) -> None:
@@ -374,13 +370,13 @@ class StructuralReport:
 
 
 def structural_report(params: RcgParams) -> StructuralReport:
-    """Every closed-form quantity of (q, g), read from row g of one walk.
+    """Every closed-form quantity of (q, g): one power, and one clustering walk to g.
 
     The degree classes sum to N in count and to 2M in degree at every
     (q, g); tests/test_formulas.py proves both sums from the class rule, so
     the report makes no run-time check of them.
     """
-    row = _row(params)
+    row = _row(params.q, params.g)
     return StructuralReport(
         params=params,
         order=params.vertex_count,
@@ -389,7 +385,7 @@ def structural_report(params: RcgParams) -> StructuralReport:
         degree_classes=degree_multiset(params),
         total_distance=row.total_distance(),
         average_distance=Fraction(*row.average_distance()),
-        global_clustering=Fraction(*row.global_clustering()),
+        global_clustering=global_clustering(params),
         asymptotic_clustering=asymptotic_clustering(params.q),
         spanning_trees=row.spanning_trees_closed(),
         kirchhoff=Fraction(*row.kirchhoff_closed()),

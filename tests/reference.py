@@ -7,7 +7,8 @@ so iterating it from K_q gives C_q(g) with the vertex indices of
 layout, vertex by vertex, where `CoronaGraph.birth` builds all of them at
 once; `reference_walk` steps the total distance, the Kirchhoff index and
 the spanning-tree exponent by their generation recursions, which the closed
-forms of `rcg.formulas` are proved equal to; `lcm_walk` steps the clustering
+forms of `rcg.formulas` are proved equal to, in integers or mod an odd
+modulus for the checks at large g; `lcm_walk` steps the clustering
 sum as one integer over the lcm of its class denominators, and its rows read
 each rational quantity as a `Fraction`, the route whose values the reduced
 pairs of `rcg.formulas.curve` are checked against; `laplacian_reciprocal_sum`
@@ -85,19 +86,25 @@ def birth_generation(v: int, params: RcgParams) -> int:
     return b
 
 
-def reference_walk(q: int):
+def reference_walk(q: int, modulus: int | None = None):
     """(g, total distance, Kirchhoff index, exponent b of the spanning-tree count
-    q^{q-2} (q+1)^b) at g = 0, 1, 2, ..., each by its generation recursion."""
+    q^{q-2} (q+1)^b) at g = 0, 1, 2, ..., each by its generation recursion; with
+    an odd `modulus`, each value mod it, halving by the inverse of 2."""
+    if modulus is None:
+        reduce, half = (lambda x: x), (lambda x: x // 2)
+    else:
+        inverse = pow(2, -1, modulus)
+        reduce, half = (lambda x: x % modulus), (lambda x: x * inverse % modulus)
     qp, qp2, q2, births = q + 1, (q + 1) ** 2, q * q, (q - 1) * q
     p, square, distance, kirchhoff, trees = 1, 1, q * (q - 1) // 2, q - 1, 0
     for g in count():
         yield g, distance, kirchhoff, trees
         # step g + 1 reads (q+1)^g and its square; q(q+1) is even
         growth = q2 * (2 * q * square - p)
-        distance = qp2 * distance + qp * growth // 2
-        kirchhoff = qp2 * kirchhoff + growth
-        trees += births * p
-        p, square = p * qp, square * qp2
+        distance = reduce(qp2 * distance + half(qp * growth))
+        kirchhoff = reduce(qp2 * kirchhoff + growth)
+        trees = reduce(trees + births * p)
+        p, square = reduce(p * qp), reduce(square * qp2)
 
 
 class LcmRow(NamedTuple):

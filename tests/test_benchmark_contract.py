@@ -141,6 +141,16 @@ def test_curve_streams_its_rows(tmp_path):
     assert over_mib <= 2, over_mib
 
 
+def test_analyze_streams_its_output(tmp_path):
+    # (2, 3185) is the last point the digit bound admits, 2.6 MB of JSON; written
+    # 256 tokens at a time, the child peaked 1.0-1.1 MiB above the (2, 10) child
+    # (built as one string first, 8.3 MiB above it)
+    small, largest = "analyze --q 2 --g 10", "analyze --q 2 --g 3185"
+    peaks = child_peaks(tmp_path, [small, largest])
+    over_mib = (peaks[largest][2] - peaks[small][2]) / 1024
+    assert over_mib <= 2, over_mib
+
+
 def test_largest_spectra_pass_their_gates(tmp_path):
     # (2, 11) and (3, 9) are the largest points where `exact` runs the spectra
     exact = load("workloads").Exact(tmp_path)

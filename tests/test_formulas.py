@@ -32,7 +32,7 @@ from rcg import (
     vertex_clustering,
 )
 from rcg.errors import ResourceLimitError
-from rcg.formulas import _WALK, DegreeClass, _row, check_digits
+from rcg.formulas import _WALK, DegreeClass, check_digits
 from rcg.oracle import (
     bfs_total_distance,
     degree_histogram,
@@ -589,17 +589,6 @@ def curve_mismatches(q, g_max):
     ]
 
 
-def perturb_walk(monkeypatch, field, first=100):
-    """Put `field` of every walk row from g = `first` on off by one."""
-    walk = formulas._generations
-
-    def perturbed(*args):
-        for row in walk(*args):
-            yield row._replace(**{field: getattr(row, field) + 1}) if row.g >= first else row
-
-    monkeypatch.setattr(formulas, "_generations", perturbed)
-
-
 class TestClosedFormsEqualRecursions:
     """Each closed form in `RECURSIONS`, a polynomial in q, g and P = (q+1)^g,
     meets its recursion at g = 0 and takes the recursion's step from g to
@@ -634,7 +623,14 @@ class TestClosedFormsEqualRecursions:
                 assert getattr(formulas, name)(RcgParams(q, g)) == value, (name, g)
 
     def test_a_perturbed_walk_fails_the_comparison(self, monkeypatch):
-        perturb_walk(monkeypatch, "power")
+        # the power of every row from g = 100 on off by one
+        row = formulas._row
+
+        def perturbed(q, g):
+            exact = row(q, g)
+            return exact._replace(power=exact.power + 1) if g >= 100 else exact
+
+        monkeypatch.setattr(formulas, "_row", perturbed)
         assert {g for _, g in curve_mismatches(2, 300)} == set(range(100, 301))
 
     def test_distance_numerator_is_twice_the_total_over_n(self):
@@ -730,9 +726,10 @@ class TestLowestTerms:
 
     @pytest.mark.parametrize("q", [2, 3, 7, 10])
     def test_every_curve_row_is_the_reference_in_lowest_terms(self, q):
-        # the walk's clustering sum S too, which a reader's reduction could hide
-        for row, reference in zip(formulas._generations(q), islice(lcm_walk(q), 301)):
-            assert row.clustering == as_row(Fraction(reference.clustering, reference.lcm)), row.g
+        # the walk's clustering sum S too, which a reader's reduction could hide, and its power
+        for (row, s), reference in zip(formulas._clustering_walk(q), islice(lcm_walk(q), 301)):
+            assert s == as_row(Fraction(reference.clustering, reference.lcm)), row.g
+            assert row.power == reference.power, row.g
         for name in RATIOS:
             rows = zip(formulas.curve(q, name), islice(lcm_walk(q), 301))
             for g, (value, reference) in enumerate(rows):
@@ -770,6 +767,18 @@ class TestLargeGeneration:
         trees = structural_report(RcgParams(2, 646)).to_json_dict()["spanning_trees"]
         assert trees["log10"] == pytest.approx((3**646 - 1) * math.log10(3), rel=1e-12)
         assert trees["factors"] == [[2, 0], [3, 3**646 - 1]]
+
+    @pytest.mark.parametrize("q", [2, 7])
+    def test_closed_forms_equal_the_recursions_mod_p(self, q):
+        # the generation recursions mod the prime 2^61 - 1, one walk to g = 10^6,
+        # against the exact single reads at three generations along it
+        modulus, checked = 2**61 - 1, {10**3, 10**5, 10**6}
+        for g, distance, kirchhoff, trees in islice(reference_walk(q, modulus), 10**6 + 1):
+            if g in checked:
+                params = RcgParams(q, g)
+                assert total_distance(params) % modulus == distance, g
+                assert kirchhoff_closed(params) % modulus == kirchhoff, g
+                assert spanning_trees_closed(params).b % modulus == trees, g
 
 
 def integers_in(value):
@@ -859,7 +868,8 @@ class TestWalkTable:
     @pytest.mark.parametrize("q", [2, 7])
     @pytest.mark.parametrize("name", sorted(_WALK))
     def test_exact_value_within_the_bound(self, name, q):
-        read, digits = _WALK[name]
+        # each value read by its single-g function, the route the library uses
+        read, digits = getattr(formulas, name), _WALK[name][1]
         admitted = 0
         for g in (1, 10, 100, 1000):
             try:
@@ -868,7 +878,7 @@ class TestWalkTable:
                 continue
             admitted += 1
             bound = digits(q, g, FactoredCount(q, 1, g).log10)
-            longest = max(len(str(abs(x))) for x in integers_in(read(_row(RcgParams(q, g)))))
+            longest = max(len(str(abs(x))) for x in integers_in(read(RcgParams(q, g))))
             assert longest <= math.floor(bound) + 1, g
         assert admitted >= 3  # so a bound that refuses early still gets checked
 
