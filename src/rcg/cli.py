@@ -109,9 +109,9 @@ def _spectra_agree(spectrum, measured: list[float]) -> bool:
 
 
 def verification_checks(params) -> list[tuple[str, bool]]:
-    """Every oracle-vs-formula comparison for one (q, g).
-
-    Each row is (name, formula route, oracle route, agreement).  The spectra
+    """The 10 checks of `verify` at one (q, g), each (name, formula route,
+    oracle route or a second formula route, agreement); none compares the
+    order or the size, which `build_rcg` reads from `params`.  The spectra
     compare per eigenvalue within SPECTRUM_COMPARE_TOL; every other row
     compares by ==, the Kirchhoff index against the exact resistance sum
     that the oracle reads off its sparse elimination.
@@ -144,8 +144,6 @@ def verification_checks(params) -> list[tuple[str, bool]]:
     kirchhoff = formulas.kirchhoff_closed(params)
     eq = operator.eq
     rows = (
-        ("order", params.vertex_count, graph.vertex_count, eq),
-        ("size", params.edge_count, graph.edge_count, eq),
         (
             "degree histogram",
             {c.degree: c.count for c in formulas.degree_multiset(params)},

@@ -370,6 +370,37 @@ class TestSpectrum:
         assert "distinct eigenvalues" in err
 
 
+# the rows of `verify`, in order, pinned once by `test_check_names_are_pinned`
+VERIFY_ROWS = [
+    "degree histogram",
+    "total distance",
+    "mean neighbor degree",
+    "local clustering",
+    "global clustering",
+    "adjacency spectrum",
+    "laplacian spectrum",
+    "spanning trees",
+    "kirchhoff closed=spectral",
+    "kirchhoff vs resistance",
+]
+
+# each formula route, perturbed, fails exactly these rows at (2, 2);
+# global_clustering reads c(0) as (q-1)/delta, not through vertex_clustering
+ROW_MUTATIONS = [
+    ("formulas", "degree_multiset", {"degree histogram"}),
+    ("formulas", "total_distance", {"total distance"}),
+    ("formulas", "knn_exact", {"mean neighbor degree"}),
+    ("formulas", "vertex_clustering", {"local clustering"}),
+    ("formulas", "global_clustering", {"global clustering"}),
+    ("spectra", "adjacency_spectrum", {"adjacency spectrum"}),
+    ("spectra", "laplacian_spectrum", {"laplacian spectrum"}),
+    ("formulas", "spanning_trees_closed", {"spanning trees"}),
+    ("spectra", "spanning_trees_spectral", {"spanning trees"}),
+    ("spectra", "kirchhoff_spectral", {"kirchhoff closed=spectral"}),
+    ("formulas", "kirchhoff_closed", {"kirchhoff closed=spectral", "kirchhoff vs resistance"}),
+]
+
+
 class TestVerify:
     @pytest.mark.parametrize("q", [2, 3, 4])
     @pytest.mark.parametrize("g", [0, 1, 2])
@@ -389,30 +420,9 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--q", "2", "--g", "1")
         assert code == 3
         assert failed_rows(out) == {"total distance"}
-        assert out.splitlines()[-1] == "1 of 12 checks failed"
+        assert out.splitlines()[-1] == f"1 of {len(VERIFY_ROWS)} checks failed"
 
-    # each formula route, perturbed, fails exactly these rows at (2, 2);
-    # global_clustering reads c(0) as (q-1)/delta, not through vertex_clustering
-    @pytest.mark.parametrize(
-        "module,name,failed",
-        [
-            ("formulas", "degree_multiset", {"degree histogram"}),
-            ("formulas", "total_distance", {"total distance"}),
-            ("formulas", "knn_exact", {"mean neighbor degree"}),
-            ("formulas", "vertex_clustering", {"local clustering"}),
-            ("formulas", "global_clustering", {"global clustering"}),
-            ("spectra", "adjacency_spectrum", {"adjacency spectrum"}),
-            ("spectra", "laplacian_spectrum", {"laplacian spectrum"}),
-            ("formulas", "spanning_trees_closed", {"spanning trees"}),
-            ("spectra", "spanning_trees_spectral", {"spanning trees"}),
-            ("spectra", "kirchhoff_spectral", {"kirchhoff closed=spectral"}),
-            (
-                "formulas",
-                "kirchhoff_closed",
-                {"kirchhoff closed=spectral", "kirchhoff vs resistance"},
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("module,name,failed", ROW_MUTATIONS)
     def test_every_row_bites(self, capsys, monkeypatch, module, name, failed):
         import dataclasses
 
@@ -434,7 +444,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--q", "2", "--g", "2")
         assert code == 3
         assert failed_rows(out) == failed
-        assert out.splitlines()[-1] == f"{len(failed)} of 12 checks failed"
+        assert out.splitlines()[-1] == f"{len(failed)} of {len(VERIFY_ROWS)} checks failed"
+
+    def test_every_row_has_a_mutation(self):
+        # a row that no entry of ROW_MUTATIONS fails, such as one comparing a count
+        # with itself, can never print FAIL
+        rows = {name for name, _ in verification_checks(RcgParams(2, 2))}
+        assert rows - set().union(*(failed for _, _, failed in ROW_MUTATIONS)) == set()
 
     def test_kirchhoff_is_compared_exactly(self, capsys, monkeypatch):
         # a relative error of 1e-7 was within the float tolerance of 1e-6 the
@@ -452,8 +468,6 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--q", "2", "--g", "1")
         assert code == 0
         assert out == (
-            "order                      PASS\n"
-            "size                       PASS\n"
             "degree histogram           PASS\n"
             "total distance             PASS\n"
             "mean neighbor degree       PASS\n"
@@ -464,7 +478,7 @@ class TestVerify:
             "spanning trees             PASS\n"
             "kirchhoff closed=spectral  PASS\n"
             "kirchhoff vs resistance    PASS\n"
-            "all 12 checks passed\n"
+            "all 10 checks passed\n"
         )
 
     def test_output_file(self, capsys, monkeypatch, tmp_path):
@@ -479,7 +493,7 @@ class TestVerify:
         monkeypatch.setattr(formulas, "total_distance", lambda params: true_distance(params) + 1)
         assert run(capsys, *argv, "--output", str(target)) == (3, "", "")
         assert failed_rows(target.read_text()) == {"total distance"}
-        assert target.read_text().splitlines()[-1] == "1 of 12 checks failed"
+        assert target.read_text().splitlines()[-1] == f"1 of {len(VERIFY_ROWS)} checks failed"
 
     def test_solver_failure_exits_numerical(self, capsys, monkeypatch):
         import numpy as np
@@ -495,20 +509,7 @@ class TestVerify:
     def test_check_names_are_pinned(self):
         # the benchmark's verify gate reads these rows, in this order
         checks = verification_checks(RcgParams(2, 1))
-        assert [name for name, _ in checks] == [
-            "order",
-            "size",
-            "degree histogram",
-            "total distance",
-            "mean neighbor degree",
-            "local clustering",
-            "global clustering",
-            "adjacency spectrum",
-            "laplacian spectrum",
-            "spanning trees",
-            "kirchhoff closed=spectral",
-            "kirchhoff vs resistance",
-        ]
+        assert [name for name, _ in checks] == VERIFY_ROWS
         assert all(ok for _, ok in checks)
 
     def test_over_oracle_budget_exits_before_work(self):

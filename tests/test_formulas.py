@@ -781,6 +781,51 @@ class TestLargeGeneration:
                 assert spanning_trees_closed(params).b % modulus == trees, g
 
 
+def berlekamp_massey(terms):
+    """The connection polynomial [1, c_1, ..., c_L] of the shortest linear
+    recurrence s_n + c_1 s_{n-1} + ... + c_L s_{n-L} = 0 (n >= L) that
+    `terms` satisfy, over Q (Massey, IEEE Trans. Inf. Theory 15, 1969)."""
+    conn, prev = [Fraction(1)], [Fraction(1)]
+    length, shift, prev_gap = 0, 1, Fraction(1)
+    for n, term in enumerate(terms):
+        gap = term + sum(conn[i] * terms[n - i] for i in range(1, length + 1))
+        if gap == 0:
+            shift += 1
+            continue
+        old = conn
+        conn = conn + [Fraction(0)] * (len(prev) + shift - len(conn))
+        for i, c in enumerate(prev):
+            conn[i + shift] -= gap / prev_gap * c
+        if 2 * length <= n:
+            length, prev, prev_gap, shift = n + 1 - length, old, gap, 1
+        else:
+            shift += 1
+    return conn[: length + 1]
+
+
+class TestBerlekampMassey:
+    """The shortest recurrence of 60 `formulas.curve` rows, found from the
+    rows alone: no closed form is read."""
+
+    @staticmethod
+    def connection(q, name):
+        rows = islice(formulas.curve(q, name), 60)
+        return berlekamp_massey([Fraction(*row) if type(row) is tuple else row for row in rows])
+
+    @pytest.mark.parametrize("name", ["total_distance", "kirchhoff_closed"])
+    @pytest.mark.parametrize("q", [2, 3, 7])
+    def test_roots_are_the_double_square_and_the_power(self, q, name):
+        # (1 - (q+1)^2 x)^2 (1 - (q+1) x): the value is (a + b g)(q+1)^{2g} + c (q+1)^g
+        x = sympy.symbols("x")
+        poly = sympy.Poly((1 - (q + 1) ** 2 * x) ** 2 * (1 - (q + 1) * x), x)
+        assert self.connection(q, name) == [int(c) for c in reversed(poly.all_coeffs())]
+
+    @pytest.mark.parametrize("q", [2, 3, 7])
+    def test_clustering_has_no_short_recurrence(self, q):
+        # 30 is the most that 60 terms can show: no shorter recurrence fits, as S is not C-finite
+        assert len(self.connection(q, "global_clustering")) - 1 == 30
+
+
 def integers_in(value):
     """The integers of a value: a Fraction's two, a reader's pair, or an int."""
     value = as_row(value)
