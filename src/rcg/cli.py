@@ -3,13 +3,13 @@
 Each command writes its output to --output FILE, or to stdout without one.
 FILE is opened before any work, so a path that cannot be opened fails at
 once; a command that fails later leaves FILE empty or partial, as `> FILE`
-does.  Exit codes: 0 success, 1 usage error (q < 2, g < 0,
-CORONA_VERTEX_BUDGET not a nonnegative integer, or an --output FILE that
-cannot be opened or written), 2 resource limit exceeded (a budget, a limit
-or the interpreter out of memory), 3 a failed `verify` check, 4 numerical
-error.
-`graphs.vertex_budget` caps the vertices of `generate` and `verify` and the
-distinct eigenvalues of `spectrum`; `generate` also caps edges at 2*10^7.
+does.  Exit codes: 0 success, 1 usage error (q < 2, g < 0, or an --output
+FILE that cannot be opened or written), 2 resource limit exceeded (a
+budget, a limit or the interpreter out of memory), 3 a failed `verify`
+check, 4 numerical error.
+`graphs.VERTEX_BUDGET` (10^6) caps the vertices of `generate` and the
+distinct eigenvalues of `spectrum`; `generate` also caps edges at 2*10^7,
+and `verify` takes at most 500 vertices.
 Each command imports the layers it runs when it runs, so `--help` loads
 none of them and `generate` no closed form, spectrum or oracle.  A process
 started as `rcg` or `python -m rcg.cli` freezes its heap before exiting,
@@ -115,18 +115,16 @@ def verification_checks(params) -> list[tuple[str, bool]]:
     compare per eigenvalue within SPECTRUM_COMPARE_TOL; every other row
     compares by ==, the Kirchhoff index against the exact resistance sum
     that the oracle reads off its sparse elimination.
-    A malformed vertex budget is refused first, then a (q, g) past the size
-    limit of the matrix-tree oracle, the smallest of the oracles' limits,
-    before any work and before the closed forms, the spectra or numpy are
-    loaded; `build_rcg` then checks the budget itself.
+    A (q, g) past the size limit of the matrix-tree oracle, the smallest of
+    the oracles' limits and below the vertex budget, is refused before any
+    work and before the closed forms, the spectra or numpy are loaded.
     """
     import operator
     from fractions import Fraction
 
     from . import oracle
-    from .graphs import build_rcg, matrix_of, over_limit, vertex_budget
+    from .graphs import build_rcg, matrix_of, over_limit
 
-    vertex_budget()
     message = "(q={q}, g={g}) has {n} vertices, the matrix-tree oracle takes at most {limit}"
     over_limit(oracle.MATRIX_TREE_SIZE_LIMIT, params, "vertices", message)
     from . import formulas, spectra

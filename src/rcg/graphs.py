@@ -26,17 +26,16 @@ in order, is proved from vertex arithmetic alone by the tests
 `_chunk_text` turns each chunk into text through one column-major uint8
 block: floor-division digits, then the 0 pad bytes dropped from its
 row-major bytes.  numpy is imported on first use, never at module import.
-`vertex_budget` is the one reader of CORONA_VERTEX_BUDGET, for
-`check_limits` (so `build_rcg`) and the spectra; `over_limit` decides and
-raises each size refusal (there and in `verify`) from (q, g) without building
-a count too large to print, and `_name` writes each integer a refusal names.
+VERTEX_BUDGET caps the vertices of `check_limits` (so `build_rcg` and the
+writers) and the distinct eigenvalues of the spectra, each reading it when
+called; `over_limit` decides and raises each size refusal (there and in
+`verify`) from (q, g) without building a count too large to print, and
+`_name` writes each integer a refusal names.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
-import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -48,7 +47,8 @@ from .errors import ResourceLimitError
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_VERTEX_BUDGET = 10**6
+# vertices of explicit construction, and distinct eigenvalues of the spectra
+VERTEX_BUDGET = 10**6
 
 # the int->str digit limit of Python 3.11, used where the interpreter sets none
 DEFAULT_STR_DIGITS = 4300
@@ -248,17 +248,6 @@ def _runs(params: RcgParams) -> Iterator[tuple[int, int, int]]:
             yield b, start, min(start + CHUNK_ROWS, hi)
 
 
-def vertex_budget() -> int:
-    """CORONA_VERTEX_BUDGET, a nonnegative integer, or DEFAULT_VERTEX_BUDGET if unset."""
-    raw = os.environ.get("CORONA_VERTEX_BUDGET")
-    if raw is None:
-        return DEFAULT_VERTEX_BUDGET
-    with contextlib.suppress(ValueError):
-        if (budget := int(raw)) >= 0:
-            return budget
-    raise ValueError(f"CORONA_VERTEX_BUDGET must be a nonnegative integer, got {raw!r}")
-
-
 def str_digit_limit() -> int:
     """The int->str digit limit that decimal output keeps to.
 
@@ -311,9 +300,9 @@ def over_limit(limit: int, params: RcgParams, count: str, message: str) -> None:
 
 
 def check_limits(params: RcgParams) -> None:
-    """Refuse (q, g) past the vertex budget or EDGE_LIMIT, before any work."""
+    """Refuse (q, g) past VERTEX_BUDGET or EDGE_LIMIT, before any work."""
     message = "(q={q}, g={g}) requires {n} vertices, budget is {limit}"
-    over_limit(vertex_budget(), params, "vertices", message)
+    over_limit(VERTEX_BUDGET, params, "vertices", message)
     over_limit(EDGE_LIMIT, params, "edges", "(q={q}, g={g}) has {n} edges, the limit is {limit}")
 
 

@@ -7,8 +7,10 @@ and LAPACK eigenvalues.  One exact sparse LDLᵀ elimination of the Laplacian
 grounded at vertex 0 (`_eliminate`) serves two more: the spanning-tree count
 as the determinant of that minor, and the Kirchhoff index as an exact
 Fraction, by selected inversion of the same minor; no dense inverse is
-formed.  No function in this module consults any formula it is meant to
-check.
+formed.  The elimination counts its Schur updates and refuses them past
+WORK_LIMIT, the work of K_500, so it admits every graph of at most 500
+vertices.  No function in this module consults any formula it is meant
+to check.
 """
 from __future__ import annotations
 
@@ -22,8 +24,9 @@ from .graphs import CoronaGraph, Graph, _classes, _name
 EIGENVALUE_SIZE_LIMIT = 2000  # the resistance and distance oracles' limit too
 MATRIX_TREE_SIZE_LIMIT = 500
 
-# new entries the elimination may create before it is refused
-FILL_LIMIT = 10**5
+# Schur updates the elimination may make before it is refused: the work of
+# K_500, (n-2)(n-1)n/6 at n = 500, the most of any graph of 500 vertices
+WORK_LIMIT = 20_708_500
 
 
 def bfs_total_distance(graph: Graph) -> int:
@@ -149,8 +152,11 @@ def _eliminate(graph: Graph) -> list:
     Exact symmetric Gaussian elimination on dict rows of `_sub_mul` pairs,
     in reverse index order.  That is a perfect elimination order of the
     chordal corona graphs, so they fill in nothing; on any other graph the
-    order only changes the fill-in, which is counted (one per new entry, so
-    two per new edge) and refused past FILL_LIMIT.  Returns the factor as
+    order only changes the fill-in.  A pivot whose row has r off-diagonal
+    entries makes r(r+1)/2 Schur updates, every new entry among them, and
+    their running count is refused past WORK_LIMIT before the updates of
+    the pivot that passes it: the count is cumulative, so a refusal comes
+    after up to WORK_LIMIT updates, not up front.  Returns the factor as
     (k, d_k, l_k) in elimination order, with l_k mapping each later vertex
     i to L[i, k].  The minor is positive semidefinite, so a zero pivot means
     it is singular: the factor then ends at that pivot.
@@ -163,13 +169,16 @@ def _eliminate(graph: Graph) -> list:
         rows[v][v] = (rows[v][v][0] + 1, 1)
         if u:
             rows[u][v] = rows[v][u] = _MINUS_ONE
-    factor, fill = [], 0
+    factor, work = [], 0
     for k in range(n - 1, 0, -1):
         row = rows[k]
         pivot = row.pop(k)
         if not pivot[0]:
             factor.append((k, pivot, {}))
             break
+        work += len(row) * (len(row) + 1) // 2
+        if work > WORK_LIMIT:
+            raise ResourceLimitError(f"elimination work {work} exceeds {WORK_LIMIT}")
         column = {i: _div(a_ik, pivot) for i, a_ik in row.items()}
         factor.append((k, pivot, column))
         # the Schur complement, over each unordered pair of row entries
@@ -179,13 +188,7 @@ def _eliminate(graph: Graph) -> list:
             del target[k]
             target[i] = _sub_mul(target[i], l_ik, a_ik)
             for j, a_kj in entries[x + 1 :]:
-                if j in target:
-                    target[j] = rows[j][i] = _sub_mul(target[j], l_ik, a_kj)
-                else:
-                    target[j] = rows[j][i] = _sub_mul(_ZERO, l_ik, a_kj)
-                    fill += 2
-        if fill > FILL_LIMIT:
-            raise ResourceLimitError(f"elimination fill-in {fill} exceeds {FILL_LIMIT}")
+                target[j] = rows[j][i] = _sub_mul(target.get(j, _ZERO), l_ik, a_kj)
     return factor
 
 

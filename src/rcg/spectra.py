@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, neg
 
+from . import graphs
 from .errors import ResourceLimitError
 from .formulas import FactoredCount
-from .graphs import RcgParams, _checked_int, _name, over_limit, vertex_budget
+from .graphs import RcgParams, _checked_int, _name, over_limit
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,8 @@ def _recursive_spectrum(params, kind):
     """Plus run, minus run and the structural value, once per generation.
 
     g = 0 has 2 distinct values and each generation at most doubles them and
-    adds one, so the budget is checked against 3 * 2^g - 1 before any work.
+    adds one, so graphs.VERTEX_BUDGET is checked against 3 * 2^g - 1 before
+    any work.
     Laplacian: at t = q+1 the child quadratic is -q lambda, so q+1 is a child
     of the last parent, 0, alone; it is the last plus child, and m_g joins
     its multiplicity.  Adjacency: at t = -1 the quadratic is q lambda, and 0
@@ -95,7 +97,7 @@ def _recursive_spectrum(params, kind):
     restores the descending order.
     """
     message = "spectrum of (q={q}, g={g}) has up to {n} distinct eigenvalues, budget is {limit}"
-    over_limit(vertex_budget(), params, "eigenvalues", message)
+    over_limit(graphs.VERTEX_BUDGET, params, "eigenvalues", message)
     q = params.q
     quadratic = _quadratic(q, kind)
     if kind == "adjacency":

@@ -164,8 +164,8 @@ class TestGenerate:
         code, out, err = run(capsys, "generate", "--q", "2", "--g", "1")
         assert (code, out, err) == (2, "", line + "\n")
 
-    def test_env_budget_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("CORONA_VERTEX_BUDGET", "5")
+    def test_budget_override(self, capsys, monkeypatch):
+        monkeypatch.setattr(graphs, "VERTEX_BUDGET", 5)
         code, _, _ = run(capsys, "generate", "--q", "2", "--g", "1")
         assert code == 2
 
@@ -738,8 +738,7 @@ class TestLongIntegers:
     """No call raises the int->str ValueError for an integer past the limit."""
 
     @pytest.fixture(params=[4300, 640], ids=["limit-4300", "limit-640"])
-    def limit(self, request, monkeypatch):
-        monkeypatch.delenv("CORONA_VERTEX_BUDGET", raising=False)
+    def limit(self, request):
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(request.param)
         yield request.param
@@ -840,6 +839,47 @@ class TestExtremeInputs:
 
 
 class TestVertexBudget:
+    # the first points past the budget of 10^6: N = 2 * 3^12 and 3 * 2^19 - 1
+    # distinct eigenvalues; verify's 500-vertex limit comes first, so no verify
+    # reaches the budget
+    PAST = [
+        (
+            ["generate", "--q", "2", "--g", "12"],
+            "(q=2, g=12) requires 1062882 vertices, budget is 1000000",
+        ),
+        (
+            ["spectrum", "--q", "2", "--g", "19", "--matrix", "laplacian"],
+            "spectrum of (q=2, g=19) has up to 1572863 distinct eigenvalues, budget is 1000000",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv,message", PAST, ids=["generate", "spectrum"])
+    def test_past_the_budget_exits_resource_at_once(self, argv, message):
+        start = time.perf_counter()
+        result = child(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr.decode() == f"resource limit: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for argv, _ in PAST] + [["verify", "--q", "2", "--g", "1"]],
+        ids=["generate", "spectrum", "verify"],
+    )
+    def test_variable_is_ignored(self, monkeypatch, argv):
+        # a CORONA_VERTEX_BUDGET in the child's environment changes no byte
+        monkeypatch.delenv("CORONA_VERTEX_BUDGET", raising=False)
+        expected = child(argv)
+        assert expected.returncode in (0, 2)
+        for raw in ("4", "abc"):
+            monkeypatch.setenv("CORONA_VERTEX_BUDGET", raw)
+            result = child(argv)
+            assert (result.returncode, result.stdout, result.stderr) == (
+                expected.returncode,
+                expected.stdout,
+                expected.stderr,
+            ), raw
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -848,35 +888,13 @@ class TestVertexBudget:
         ],
         ids=lambda argv: argv[0],
     )
-    def test_small_budget_exits_resource(self, monkeypatch, argv):
+    def test_small_budget_exits_resource(self, capsys, monkeypatch, argv):
         # (2, 1) has N = 6 and at most 5 distinct eigenvalues; 4 admits neither
-        monkeypatch.setenv("CORONA_VERTEX_BUDGET", "4")
-        result = subprocess.run(
-            [sys.executable, "-m", "rcg.cli", *argv], capture_output=True, text=True, timeout=20
-        )
-        assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr.startswith("resource limit:")
-        assert result.stderr.endswith("budget is 4\n")
-
-    @pytest.mark.parametrize("raw", ["abc", "", "-1"], ids=["abc", "empty", "-1"])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["generate", "--q", "2", "--g", "1"],
-            ["spectrum", "--q", "2", "--g", "0", "--matrix", "laplacian"],
-            ["verify", "--q", "2", "--g", "1"],
-            # past the oracles' size limits: the budget is read before them
-            pytest.param(["verify", "--q", "2", "--g", "6"], id="verify-past-oracle-limits"),
-        ],
-        ids=lambda argv: argv[0],
-    )
-    def test_malformed_budget_exits_usage(self, capsys, monkeypatch, argv, raw):
-        monkeypatch.setenv("CORONA_VERTEX_BUDGET", raw)
-        assert run(capsys, *argv) == (
-            1,
-            "",
-            f"error: CORONA_VERTEX_BUDGET must be a nonnegative integer, got {raw!r}\n",
-        )
+        monkeypatch.setattr(graphs, "VERTEX_BUDGET", 4)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("resource limit:")
+        assert err.endswith("budget is 4\n")
 
     @pytest.mark.parametrize("raw", ["abc", "", "-1"], ids=["abc", "empty", "-1"])
     @pytest.mark.parametrize(
@@ -1072,16 +1090,20 @@ class TestImports:
         # one way in: Graph(n, u, v)
         assert list(inspect.signature(Graph).parameters) == ["vertex_count", "u", "v"]
 
-    def test_one_reader_of_the_budget(self):
-        # graphs.vertex_budget alone reads the variable, and no function of
-        # the modules that apply the budget takes it as a parameter
+    def test_no_environment_read(self):
+        # src/rcg reads no environment variable, none of the budget names
+        # of its old reader comes back, and no function of the modules that
+        # apply the vertex budget takes it as a parameter
         from rcg import cli, graphs, spectra
 
-        sources = sorted(Path(rcg.__file__).parent.glob("*.py"))
-        reader = inspect.getsource(graphs.vertex_budget)
-        for needle in ("os.environ", '"CORONA_VERTEX_BUDGET"'):
-            assert [path.name for path in sources if needle in path.read_text()] == ["graphs.py"]
-            assert needle in reader
+        needles = (
+            "environ", "getenv", "CORONA_VERTEX_BUDGET", "vertex_budget",
+            "DEFAULT_VERTEX_BUDGET", "FILL_LIMIT",
+        )
+        for path in sorted(Path(rcg.__file__).parent.glob("*.py")):
+            text = path.read_text()
+            for needle in needles:
+                assert needle not in text, (path.name, needle)
         for module in (graphs, spectra, cli):
             for name, function in inspect.getmembers(module, inspect.isfunction):
                 parameters = inspect.signature(function).parameters

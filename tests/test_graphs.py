@@ -371,7 +371,7 @@ class TestBuildRcg:
             assert cg.birth.count(b) == expected
 
     def test_budget_refusal_names_required_count(self, monkeypatch):
-        monkeypatch.setenv("CORONA_VERTEX_BUDGET", "10")
+        monkeypatch.setattr(graphs, "VERTEX_BUDGET", 10)
         with pytest.raises(ResourceLimitError, match="18"):
             build_rcg(RcgParams(2, 2))
 
@@ -416,11 +416,11 @@ class TestBuildRcg:
         assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("call", [graphs.check_limits, build_rcg])
-    def test_env_budget_governs(self, monkeypatch, call):
+    def test_budget_governs(self, monkeypatch, call):
         # (2, 2) has N = 18: a budget of 18 admits it, 17 refuses it
-        monkeypatch.setenv("CORONA_VERTEX_BUDGET", "18")
+        monkeypatch.setattr(graphs, "VERTEX_BUDGET", 18)
         call(RcgParams(2, 2))
-        monkeypatch.setenv("CORONA_VERTEX_BUDGET", "17")
+        monkeypatch.setattr(graphs, "VERTEX_BUDGET", 17)
         with pytest.raises(ResourceLimitError, match="budget is 17"):
             call(RcgParams(2, 2))
 
@@ -794,10 +794,9 @@ class TestWriters:
     def test_refuses_before_the_first_byte(self, writer, case, monkeypatch):
         # each writer refuses (q, g) itself, with the message of check_limits
         # (so of `generate`), and writes nothing
-        monkeypatch.delenv("CORONA_VERTEX_BUDGET", raising=False)
         params = RcgParams(2, 3)  # N = 54, M = 79
         if case == "vertex-budget":
-            monkeypatch.setenv("CORONA_VERTEX_BUDGET", "10")
+            monkeypatch.setattr(graphs, "VERTEX_BUDGET", 10)
         elif case == "edge-limit":
             monkeypatch.setattr(graphs, "EDGE_LIMIT", 78)
         else:
@@ -855,21 +854,3 @@ class TestDecimalRows:
         ]
         assert "".join(text) == separator.join(rows)
 
-
-class TestVertexBudget:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("CORONA_VERTEX_BUDGET", raising=False)
-        assert graphs.vertex_budget() == graphs.DEFAULT_VERTEX_BUDGET == 10**6
-
-    @pytest.mark.parametrize(
-        "raw,budget", [("0", 0), ("5", 5), (" 12\n", 12)], ids=["0", "5", "padded"]
-    )
-    def test_nonnegative_integer(self, monkeypatch, raw, budget):
-        monkeypatch.setenv("CORONA_VERTEX_BUDGET", raw)
-        assert graphs.vertex_budget() == budget
-
-    @pytest.mark.parametrize("raw", ["abc", "", "-1", "1.5"], ids=["abc", "empty", "-1", "1.5"])
-    def test_malformed_raises(self, monkeypatch, raw):
-        monkeypatch.setenv("CORONA_VERTEX_BUDGET", raw)
-        with pytest.raises(ValueError, match="nonnegative integer"):
-            graphs.vertex_budget()

@@ -326,24 +326,42 @@ ACCEPTANCE_GRID = [(q, g) for q in (2, 3, 4, 5) for g in (0, 1, 2)] + [(2, 3)]
 class TestElimination:
     """The one exact elimination behind the tree and resistance oracles."""
 
-    # neither graph is chordal, so reverse index order fills in: a budget one
-    # short of the fill-in refuses it by its count, and the fill-in itself passes
-    @pytest.mark.parametrize("graph,kirchhoff,fill", [(k33(), 9, 2), (petersen(), 33, 26)])
-    def test_fill_is_counted(self, graph, kirchhoff, fill, monkeypatch):
-        monkeypatch.setattr(oracle, "FILL_LIMIT", fill - 1)
-        message = f"^elimination fill-in {fill} exceeds {fill - 1}$"
-        with pytest.raises(ResourceLimitError, match=message):
-            resistance_sum(graph)
-        monkeypatch.setattr(oracle, "FILL_LIMIT", fill)
+    # neither graph is chordal, so reverse index order fills in: a limit one
+    # short of the Schur updates refuses each by its count, the count itself passes
+    @pytest.mark.parametrize(
+        "graph,kirchhoff,work", [(k33(), 9, 10), (petersen(), 33, 57)], ids=["k33", "petersen"]
+    )
+    def test_work_is_counted(self, graph, kirchhoff, work, monkeypatch):
+        monkeypatch.setattr(oracle, "WORK_LIMIT", work - 1)
+        message = f"^elimination work {work} exceeds {work - 1}$"
+        for call in (matrix_tree_count, resistance_sum):
+            with pytest.raises(ResourceLimitError, match=message):
+                call(graph)
+        monkeypatch.setattr(oracle, "WORK_LIMIT", work)
         assert resistance_sum(graph) == kirchhoff
 
+    def test_complete_graph_work_sets_the_limit(self, monkeypatch):
+        # K_n makes (n-2)(n-1)n/6 updates, the most of any n-vertex graph, so
+        # the work of K_500 admits every graph the tree oracle's size admits
+        assert oracle.WORK_LIMIT == 498 * 499 * 500 // 6 and MATRIX_TREE_SIZE_LIMIT == 500
+        n, graph = 30, complete_graph(30)
+        work = (n - 2) * (n - 1) * n // 6
+        monkeypatch.setattr(oracle, "WORK_LIMIT", work - 1)
+        with pytest.raises(ResourceLimitError, match=f"^elimination work {work} exceeds"):
+            matrix_tree_count(graph)
+        monkeypatch.setattr(oracle, "WORK_LIMIT", work)
+        assert matrix_tree_count(graph) == n ** (n - 2)
+
     @pytest.mark.parametrize("q,g", ACCEPTANCE_GRID + [(2, 5), (3, 4)])
-    def test_corona_graphs_fill_nothing(self, q, g, monkeypatch):
-        # a zero budget: every pivot is eliminated, none is refused
-        monkeypatch.setattr(oracle, "FILL_LIMIT", 0)
+    def test_corona_graphs_fill_nothing(self, q, g):
+        # column k of the factor holds exactly k's neighbours below k, vertex 0
+        # left out: no pivot adds an entry
         graph = build_rcg(RcgParams(q, g)).graph
-        n = graph.vertex_count
-        assert len(oracle._eliminate(graph)) == n - 1
+        adj = graph.adjacency_lists()
+        factor = oracle._eliminate(graph)
+        assert [k for k, _, _ in factor] == list(range(graph.vertex_count - 1, 0, -1))
+        for k, _, column in factor:
+            assert sorted(column) == [j for j in adj[k] if 0 < j < k]
 
     def test_grid_resistance_is_exact(self):
         # the 4x5 grid fills in; its Kirchhoff index against a dense pseudoinverse
@@ -351,14 +369,6 @@ class TestElimination:
         assert measured == Fraction(96431410, 460009)
         pinv = np.linalg.pinv(matrix_of(grid(4, 5), "laplacian"))
         assert float(measured) == pytest.approx(20 * np.trace(pinv) - pinv.sum(), rel=1e-12)
-
-    def test_fill_budget_is_refused(self, monkeypatch):
-        monkeypatch.setattr(oracle, "FILL_LIMIT", 1)
-        for call in (matrix_tree_count, resistance_sum):
-            with pytest.raises(ResourceLimitError):
-                call(k33())
-        # the corona graphs fill in nothing, so no budget refuses them
-        assert matrix_tree_count(build_rcg(RcgParams(2, 2)).graph) == 6561
 
     def test_one_loop_serves_every_oracle(self, monkeypatch):
         calls = []

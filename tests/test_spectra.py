@@ -22,6 +22,7 @@ from rcg import (
     spanning_trees_closed,
     spanning_trees_spectral,
 )
+from rcg import graphs
 from rcg.oracle import matrix_tree_count, symmetric_eigenvalues
 
 from reference import laplacian_reciprocal_sum
@@ -301,7 +302,7 @@ class TestAdjacencySpectrum:
         assert moment(spectrum, 2) == pytest.approx(2 * params.edge_count, abs=1e-9 * n)
 
     def test_budget(self, monkeypatch):
-        monkeypatch.setenv("CORONA_VERTEX_BUDGET", "10")
+        monkeypatch.setattr(graphs, "VERTEX_BUDGET", 10)
         with pytest.raises(ResourceLimitError):
             adjacency_spectrum(RcgParams(2, 2))
 
@@ -310,10 +311,10 @@ class TestEntryBudget:
     @pytest.mark.parametrize("build", [adjacency_spectrum, laplacian_spectrum])
     def test_counts_distinct_entries(self, build, monkeypatch):
         # (2, 3) has N = 54 but at most 3 * 2^3 - 1 = 23 distinct eigenvalues
-        monkeypatch.setenv("CORONA_VERTEX_BUDGET", "23")
+        monkeypatch.setattr(graphs, "VERTEX_BUDGET", 23)
         spectrum = build(RcgParams(2, 3))
         assert total_multiplicity(spectrum) == 54
-        monkeypatch.setenv("CORONA_VERTEX_BUDGET", "22")
+        monkeypatch.setattr(graphs, "VERTEX_BUDGET", 22)
         with pytest.raises(ResourceLimitError, match="23 distinct"):
             build(RcgParams(2, 3))
 
