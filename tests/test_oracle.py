@@ -363,6 +363,15 @@ class TestElimination:
         for k, _, column in factor:
             assert sorted(column) == [j for j in adj[k] if 0 < j < k]
 
+    def test_fill_budget_is_refused(self, monkeypatch):
+        monkeypatch.setattr(oracle, "WORK_LIMIT", 1)
+        for call in (matrix_tree_count, resistance_sum):
+            with pytest.raises(ResourceLimitError):
+                call(k33())
+        # the default limit admits the corona graphs the tree oracle's size admits
+        monkeypatch.undo()
+        assert matrix_tree_count(build_rcg(RcgParams(2, 2)).graph) == 6561
+
     def test_grid_resistance_is_exact(self):
         # the 4x5 grid fills in; its Kirchhoff index against a dense pseudoinverse
         measured = resistance_sum(grid(4, 5))
