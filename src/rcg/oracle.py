@@ -7,10 +7,10 @@ and LAPACK eigenvalues.  One exact sparse LDLᵀ elimination of the Laplacian
 grounded at vertex 0 (`_eliminate`) serves two more: the spanning-tree count
 as the determinant of that minor, and the Kirchhoff index as an exact
 Fraction, by selected inversion of the same minor; no dense inverse is
-formed.  The elimination counts its Schur updates and refuses them past
-WORK_LIMIT, the work of K_500, so it admits every graph of at most 500
-vertices.  No function in this module consults any formula it is meant
-to check.
+formed.  The elimination refuses Schur updates past WORK_LIMIT, the work
+of K_500: those of the graph's own pattern first, before any row is built,
+then fill as it comes.  So it admits every graph of at most 500 vertices.
+No function in this module consults any formula it is meant to check.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ EIGENVALUE_SIZE_LIMIT = 2000  # the resistance and distance oracles' limit too
 MATRIX_TREE_SIZE_LIMIT = 500
 
 # Schur updates the elimination may make before it is refused: the work of
-# K_500, (n-2)(n-1)n/6 at n = 500, the most of any graph of 500 vertices
-WORK_LIMIT = 20_708_500
+# K_500, (n-2)(n-1)n/6 = C(n, 3) at n = 500, the most of any 500-vertex graph
+WORK_LIMIT = math.comb(MATRIX_TREE_SIZE_LIMIT, 3)
 
 
 def bfs_total_distance(graph: Graph) -> int:
@@ -134,10 +134,8 @@ def _sub_mul(t: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> tupl
 
 
 def _div(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """a / b on reduced pairs, for b nonzero."""
+    """a / b on reduced pairs, for b positive."""
     num, den = a[0] * b[1], a[1] * b[0]
-    if den < 0:
-        num, den = -num, -den
     common = math.gcd(num, den)
     return num // common, den // common
 
@@ -150,27 +148,27 @@ def _eliminate(graph: Graph) -> list:
     """The LDLᵀ factor of the Laplacian without row and column 0.
 
     Exact symmetric Gaussian elimination on dict rows of `_sub_mul` pairs,
-    in reverse index order.  That is a perfect elimination order of the
-    chordal corona graphs, so they fill in nothing; on any other graph the
-    order only changes the fill-in.  A pivot whose row has r off-diagonal
-    entries makes r(r+1)/2 Schur updates, every new entry among them, and
-    their running count is refused past WORK_LIMIT before the updates of
-    the pivot that passes it: the count is cumulative, so a refusal comes
-    after up to WORK_LIMIT updates, not up front.  Returns the factor as
-    (k, d_k, l_k) in elimination order, with l_k mapping each later vertex
-    i to L[i, k].  The minor is positive semidefinite, so a zero pivot means
-    it is singular: the factor then ends at that pivot.
+    in reverse index order: a perfect elimination order of the chordal
+    corona graphs, which fill in nothing.  A pivot whose row has r
+    off-diagonal entries makes r(r+1)/2 Schur updates.  Fill only adds
+    entries, so the pattern's updates (r_k: k's neighbours below k, 0 left
+    out) are refused past WORK_LIMIT before any row is built, and the
+    running count refuses fill before the pivot that passes the limit.
+    Returns (k, d_k, l_k) in elimination order, l_k mapping each later
+    vertex i to L[i, k].  The minor is positive semidefinite, so pivots are
+    positive until a zero one shows it singular and ends the factor.
     """
-    n = graph.vertex_count
-    rows: list[dict[int, tuple[int, int]]] = [{a: _ZERO} for a in range(n)]
-    # u < v, so only u can be the grounded vertex
-    for u, v in zip(graph.u.tolist(), graph.v.tolist()):
-        rows[u][u] = (rows[u][u][0] + 1, 1)
-        rows[v][v] = (rows[v][v][0] + 1, 1)
-        if u:
-            rows[u][v] = rows[v][u] = _MINUS_ONE
+    import numpy as np
+
+    below = np.bincount(graph.v[graph.u > 0], minlength=graph.vertex_count)
+    if (pattern := int(below @ (below + 1)) // 2) > WORK_LIMIT:
+        raise ResourceLimitError(f"elimination work {pattern} exceeds {WORK_LIMIT}")
+    rows = [
+        {k: (len(nbrs), 1)} | dict.fromkeys(filter(None, nbrs), _MINUS_ONE)
+        for k, nbrs in enumerate(graph.adjacency_lists())
+    ]
     factor, work = [], 0
-    for k in range(n - 1, 0, -1):
+    for k in range(len(rows) - 1, 0, -1):
         row = rows[k]
         pivot = row.pop(k)
         if not pivot[0]:
@@ -224,10 +222,8 @@ def resistance_sum(graph: Graph) -> Fraction:
     for i, j in the pattern of column k, where X[j, i] is already known.
     """
     n = _checked_size(graph, EIGENVALUE_SIZE_LIMIT)
-    if n < 2:
-        return Fraction(0)
     factor = _eliminate(graph)
-    if not factor[-1][1][0]:
+    if factor and not factor[-1][1][0]:
         raise ConnectivityError("graph is disconnected")
     z = [(1, 1)] * n
     ones = _ZERO

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from rcg import (
     ConnectivityError,
+    Graph,
     NumericalError,
     RcgParams,
     ResourceLimitError,
@@ -54,6 +56,14 @@ def grid(rows, cols):
 
 def k33():
     return graph_of(6, [(i, j) for i in range(3) for j in range(3, 6)])
+
+
+def complete_plus_isolated(n, isolated=0):
+    return Graph(n + isolated, *np.triu_indices(n, 1))
+
+
+def no_rows(graph):
+    raise AssertionError("rows built before the work was admitted")
 
 
 def failing_linalg(*args, **kwargs):
@@ -352,7 +362,7 @@ class TestElimination:
         monkeypatch.setattr(oracle, "WORK_LIMIT", work)
         assert matrix_tree_count(graph) == n ** (n - 2)
 
-    @pytest.mark.parametrize("q,g", ACCEPTANCE_GRID + [(2, 5), (3, 4)])
+    @pytest.mark.parametrize("q,g", ACCEPTANCE_GRID + [(2, 5), (3, 4), (2, 6), (5, 3)])
     def test_corona_graphs_fill_nothing(self, q, g):
         # column k of the factor holds exactly k's neighbours below k, vertex 0
         # left out: no pivot adds an entry
@@ -393,9 +403,21 @@ class TestElimination:
         resistance_sum(graph)
         assert calls == [graph, graph]
 
-    def test_div_keeps_the_denominator_positive(self):
-        assert oracle._div((1, 1), (-2, 1)) == (-1, 2)
-        assert oracle._div((-3, 4), (-9, 2)) == (1, 6)
+    # K_n's pattern makes C(n, 3) updates; an isolated vertex adds none, and
+    # though its zero pivot would end the loop first, the pattern is refused
+    @pytest.mark.parametrize("n,isolated,work", [(2000, 0, 1331334000), (600, 1, 35820200)])
+    def test_pattern_work_is_refused_before_any_row(self, n, isolated, work, monkeypatch):
+        graph = complete_plus_isolated(n, isolated)
+        monkeypatch.setattr(Graph, "adjacency_lists", no_rows)
+        with pytest.raises(ResourceLimitError, match=f"^elimination work {work} exceeds 20708500$"):
+            resistance_sum(graph)
+
+    def test_k2000_is_refused_at_once(self):
+        graph = complete_plus_isolated(2000)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            resistance_sum(graph)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestResistanceSum:
