@@ -13,7 +13,7 @@ writers write, run by run, are all read off it.
 
 A `Graph` stores its edges as two int64 arrays u and v, strictly increasing
 in (u, v) with u < v; `Graph(n, u, v)` is the one constructor, and one
-helper checks that rule a chunk at a time, given the edge before the chunk.
+helper checks that rule a chunk at a time, led by the edge before the chunk.
 It is the one run-time check of edges.  One generator, `_edge_chunks`,
 yields the edges of C_q(g) straight from the block layout in their final
 (u, v) order, in chunks of at most CHUNK_ROWS (4096) rows: `build_rcg`
@@ -30,7 +30,8 @@ VERTEX_BUDGET caps the vertices of `check_limits` (so `build_rcg` and the
 writers) and the distinct eigenvalues of the spectra, each reading it when
 called; `over_limit` decides and raises each size refusal (there and in
 `verify`) from (q, g) without building a count too large to print, and
-`_name` writes each integer a refusal names.
+`_name` writes each integer a refusal names.  MATRIX_VERTEX_LIMIT (2000)
+caps `matrix_of` and four oracles, each refusing through `_checked_size`.
 """
 from __future__ import annotations
 
@@ -53,8 +54,8 @@ VERTEX_BUDGET = 10**6
 # the int->str digit limit of Python 3.11, used where the interpreter sets none
 DEFAULT_STR_DIGITS = 4300
 
-# matrix_of materializes an N x N dense array; refuse above this many vertices
-MATRIX_VERTEX_LIMIT = 10**4
+# vertices of matrix_of's N x N array and of four oracles, by `_checked_size`
+MATRIX_VERTEX_LIMIT = 2000
 
 # build_rcg keeps 16 bytes per edge in u and v; refuse above this many edges
 EDGE_LIMIT = 2 * 10**7
@@ -98,10 +99,9 @@ class Graph:
         v = np.ascontiguousarray(v, dtype=np.int64)
         if u.ndim != 1 or u.shape != v.shape:
             raise ValueError("u and v must be one-dimensional and of equal length")
-        previous = None
         for lo in range(0, len(u), CHUNK_ROWS):
-            hi = lo + CHUNK_ROWS
-            previous = _check_edges(n, u[lo:hi], v[lo:hi], previous)
+            rows = slice(max(lo - 1, 0), lo + CHUNK_ROWS)  # led by the edge before
+            _check_edges(n, u[rows], v[rows])
         u.flags.writeable = False
         v.flags.writeable = False
         self._n, self._u, self._v = n, u, v
@@ -159,18 +159,16 @@ class Graph:
         return degree.tolist()
 
 
-def _check_edges(n: int, u: np.ndarray, v: np.ndarray, previous: tuple[int, int] | None):
-    """Check edges (u[i], v[i]) on n vertices that follow the edge `previous`.
+def _check_edges(n: int, u: np.ndarray, v: np.ndarray) -> None:
+    """Check edges (u[i], v[i]) on n vertices.
 
-    The edges must be strictly increasing in (u, v) with u < v, from
-    `previous` on (None before the first edge); one vectorized pass checks
-    it, and the ValueError names the first offending edge.  Returns the last
-    edge, the `previous` of the next chunk.  The chunk must be nonempty.
+    The edges must be strictly increasing in (u, v) with u < v; one
+    vectorized pass checks it, and the ValueError names the first offending
+    edge.  A chunk that starts with the last edge of the chunk before it
+    checks the seam between the two.
     """
     bad = (u < 0) | (u >= v) | (v >= n)
     bad[1:] |= (u[1:] < u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] <= v[:-1]))
-    if previous is not None and (int(u[0]), int(v[0])) <= previous:
-        bad[0] = True
     if bad.any():
         i = int(bad.argmax())
         a, b = int(u[i]), int(v[i])
@@ -180,11 +178,10 @@ def _check_edges(n: int, u: np.ndarray, v: np.ndarray, previous: tuple[int, int]
             raise ValueError(f"edge ({a}, {b}) out of range")
         if a > b:
             raise ValueError(f"edge ({a}, {b}) not normalized (need u < v)")
-        before = (int(u[i - 1]), int(v[i - 1])) if i else previous
+        before = int(u[i - 1]), int(v[i - 1])
         if (a, b) == before:
             raise ValueError(f"duplicate edge ({a}, {b})")
         raise ValueError(f"edge ({a}, {b}) out of order after {before}")
-    return int(u[-1]), int(v[-1])
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -299,6 +296,13 @@ def over_limit(limit: int, params: RcgParams, count: str, message: str) -> None:
     raise ResourceLimitError(message.format(**names))
 
 
+def _checked_size(n: int) -> int:
+    """`n` vertices, refused past MATRIX_VERTEX_LIMIT before any work."""
+    if n > MATRIX_VERTEX_LIMIT:
+        raise ResourceLimitError(f"graph size {_name(n)} exceeds {MATRIX_VERTEX_LIMIT}")
+    return n
+
+
 def check_limits(params: RcgParams) -> None:
     """Refuse (q, g) past VERTEX_BUDGET or EDGE_LIMIT, before any work."""
     message = "(q={q}, g={g}) requires {n} vertices, budget is {limit}"
@@ -395,11 +399,7 @@ def matrix_of(graph: Graph, kind: str) -> np.ndarray:
 
     if kind not in ("adjacency", "laplacian"):
         raise ValueError(f"unknown matrix kind {kind!r}")
-    n = graph.vertex_count
-    if n > MATRIX_VERTEX_LIMIT:
-        raise ResourceLimitError(
-            f"dense matrix for {_name(n)} vertices exceeds limit {MATRIX_VERTEX_LIMIT}"
-        )
+    n = _checked_size(graph.vertex_count)
     a = np.zeros((n, n))
     a[graph.u, graph.v] = 1
     a[graph.v, graph.u] = 1

@@ -10,6 +10,9 @@ Fraction, by selected inversion of the same minor; no dense inverse is
 formed.  The elimination refuses Schur updates past WORK_LIMIT, the work
 of K_500: those of the graph's own pattern first, before any row is built,
 then fill as it comes.  So it admits every graph of at most 500 vertices.
+Clustering is refused past the same WORK_LIMIT, and the distance,
+eigenvalue, tree and resistance oracles past `graphs.MATRIX_VERTEX_LIMIT`
+vertices, before any of their work.
 No function in this module consults any formula it is meant to check.
 """
 from __future__ import annotations
@@ -19,14 +22,11 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import ConnectivityError, NumericalError, ResourceLimitError
-from .graphs import CoronaGraph, Graph, _classes, _name
+from .graphs import CoronaGraph, Graph, _checked_size, _classes
 
-EIGENVALUE_SIZE_LIMIT = 2000  # the resistance and distance oracles' limit too
-MATRIX_TREE_SIZE_LIMIT = 500
-
-# Schur updates the elimination may make before it is refused: the work of
-# K_500, (n-2)(n-1)n/6 = C(n, 3) at n = 500, the most of any 500-vertex graph
-WORK_LIMIT = math.comb(MATRIX_TREE_SIZE_LIMIT, 3)
+# the elimination's Schur updates on K_500, C(500, 3), the most of any
+# 500-vertex graph; more elimination or clustering work is refused
+WORK_LIMIT = math.comb(500, 3)
 
 
 def bfs_total_distance(graph: Graph) -> int:
@@ -39,7 +39,7 @@ def bfs_total_distance(graph: Graph) -> int:
     outside the balls, summed over the levels, count every distance twice.
     A level that grows no ball before all are full means a disconnected graph.
     """
-    n = _checked_size(graph, EIGENVALUE_SIZE_LIMIT)
+    n = _checked_size(graph.vertex_count)
     adj = graph.adjacency_lists()
     balls = [1 << v for v in range(n)]
     total = outside = n * n - n
@@ -67,8 +67,14 @@ def local_clustering(graph: Graph) -> list[Fraction]:
 
     Each of the e_v links among v's neighbors lies in the neighbor sets of
     both its ends, so the sum of |N(u) ∩ N(v)| over u in N(v) is 2*e_v: one
-    set intersection per edge end, at the cost of the smaller set.
+    set intersection per edge end, at the cost of the smaller set.  That
+    work, 2 * sum over edges of min(d_u, d_v), is refused past WORK_LIMIT first.
     """
+    import numpy as np
+
+    degree = np.array(graph.degrees(), dtype=np.int64)
+    if (work := 2 * int(np.minimum(degree[graph.u], degree[graph.v]).sum())) > WORK_LIMIT:
+        raise ResourceLimitError(f"clustering work {work} exceeds {WORK_LIMIT}")
     sets = [set(nbrs) for nbrs in graph.adjacency_lists()]
     return [
         Fraction(sum(len(nbrs & sets[u]) for u in nbrs), len(nbrs) * (len(nbrs) - 1) or 1)
@@ -104,9 +110,7 @@ def symmetric_eigenvalues(matrix) -> list[float]:
     shape = np.shape(matrix)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError("matrix must be square")
-    n = shape[0]
-    if n > EIGENVALUE_SIZE_LIMIT:
-        raise ResourceLimitError(f"matrix size {_name(n)} exceeds {EIGENVALUE_SIZE_LIMIT}")
+    _checked_size(shape[0])
     a = np.asarray(matrix, dtype=float)
     if not np.isfinite(a).all():
         i, j = np.argwhere(~np.isfinite(a))[0].tolist()
@@ -160,7 +164,8 @@ def _eliminate(graph: Graph) -> list:
     """
     import numpy as np
 
-    below = np.bincount(graph.v[graph.u > 0], minlength=graph.vertex_count)
+    n = _checked_size(graph.vertex_count)
+    below = np.bincount(graph.v[graph.u > 0], minlength=n)
     if (pattern := int(below @ (below + 1)) // 2) > WORK_LIMIT:
         raise ResourceLimitError(f"elimination work {pattern} exceeds {WORK_LIMIT}")
     rows = [
@@ -190,13 +195,6 @@ def _eliminate(graph: Graph) -> list:
     return factor
 
 
-def _checked_size(graph: Graph, limit: int) -> int:
-    """The vertex count of `graph`, refused past an oracle's `limit`."""
-    if (n := graph.vertex_count) > limit:
-        raise ResourceLimitError(f"graph size {_name(n)} exceeds {limit}")
-    return n
-
-
 def matrix_tree_count(graph: Graph) -> int:
     """Spanning-tree count: exact determinant of a Laplacian minor.
 
@@ -204,7 +202,6 @@ def matrix_tree_count(graph: Graph) -> int:
     same count.  A zero pivot means a singular minor, so disconnected graphs
     return 0, and the empty factor of 0 or 1 vertices gives 1.
     """
-    _checked_size(graph, MATRIX_TREE_SIZE_LIMIT)
     factor = _eliminate(graph)
     return math.prod(d[0] for _, d, _ in factor) // math.prod(d[1] for _, d, _ in factor)
 
@@ -221,8 +218,8 @@ def resistance_sum(graph: Graph) -> Fraction:
     X[j, k] = -sum_i L[i, k] X[j, i] and X[k, k] = 1/d_k - sum_j L[j, k] X[j, k],
     for i, j in the pattern of column k, where X[j, i] is already known.
     """
-    n = _checked_size(graph, EIGENVALUE_SIZE_LIMIT)
     factor = _eliminate(graph)
+    n = graph.vertex_count
     if factor and not factor[-1][1][0]:
         raise ConnectivityError("graph is disconnected")
     z = [(1, 1)] * n

@@ -121,7 +121,7 @@ def test_explicit_children_peak_near_a_bare_generate(tmp_path):
 
 
 def test_verify_at_its_size_limit_peaks_near_a_small_verify(tmp_path):
-    # C_4(3) has 500 vertices, the matrix-tree oracle's limit; its dense
+    # C_4(3) has 500 vertices, verify's limit; its dense
     # stage holds one 2 MB float64 matrix, and eigvalsh its copy for LAPACK
     # and the work space (with int64 temporaries and a float conversion
     # copy beside them the child peaked 7.5 MiB above C_2(0))

@@ -513,7 +513,7 @@ class TestVerify:
         assert all(ok for _, ok in checks)
 
     def test_over_oracle_budget_exits_before_work(self):
-        # N = 1458 exceeds the matrix-tree oracle's limit; the refusal must
+        # N = 1458 exceeds verify's vertex limit; the refusal must
         # come before construction, BFS or any eigensolver pass
         result = subprocess.run(
             [sys.executable, "-m", "rcg.cli", "verify", "--q", "2", "--g", "6"],
@@ -524,16 +524,24 @@ class TestVerify:
         assert result.returncode == 2
         assert "resource" in result.stderr
 
-    def test_over_oracle_budget_names_the_matrix_tree_limit(self, capsys):
-        # the one size limit that verify reads, below the other oracles' one
-        from rcg import oracle
+    def test_over_budget_names_the_verify_limit(self, capsys):
+        # verify's own limit, below the oracles' vertex limit
+        from rcg import cli, graphs
 
-        assert oracle.MATRIX_TREE_SIZE_LIMIT < oracle.EIGENVALUE_SIZE_LIMIT
+        assert cli.VERIFY_VERTEX_LIMIT < graphs.MATRIX_VERTEX_LIMIT
         assert run(capsys, "verify", "--q", "2", "--g", "6") == (
             2,
             "",
-            "resource limit: (q=2, g=6) has 1458 vertices, "
-            "the matrix-tree oracle takes at most 500\n",
+            "resource limit: (q=2, g=6) has 1458 vertices, verify takes at most 500\n",
+        )
+
+    def test_clustering_work_refuses_complete_graphs_from_q_276(self, capsys):
+        # K_q's clustering work is q (q-1)^2: 20 645 900 at q = 275 is admitted,
+        # 20 872 500 at q = 276 passes the oracles' work limit
+        assert run(capsys, "verify", "--q", "276", "--g", "0") == (
+            2,
+            "",
+            "resource limit: clustering work 20872500 exceeds 20708500\n",
         )
 
 
@@ -596,7 +604,7 @@ class TestRefusalsAtLargeG:
             ),
             (
                 ["verify", "--q", "2", "--g", "9100"],
-                "(q=2, g=9100) has 2*3^9100 vertices, the matrix-tree oracle takes at most 500",
+                "(q=2, g=9100) has 2*3^9100 vertices, verify takes at most 500",
             ),
             (
                 ["spectrum", "--q", "2", "--g", "14300", "--matrix", "adjacency"],
@@ -614,7 +622,7 @@ class TestRefusalsAtLargeG:
             ),
             (
                 ["verify", "--q", "2", "--g", str(HUGE)],
-                f"(q=2, g={HUGE}) has 2*3^{HUGE} vertices, the matrix-tree oracle takes at most 500",
+                f"(q=2, g={HUGE}) has 2*3^{HUGE} vertices, verify takes at most 500",
             ),
             (
                 ["spectrum", "--q", "2", "--g", str(HUGE), "--matrix", "adjacency"],
@@ -713,11 +721,11 @@ LONG_INTEGER_CALLS = {
     ),
     "verification_checks": (
         lambda x: verification_checks(RcgParams(x, 0)),
-        "(q={x}, g=0) has {x}*{x}^0 vertices, the matrix-tree oracle takes at most 500",
+        "(q={x}, g=0) has {x}*{x}^0 vertices, verify takes at most 500",
     ),
     "matrix_tree_count": (
         lambda x: oracle.matrix_tree_count(Graph(x, [], [])),
-        "graph size {x} exceeds 500",
+        "graph size {x} exceeds 2000",
     ),
     "resistance_sum": (
         lambda x: oracle.resistance_sum(Graph(x, [], [])),
@@ -729,7 +737,7 @@ LONG_INTEGER_CALLS = {
     ),
     "matrix_of": (
         lambda x: rcg.matrix_of(Graph(x, [], []), "adjacency"),
-        "dense matrix for {x} vertices exceeds limit 10000",
+        "graph size {x} exceeds 2000",
     ),
 }
 

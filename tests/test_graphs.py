@@ -692,11 +692,11 @@ class TestMatrixOf:
 
     @pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
     def test_size_guard_before_allocation(self, kind):
-        # refused before the N x N array, which would take 800 MB here
+        # refused before the N x N array, which would take 32 MB here
         graph = Graph(graphs.MATRIX_VERTEX_LIMIT + 1, [], [])
 
         def refused():
-            with pytest.raises(ResourceLimitError, match="exceeds limit 10000"):
+            with pytest.raises(ResourceLimitError, match="^graph size 2001 exceeds 2000$"):
                 matrix_of(graph, kind)
 
         assert traced_peak(refused) < 10**6

@@ -15,12 +15,11 @@ from rcg import (
     build_rcg,
     matrix_of,
 )
-from rcg import oracle
-from rcg.cli import verification_checks
+from rcg import graphs, oracle
+from rcg.cli import VERIFY_VERTEX_LIMIT, verification_checks
 from rcg.formulas import kirchhoff_closed, spanning_trees_closed
+from rcg.graphs import MATRIX_VERTEX_LIMIT
 from rcg.oracle import (
-    EIGENVALUE_SIZE_LIMIT,
-    MATRIX_TREE_SIZE_LIMIT,
     bfs_total_distance,
     degree_histogram,
     local_clustering,
@@ -113,7 +112,7 @@ class TestBfsTotalDistance:
     def test_size_guard(self):
         # the balls would take N^2 bits, so the size is refused first
         with pytest.raises(ResourceLimitError, match="^graph size 2001 exceeds 2000$"):
-            bfs_total_distance(graph_of(EIGENVALUE_SIZE_LIMIT + 1, []))
+            bfs_total_distance(graph_of(MATRIX_VERTEX_LIMIT + 1, []))
         edgeless = graph_of(10**6, [])
 
         def refused():
@@ -152,6 +151,30 @@ class TestLocalClustering:
         # the star's leaves have degree 1, the isolated vertex 0
         assert local_clustering(star(4))[1:] == [0] * 4
         assert local_clustering(graph_of(3, [(0, 1)])) == [0] * 3
+
+    # 2 * sum over the edges of min(d_u, d_v): K_6 has 15 edges of min 5, and
+    # C_2(1) the edge 0-1 of min 3 and six edges of min 2
+    @pytest.mark.parametrize(
+        "graph,work",
+        [(complete_graph(6), 150), (build_rcg(RcgParams(2, 1)).graph, 30)],
+        ids=["k6", "c21"],
+    )
+    def test_work_is_counted(self, graph, work, monkeypatch):
+        monkeypatch.setattr(oracle, "WORK_LIMIT", work - 1)
+        with pytest.raises(ResourceLimitError, match=f"^clustering work {work} exceeds {work - 1}$"):
+            local_clustering(graph)
+        monkeypatch.setattr(oracle, "WORK_LIMIT", work)
+        assert len(local_clustering(graph)) == graph.vertex_count
+
+    @pytest.mark.parametrize("n,work", [(300, 26820300), (500, 124500500)])
+    def test_complete_graph_is_refused_before_any_set(self, n, work, monkeypatch):
+        # K_500 took about 3 s of intersections before its work was bounded
+        graph = complete_plus_isolated(n)
+        monkeypatch.setattr(Graph, "adjacency_lists", no_rows)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"^clustering work {work} exceeds 20708500$"):
+            local_clustering(graph)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMeanNeighborDegree:
@@ -221,7 +244,7 @@ class TestSymmetricEigenvalues:
 
     def test_size_guard(self):
         # refused from the shape: a float copy of this int64 matrix is 32 MB
-        n = EIGENVALUE_SIZE_LIMIT + 1
+        n = MATRIX_VERTEX_LIMIT + 1
         matrix = np.zeros((n, n), dtype=np.int64)
 
         def refused():
@@ -231,7 +254,7 @@ class TestSymmetricEigenvalues:
         assert traced_peak(refused) < 10**6
 
     def test_large_non_square_refused_before_conversion(self):
-        matrix = np.zeros((EIGENVALUE_SIZE_LIMIT + 1, EIGENVALUE_SIZE_LIMIT), dtype=np.int64)
+        matrix = np.zeros((MATRIX_VERTEX_LIMIT + 1, MATRIX_VERTEX_LIMIT), dtype=np.int64)
 
         def refused():
             with pytest.raises(ValueError):
@@ -309,8 +332,8 @@ class TestMatrixTreeCount:
         assert matrix_tree_count(graph) == 1
 
     def test_size_guard(self):
-        with pytest.raises(ResourceLimitError, match="graph size 501 exceeds 500"):
-            matrix_tree_count(graph_of(MATRIX_TREE_SIZE_LIMIT + 1, []))
+        with pytest.raises(ResourceLimitError, match="^graph size 2001 exceeds 2000$"):
+            matrix_tree_count(graph_of(MATRIX_VERTEX_LIMIT + 1, []))
 
     # non-chordal graphs; a cycle's minor is a path, but the minors of K_{3,3}
     # and the Petersen graph fill in under elimination in any order
@@ -324,8 +347,11 @@ class TestMatrixTreeCount:
     def test_petersen(self):
         assert matrix_tree_count(petersen()) == 2000
 
-    def test_matches_closed_form_at_q2_g5(self):
-        params = RcgParams(2, 5)
+    # past 500 vertices at (3, 4), (5, 3) and (2, 6): the vertex limit is the
+    # resistance oracle's, and the elimination's work stays below WORK_LIMIT
+    @pytest.mark.parametrize("q,g", [(2, 5), (3, 4), (5, 3), (2, 6)])
+    def test_matches_closed_form(self, q, g):
+        params = RcgParams(q, g)
         graph = build_rcg(params).graph
         assert matrix_tree_count(graph) == spanning_trees_closed(params).value
 
@@ -352,8 +378,9 @@ class TestElimination:
 
     def test_complete_graph_work_sets_the_limit(self, monkeypatch):
         # K_n makes (n-2)(n-1)n/6 updates, the most of any n-vertex graph, so
-        # the work of K_500 admits every graph the tree oracle's size admits
-        assert oracle.WORK_LIMIT == 498 * 499 * 500 // 6 and MATRIX_TREE_SIZE_LIMIT == 500
+        # the work of K_500 admits every graph that verify's size admits
+        assert oracle.WORK_LIMIT == math.comb(VERIFY_VERTEX_LIMIT, 3) == 498 * 499 * 500 // 6
+        assert VERIFY_VERTEX_LIMIT == 500 < MATRIX_VERTEX_LIMIT == 2000
         n, graph = 30, complete_graph(30)
         work = (n - 2) * (n - 1) * n // 6
         monkeypatch.setattr(oracle, "WORK_LIMIT", work - 1)
@@ -378,7 +405,7 @@ class TestElimination:
         for call in (matrix_tree_count, resistance_sum):
             with pytest.raises(ResourceLimitError):
                 call(k33())
-        # the default limit admits the corona graphs the tree oracle's size admits
+        # the default limit admits the corona graphs that verify's size admits
         monkeypatch.undo()
         assert matrix_tree_count(build_rcg(RcgParams(2, 2)).graph) == 6561
 
@@ -434,8 +461,8 @@ class TestResistanceSum:
         assert resistance_sum(graph_of(n, [])) == 0
 
     def test_size_guard(self):
-        with pytest.raises(ResourceLimitError, match="graph size 2001 exceeds 2000"):
-            resistance_sum(graph_of(EIGENVALUE_SIZE_LIMIT + 1, []))
+        with pytest.raises(ResourceLimitError, match="^graph size 2001 exceeds 2000$"):
+            resistance_sum(graph_of(MATRIX_VERTEX_LIMIT + 1, []))
 
     def test_c21(self):
         graph = build_rcg(RcgParams(2, 1)).graph
@@ -473,3 +500,26 @@ class TestResistanceSum:
         checks = verification_checks(RcgParams(5, 2))
         assert dict(checks)["kirchhoff vs resistance"]
         assert all(ok for _, ok in checks)
+
+
+# matrix_of and the four size-bounded oracles, each refusing through one check
+ONE_VERTEX_LIMIT = {
+    "matrix_of": lambda graph: matrix_of(graph, "laplacian"),
+    "symmetric_eigenvalues": lambda graph: symmetric_eigenvalues(np.eye(graph.vertex_count)),
+    "bfs_total_distance": bfs_total_distance,
+    "matrix_tree_count": matrix_tree_count,
+    "resistance_sum": resistance_sum,
+}
+
+
+class TestVertexLimit:
+    @pytest.mark.parametrize("name", ONE_VERTEX_LIMIT)
+    def test_reads_the_one_limit_when_called(self, name, monkeypatch):
+        graph = build_rcg(RcgParams(2, 1)).graph
+        monkeypatch.setattr(graphs, "MATRIX_VERTEX_LIMIT", 5)
+        monkeypatch.setattr(Graph, "adjacency_lists", no_rows)
+        with pytest.raises(ResourceLimitError, match="^graph size 6 exceeds 5$"):
+            ONE_VERTEX_LIMIT[name](graph)
+        monkeypatch.undo()
+        monkeypatch.setattr(graphs, "MATRIX_VERTEX_LIMIT", 6)
+        ONE_VERTEX_LIMIT[name](graph)
