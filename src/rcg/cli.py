@@ -9,7 +9,7 @@ budget, a limit or the interpreter out of memory), 3 a failed `verify`
 check, 4 numerical error.
 `graphs.VERTEX_BUDGET` (10^6) caps the vertices of `generate` and the
 distinct eigenvalues of `spectrum`; `generate` also caps edges at 2*10^7,
-and `verify` takes at most VERIFY_VERTEX_LIMIT (500) vertices.
+and `verify` takes at most `oracle.WORK_VERTICES` (500) vertices.
 Each command imports the layers it runs when it runs, so `--help` loads
 none of them and `generate` no closed form, spectrum or oracle.  A process
 started as `rcg` or `python -m rcg.cli` freezes its heap before exiting,
@@ -31,8 +31,6 @@ EXIT_VERIFY = 3
 EXIT_NUMERICAL = 4
 
 SPECTRUM_COMPARE_TOL = 1e-8
-
-VERIFY_VERTEX_LIMIT = 500  # K_500's elimination work is oracle.WORK_LIMIT
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,9 +115,9 @@ def verification_checks(params) -> list[tuple[str, bool]]:
     compare per eigenvalue within SPECTRUM_COMPARE_TOL; every other row
     compares by ==, the Kirchhoff index against the exact resistance sum
     that the oracle reads off its sparse elimination.
-    A (q, g) past VERIFY_VERTEX_LIMIT vertices, below the oracles' own vertex
-    limit and whose K_q sets their elimination work limit, is refused before
-    any work and before the closed forms, the spectra or numpy are loaded.
+    A (q, g) past `oracle.WORK_VERTICES` vertices, whose complete graph sets
+    the oracles' work limits, is refused before any work and before the
+    closed forms, the spectra or numpy are loaded.
     """
     import operator
     from fractions import Fraction
@@ -128,7 +126,7 @@ def verification_checks(params) -> list[tuple[str, bool]]:
     from .graphs import build_rcg, matrix_of, over_limit
 
     message = "(q={q}, g={g}) has {n} vertices, verify takes at most {limit}"
-    over_limit(VERIFY_VERTEX_LIMIT, params, "vertices", message)
+    over_limit(oracle.WORK_VERTICES, params, "vertices", message)
     from . import formulas, spectra
 
     cg = build_rcg(params)

@@ -7,12 +7,11 @@ and LAPACK eigenvalues.  One exact sparse LDLᵀ elimination of the Laplacian
 grounded at vertex 0 (`_eliminate`) serves two more: the spanning-tree count
 as the determinant of that minor, and the Kirchhoff index as an exact
 Fraction, by selected inversion of the same minor; no dense inverse is
-formed.  The elimination refuses Schur updates past WORK_LIMIT, the work
-of K_500: those of the graph's own pattern first, before any row is built,
-then fill as it comes.  So it admits every graph of at most 500 vertices.
-Clustering is refused past the same WORK_LIMIT, and the distance,
-eigenvalue, tree and resistance oracles past `graphs.MATRIX_VERTEX_LIMIT`
-vertices, before any of their work.
+formed.  The elimination (its pattern before any row, then fill as it
+comes) and clustering (before any set) refuse work past that of K_500, the
+most of any graph of at most WORK_VERTICES = 500 vertices.  The distance,
+eigenvalue, tree and resistance oracles refuse past
+`graphs.MATRIX_VERTEX_LIMIT` vertices, before any of their work.
 No function in this module consults any formula it is meant to check.
 """
 from __future__ import annotations
@@ -24,9 +23,11 @@ from fractions import Fraction
 from .errors import ConnectivityError, NumericalError, ResourceLimitError
 from .graphs import CoronaGraph, Graph, _checked_size, _classes
 
-# the elimination's Schur updates on K_500, C(500, 3), the most of any
-# 500-vertex graph; more elimination or clustering work is refused
-WORK_LIMIT = math.comb(500, 3)
+# the work of K_500, the most of any graph of at most 500 vertices; `verify`
+# takes at most WORK_VERTICES, so no graph it admits is refused for its work
+WORK_VERTICES = 500
+WORK_LIMIT = math.comb(WORK_VERTICES, 3)  # Schur updates
+CLUSTERING_WORK_LIMIT = WORK_VERTICES * (WORK_VERTICES - 1) ** 2  # intersection steps
 
 
 def bfs_total_distance(graph: Graph) -> int:
@@ -68,13 +69,14 @@ def local_clustering(graph: Graph) -> list[Fraction]:
     Each of the e_v links among v's neighbors lies in the neighbor sets of
     both its ends, so the sum of |N(u) ∩ N(v)| over u in N(v) is 2*e_v: one
     set intersection per edge end, at the cost of the smaller set.  That
-    work, 2 * sum over edges of min(d_u, d_v), is refused past WORK_LIMIT first.
+    work, 2 * sum over edges of min(d_u, d_v) <= n(n-1)^2, is refused first.
     """
     import numpy as np
 
     degree = np.array(graph.degrees(), dtype=np.int64)
-    if (work := 2 * int(np.minimum(degree[graph.u], degree[graph.v]).sum())) > WORK_LIMIT:
-        raise ResourceLimitError(f"clustering work {work} exceeds {WORK_LIMIT}")
+    work = 2 * int(np.minimum(degree[graph.u], degree[graph.v]).sum())
+    if work > CLUSTERING_WORK_LIMIT:
+        raise ResourceLimitError(f"clustering work {work} exceeds {CLUSTERING_WORK_LIMIT}")
     sets = [set(nbrs) for nbrs in graph.adjacency_lists()]
     return [
         Fraction(sum(len(nbrs & sets[u]) for u in nbrs), len(nbrs) * (len(nbrs) - 1) or 1)

@@ -526,22 +526,25 @@ class TestVerify:
 
     def test_over_budget_names_the_verify_limit(self, capsys):
         # verify's own limit, below the oracles' vertex limit
-        from rcg import cli, graphs
-
-        assert cli.VERIFY_VERTEX_LIMIT < graphs.MATRIX_VERTEX_LIMIT
+        assert oracle.WORK_VERTICES < graphs.MATRIX_VERTEX_LIMIT
         assert run(capsys, "verify", "--q", "2", "--g", "6") == (
             2,
             "",
             "resource limit: (q=2, g=6) has 1458 vertices, verify takes at most 500\n",
         )
 
-    def test_clustering_work_refuses_complete_graphs_from_q_276(self, capsys):
-        # K_q's clustering work is q (q-1)^2: 20 645 900 at q = 275 is admitted,
-        # 20 872 500 at q = 276 passes the oracles' work limit
-        assert run(capsys, "verify", "--q", "276", "--g", "0") == (
-            2,
-            "",
-            "resource limit: clustering work 20872500 exceeds 20708500\n",
+    def test_complete_graph_limit_is_decided_from_q(self, capsys, monkeypatch):
+        # K_500 is admitted up to its build; K_501 is refused before it, so
+        # no complete graph reaches the clustering or elimination work limits
+        def no_build(params):
+            raise ResourceLimitError(f"built q={params.q}")
+
+        monkeypatch.setattr(graphs, "build_rcg", no_build)
+        assert run(capsys, "verify", "--q", "500", "--g", "0") == (
+            2, "", "resource limit: built q=500\n"
+        )
+        assert run(capsys, "verify", "--q", "501", "--g", "0") == (
+            2, "", "resource limit: (q=501, g=0) has 501 vertices, verify takes at most 500\n"
         )
 
 

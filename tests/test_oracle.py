@@ -16,7 +16,7 @@ from rcg import (
     matrix_of,
 )
 from rcg import graphs, oracle
-from rcg.cli import VERIFY_VERTEX_LIMIT, verification_checks
+from rcg.cli import verification_checks
 from rcg.formulas import kirchhoff_closed, spanning_trees_closed
 from rcg.graphs import MATRIX_VERTEX_LIMIT
 from rcg.oracle import (
@@ -160,20 +160,21 @@ class TestLocalClustering:
         ids=["k6", "c21"],
     )
     def test_work_is_counted(self, graph, work, monkeypatch):
-        monkeypatch.setattr(oracle, "WORK_LIMIT", work - 1)
+        monkeypatch.setattr(oracle, "CLUSTERING_WORK_LIMIT", work - 1)
         with pytest.raises(ResourceLimitError, match=f"^clustering work {work} exceeds {work - 1}$"):
             local_clustering(graph)
-        monkeypatch.setattr(oracle, "WORK_LIMIT", work)
+        monkeypatch.setattr(oracle, "CLUSTERING_WORK_LIMIT", work)
         assert len(local_clustering(graph)) == graph.vertex_count
 
-    @pytest.mark.parametrize("n,work", [(300, 26820300), (500, 124500500)])
-    def test_complete_graph_is_refused_before_any_set(self, n, work, monkeypatch):
-        # K_500 took about 3 s of intersections before its work was bounded
-        graph = complete_plus_isolated(n)
+    def test_complete_graph_is_refused_before_any_set(self, monkeypatch):
+        # K_n makes n (n-1)^2 steps, the most of any n-vertex graph: K_500,
+        # verify's largest graph, passes the limit, and K_501 is refused
         monkeypatch.setattr(Graph, "adjacency_lists", no_rows)
+        with pytest.raises(AssertionError, match="^rows built"):
+            local_clustering(complete_plus_isolated(oracle.WORK_VERTICES))
         start = time.perf_counter()
-        with pytest.raises(ResourceLimitError, match=f"^clustering work {work} exceeds 20708500$"):
-            local_clustering(graph)
+        with pytest.raises(ResourceLimitError, match="^clustering work 125250000 exceeds 124500500$"):
+            local_clustering(complete_plus_isolated(oracle.WORK_VERTICES + 1))
         assert time.perf_counter() - start < 1.0
 
 
@@ -248,7 +249,7 @@ class TestSymmetricEigenvalues:
         matrix = np.zeros((n, n), dtype=np.int64)
 
         def refused():
-            with pytest.raises(ResourceLimitError):
+            with pytest.raises(ResourceLimitError, match="^graph size 2001 exceeds 2000$"):
                 symmetric_eigenvalues(matrix)
 
         assert traced_peak(refused) < 10**6
@@ -379,8 +380,8 @@ class TestElimination:
     def test_complete_graph_work_sets_the_limit(self, monkeypatch):
         # K_n makes (n-2)(n-1)n/6 updates, the most of any n-vertex graph, so
         # the work of K_500 admits every graph that verify's size admits
-        assert oracle.WORK_LIMIT == math.comb(VERIFY_VERTEX_LIMIT, 3) == 498 * 499 * 500 // 6
-        assert VERIFY_VERTEX_LIMIT == 500 < MATRIX_VERTEX_LIMIT == 2000
+        assert oracle.WORK_LIMIT == math.comb(oracle.WORK_VERTICES, 3) == 498 * 499 * 500 // 6
+        assert oracle.WORK_VERTICES == 500 < MATRIX_VERTEX_LIMIT == 2000
         n, graph = 30, complete_graph(30)
         work = (n - 2) * (n - 1) * n // 6
         monkeypatch.setattr(oracle, "WORK_LIMIT", work - 1)
@@ -388,6 +389,11 @@ class TestElimination:
             matrix_tree_count(graph)
         monkeypatch.setattr(oracle, "WORK_LIMIT", work)
         assert matrix_tree_count(graph) == n ** (n - 2)
+        # K_500, verify's largest graph, passes its pattern work to the first row
+        monkeypatch.undo()
+        monkeypatch.setattr(Graph, "adjacency_lists", no_rows)
+        with pytest.raises(AssertionError, match="^rows built"):
+            resistance_sum(complete_plus_isolated(oracle.WORK_VERTICES))
 
     @pytest.mark.parametrize("q,g", ACCEPTANCE_GRID + [(2, 5), (3, 4), (2, 6), (5, 3)])
     def test_corona_graphs_fill_nothing(self, q, g):
