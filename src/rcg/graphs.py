@@ -29,13 +29,14 @@ row-major bytes.  numpy is imported on first use, never at module import.
 VERTEX_BUDGET caps the vertices of `check_limits` (so `build_rcg` and the
 writers) and the distinct eigenvalues of the spectra, each reading it when
 called; `over_limit` decides and raises each size refusal (there and in
-`verify`) from (q, g) without building a count too large to print, and
-`_name` writes each integer a refusal names.  MATRIX_VERTEX_LIMIT (2000)
-caps `matrix_of` and four oracles, each refusing through `_checked_size`.
+`verify`) from (q, g): it builds a count only at g <= limit.bit_length(),
+to compare it, and names it in decimal there (by `_name`, which writes
+each integer a refusal names) and by its formula past that bound.
+MATRIX_VERTEX_LIMIT (2000) caps `matrix_of` and four oracles, each refusing
+through `_checked_size`.
 """
 from __future__ import annotations
 
-import math
 import numbers
 import sys
 from collections.abc import Iterator
@@ -268,29 +269,25 @@ def over_limit(limit: int, params: RcgParams, count: str, message: str) -> None:
     """Raise ResourceLimitError(message) where the `count` of (q, g) exceeds `limit`.
 
     `count` is "vertices" (N), "edges" (M) or "eigenvalues" (3*2^g - 1, the
-    bound on the distinct eigenvalues of either spectrum).  Each lies in
-    [b^g, b^(g+2)), with b = q+1 for N and M and b = 2 for the bound.  So a
-    g past limit.bit_length() is over the limit, and where b^g also has more
-    digits than `str_digit_limit()` the count {n} is named by its formula,
-    such as 2*3^9100, without being built (g is compared with a float, never
-    multiplied by one).  Otherwise the count is small enough to build, and
-    is named in decimal where it has at most that many digits.  Only a
-    refusal formats `message`; `_name` names {q}, {g}, {limit} and the
-    integers of the formula.
+    bound on the distinct eigenvalues of either spectrum).  Each is at least
+    2^g, so a g past limit.bit_length() is over the limit without the count
+    being built, and the count {n} is named by its formula, such as
+    2*3^9100.  Otherwise the count is built to compare it, and a count over
+    the limit is named by `_name`: in decimal, or by its bit length past
+    `str_digit_limit()`.  Only a refusal formats `message`; `_name` names
+    {q}, {g}, {limit} and the integers of the formula.
     """
     q, g = params.q, params.g
     if count == "vertices":
-        base, formula, value = q + 1, "{q}*{p}^{g}", lambda: params.vertex_count
+        formula, value = "{q}*{p}^{g}", lambda: params.vertex_count
     elif count == "edges":
-        base, formula, value = q + 1, "{q}*({p}^{h}-2)/2", lambda: params.edge_count
+        formula, value = "{q}*({p}^{h}-2)/2", lambda: params.edge_count
     else:
-        base, formula, value = 2, "3*2^{g}-1", lambda: 3 * 2**g - 1
-    digits = str_digit_limit()
-    if g <= limit.bit_length() or g < digits / math.log10(base):
+        formula, value = "3*2^{g}-1", lambda: 3 * 2**g - 1
+    if g <= limit.bit_length():
         if (n := value()) <= limit:
             return
-        if n < 10**digits:
-            formula = _name(n)
+        formula = _name(n)
     names = {"q": _name(q), "g": _name(g), "limit": _name(limit)}
     names["n"] = formula.format(p=_name(q + 1), h=_name(g + 1), **names)
     raise ResourceLimitError(message.format(**names))

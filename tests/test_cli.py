@@ -446,6 +446,29 @@ class TestVerify:
         assert failed_rows(out) == failed
         assert out.splitlines()[-1] == f"{len(failed)} of {len(VERIFY_ROWS)} checks failed"
 
+    @pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
+    def test_spectrum_rows_compare_each_eigenvalue(self, capsys, monkeypatch, kind):
+        # the largest predicted eigenvalue alone, moved past the tolerance,
+        # fails its spectrum's row and no other
+        import dataclasses
+
+        from rcg import spectra
+
+        assert 1e-7 > cli.SPECTRUM_COMPARE_TOL
+        name = f"{kind}_spectrum"
+        true_route = getattr(spectra, name)
+
+        def moved(params):
+            spectrum = true_route(params)
+            (top, mult), *rest = spectrum.entries
+            return dataclasses.replace(spectrum, entries=((top + 1e-7, mult), *rest))
+
+        monkeypatch.setattr(spectra, name, moved)
+        code, out, _ = run(capsys, "verify", "--q", "2", "--g", "2")
+        assert code == 3
+        assert failed_rows(out) == {f"{kind} spectrum"}
+        assert out.splitlines()[-1] == f"1 of {len(VERIFY_ROWS)} checks failed"
+
     def test_every_row_has_a_mutation(self):
         # a row that no entry of ROW_MUTATIONS fails, such as one comparing a count
         # with itself, can never print FAIL
@@ -615,8 +638,14 @@ class TestRefusalsAtLargeG:
                 "budget is 1000000",
             ),
             (
+                # g = 20, the bit length of the budget, is the last g whose count is built
+                ["spectrum", "--q", "2", "--g", "20", "--matrix", "laplacian"],
+                f"spectrum of (q=2, g=20) has up to {3 * 2**20 - 1} distinct "
+                "eigenvalues, budget is 1000000",
+            ),
+            (
                 ["spectrum", "--q", "2", "--g", "14000", "--matrix", "laplacian"],
-                f"spectrum of (q=2, g=14000) has up to {3 * 2**14000 - 1} distinct "
+                "spectrum of (q=2, g=14000) has up to 3*2^14000-1 distinct "
                 "eigenvalues, budget is 1000000",
             ),
             (
@@ -634,7 +663,7 @@ class TestRefusalsAtLargeG:
             ),
         ],
         ids=[
-            "generate", "verify", "spectrum-formula", "spectrum-decimal",
+            "generate", "verify", "spectrum-formula", "spectrum-decimal", "spectrum-14000",
             "generate-10^400", "verify-10^400", "spectrum-10^400",
         ],
     )
@@ -658,12 +687,22 @@ class TestRefusalsAtLargeG:
                 "global_clustering of (q=2, g=478) may hold integers of more than 640 digits",
             ),
             (["generate", "--q", "2", "--g", "1400"], 2, "requires 2*3^1400 vertices"),
+            (
+                ["generate", "--q", str(10**639), "--g", "1"],
+                2,
+                "g=1) requires <4246-bit integer> vertices",
+            ),
         ],
-        ids=["analyze-477", "analyze-478", "curve-477", "curve-478", "generate-1400"],
+        ids=[
+            "analyze-477", "analyze-478", "curve-477", "curve-478", "generate-1400",
+            "generate-q10^639",
+        ],
     )
     def test_child_keeps_to_the_interpreter_limit(self, argv, code, message):
         # one setting moves every reader of the limit: the analyze and curve
-        # refusals, and over_limit, which names 2*3^1400 in decimal at 4300
+        # refusals, and over_limit, which builds N = 10^639 (10^639 + 1) at
+        # g = 1 and names it in decimal at 4300; 2*3^1400 is past the bit
+        # length of the budget, so it is named by its formula at any limit
         env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640"}
         result = subprocess.run(
             [sys.executable, "-m", "rcg.cli", *argv],
@@ -704,7 +743,7 @@ LONG_INTEGER_CALLS = {
     ),
     "check_limits-q": (
         lambda x: check_limits(RcgParams(x, 0)),
-        "(q={x}, g=0) requires {x}*{x}^0 vertices, budget is 1000000",
+        "(q={x}, g=0) requires {x} vertices, budget is 1000000",
     ),
     "check_limits-g": (
         lambda x: check_limits(RcgParams(2, x)),
@@ -712,7 +751,7 @@ LONG_INTEGER_CALLS = {
     ),
     "build_rcg": (
         lambda x: build_rcg(RcgParams(x, 0)),
-        "(q={x}, g=0) requires {x}*{x}^0 vertices, budget is 1000000",
+        "(q={x}, g=0) requires {x} vertices, budget is 1000000",
     ),
     "laplacian_spectrum-q": (
         lambda x: laplacian_spectrum(RcgParams(x, 0)),
@@ -724,7 +763,7 @@ LONG_INTEGER_CALLS = {
     ),
     "verification_checks": (
         lambda x: verification_checks(RcgParams(x, 0)),
-        "(q={x}, g=0) has {x}*{x}^0 vertices, verify takes at most 500",
+        "(q={x}, g=0) has {x} vertices, verify takes at most 500",
     ),
     "matrix_tree_count": (
         lambda x: oracle.matrix_tree_count(Graph(x, [], [])),
@@ -763,7 +802,6 @@ class TestLongIntegers:
         if callable(expected):
             assert call(x) == expected(x)
             return
-        # x + 1, the base of N at q = x, has the bit length of x
         message = expected.format(x=long_name(x), limit=limit)
         with pytest.raises(ResourceLimitError) as refused:
             call(x)
@@ -1213,6 +1251,25 @@ class TestImports:
         code, loaded = loaded_by(argv)
         assert code == exit_code
         assert not unloaded & loaded
+
+    def test_verify_loads_its_layers_before_numpy(self):
+        # the layers and the stdlib they import are loaded before numpy's
+        # heap grows; a verify child that loads them after numpy peaks about
+        # 1 MiB higher
+        argv = ["-X", "importtime", "-m", "rcg.cli", "verify", "--q", "2", "--g", "1"]
+        result = subprocess.run(
+            [sys.executable, *argv], capture_output=True, text=True, timeout=20
+        )
+        assert result.returncode == 0, result.stderr
+        # -X importtime writes one line per module as its import ends
+        order = [
+            line.rsplit("|", 1)[-1].strip()
+            for line in result.stderr.splitlines()
+            if line.startswith("import time:")
+        ]
+        numpy = next(i for i, name in enumerate(order) if name.split(".")[0] == "numpy")
+        for layer in ("rcg.formulas", "rcg.spectra", "rcg.oracle"):
+            assert order.index(layer) < numpy, layer
 
     def test_every_public_name_is_its_layers_object(self):
         for name in dir(rcg):

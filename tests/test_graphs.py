@@ -378,20 +378,25 @@ class TestBuildRcg:
     @pytest.mark.parametrize(
         "count,g,text",
         [
-            # g = 5 is past the bit length of 10, and N = 486 is still decimal
-            ("vertices", 5, "486"),
+            # 10 has 4 bits: up to g = 4 the count is built and named in decimal
+            ("vertices", 4, "162"),
             ("edges", 3, "79"),
             ("eigenvalues", 4, "47"),
-            # the last counts of at most 50 digits, and the first past them
-            ("vertices", 104, str(2 * 3**104)),
+            # past g = 4 it is at least 2^g > 10, named by its formula unbuilt,
+            # however few digits it has
+            ("vertices", 5, "2*3^5"),
+            ("edges", 5, "2*(3^6-2)/2"),
+            ("eigenvalues", 5, "3*2^5-1"),
+            ("vertices", 104, "2*3^104"),
             ("vertices", 105, "2*3^105"),
-            ("edges", 103, str(3**104 - 2)),
+            ("edges", 103, "2*(3^104-2)/2"),
             ("edges", 104, "2*(3^105-2)/2"),
-            ("eigenvalues", 164, str(3 * 2**164 - 1)),
+            ("eigenvalues", 164, "3*2^164-1"),
             ("eigenvalues", 165, "3*2^165-1"),
         ],
     )
     def test_over_limit_names_the_count(self, monkeypatch, count, g, text):
+        # the digit limit plays no part where the count is not built
         monkeypatch.setattr(graphs, "str_digit_limit", lambda: 50)
         assert _over_limit_text(10, RcgParams(2, g), count) == text
 
@@ -403,11 +408,17 @@ class TestBuildRcg:
         assert _over_limit_text(limit - 1, params, count) == str(limit)
 
     def test_over_limit_without_str_limit(self, monkeypatch):
-        # where the interpreter sets no limit, names of up to 4300 digits
+        # where the interpreter sets no limit, a built count is named in decimal
+        # up to 4300 digits and by its bit length past them; 2^9100 has 9101
+        # bits, so the count at g = 9102 is named by its formula unbuilt
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
         assert graphs.str_digit_limit() == graphs.DEFAULT_STR_DIGITS
-        assert _over_limit_text(10, RcgParams(2, 9000), "vertices") == str(2 * 3**9000)
-        assert _over_limit_text(10, RcgParams(2, 9100), "vertices") == "2*3^9100"
+        limit, n = 2**9100, 2 * 3**9100
+        assert _over_limit_text(limit, RcgParams(2, 9000), "vertices") == str(2 * 3**9000)
+        assert _over_limit_text(limit, RcgParams(2, 9100), "vertices") == (
+            f"<{n.bit_length()}-bit integer>"
+        )
+        assert _over_limit_text(limit, RcgParams(2, 9102), "vertices") == "2*3^9102"
 
     def test_over_limit_builds_no_large_count(self):
         start = time.perf_counter()
