@@ -84,7 +84,7 @@ class Graph:
     duplicates; `_check_edges` checks it a chunk at a time and names the
     first offending edge.  `n` must be an integer and not a bool, and is
     kept as an int; nonempty endpoint arrays must have an integer dtype.
-    Contiguous int64 arrays are kept without a copy and made read-only.
+    An int64 array that owns its data is kept, made read-only; a view is copied.
     """
 
     __slots__ = ("_n", "_u", "_v")
@@ -96,8 +96,7 @@ class Graph:
         u, v = np.asarray(u), np.asarray(v)
         if any(a.size and a.dtype.kind not in "iu" for a in (u, v)):
             raise ValueError("edge endpoints must be integers")
-        u = np.ascontiguousarray(u, dtype=np.int64)
-        v = np.ascontiguousarray(v, dtype=np.int64)
+        u, v = (np.ascontiguousarray(a if a.base is None else a.copy(), np.int64) for a in (u, v))
         if u.ndim != 1 or u.shape != v.shape:
             raise ValueError("u and v must be one-dimensional and of equal length")
         for lo in range(0, len(u), CHUNK_ROWS):
@@ -259,8 +258,11 @@ def str_digit_limit() -> int:
 def _name(value) -> str:
     """`value` as a refusal writes it: f"{value}", except that an int of more
     decimal digits than `str_digit_limit()` is named by its sign and bit
-    length, as `<14285-bit integer>` or `-<14285-bit integer>`, without int->str."""
-    if isinstance(value, int) and abs(value) >= 10 ** str_digit_limit():
+    length, as `<14285-bit integer>` or `-<14285-bit integer>`, without int->str.
+    It decides by bit length first: an int of at most 3*L bits (L the limit)
+    is below 2^(3L) < 10^L, so 10^L is built, to compare, only past 3*L bits."""
+    limit = str_digit_limit()
+    if isinstance(value, int) and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
         return "-" * (value < 0) + f"<{value.bit_length()}-bit integer>"
     return f"{value}"
 

@@ -118,6 +118,15 @@ class TestGraph:
         assert g.u is u and g.v is v
         assert not u.flags.writeable and not v.flags.writeable
 
+    def test_copies_a_view(self):
+        # a view's base stays writable after the check, so a view is copied:
+        # writing the base afterwards changes no edge
+        base = np.array([0, 0, 1, 1, 2, 2], dtype=np.int64)
+        g = Graph(3, base[0:3], base[3:6])
+        base[3:6] = 0
+        assert g.u.tolist() == [0, 0, 1] and g.v.tolist() == [1, 2, 2]
+        assert g == complete_graph(3) and oracle.bfs_total_distance(g) == 3
+
     def test_arrays_are_read_only(self):
         g = complete_graph(3)
         with pytest.raises(ValueError):
@@ -232,6 +241,44 @@ class TestRcgParams:
         assert repr(RcgParams(x, 0)) == f"RcgParams(q={name}, g=0)"
         assert repr(RcgParams(2, x)) == f"RcgParams(q=2, g={name})"
         assert repr(Graph(x, [], [])) == f"Graph(vertex_count={name}, edge_count=0)"
+
+
+LIMIT_EDGES = {
+    "2^3L-1": lambda limit: 2 ** (3 * limit) - 1,
+    "2^3L": lambda limit: 2 ** (3 * limit),
+    "10^L-1": lambda limit: 10**limit - 1,
+    "10^L": lambda limit: 10**limit,
+}
+
+
+class TestName:
+    """`_name` writes an int below 10^L in decimal (L the int->str limit) and
+    one from 10^L on by its sign and bit length; it reads the bit length
+    first, so 10^L is built only for an int of more than 3L bits."""
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    @pytest.mark.parametrize("edge", LIMIT_EDGES)
+    @pytest.mark.parametrize("digits", [640, 4300])
+    def test_decimal_below_ten_to_the_limit(self, str_limit, digits, edge, sign):
+        sys.set_int_max_str_digits(digits)
+        x = LIMIT_EDGES[edge](digits)
+        if x < 10**digits:
+            assert graphs._name(sign * x) == str(sign * x)
+        else:
+            assert graphs._name(sign * x) == "-" * (sign < 0) + f"<{x.bit_length()}-bit integer>"
+
+    def test_builds_no_power_of_ten_per_call(self):
+        # 10^4300 has 14285 bits and takes about 60 µs to build, so a small
+        # int is named without it; a refusal names six integers
+        start = time.perf_counter()
+        for _ in range(10_000):
+            graphs._name(5)
+        assert time.perf_counter() - start < 0.1
+        start = time.perf_counter()
+        for _ in range(1000):
+            with pytest.raises(ResourceLimitError):
+                graphs.check_limits(RcgParams(2, 12))
+        assert time.perf_counter() - start < 0.1
 
 
 class TestCoronaProduct:
