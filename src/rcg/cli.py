@@ -123,7 +123,7 @@ def verification_checks(params) -> list[tuple[str, bool]]:
     from fractions import Fraction
 
     from . import oracle
-    from .graphs import build_rcg, matrix_of, over_limit
+    from .graphs import MATRIX_KINDS, build_rcg, matrix_of, over_limit
 
     message = "(q={q}, g={g}) has {n} vertices, verify takes at most {limit}"
     over_limit(oracle.WORK_VERTICES, params, "vertices", message)
@@ -133,10 +133,15 @@ def verification_checks(params) -> list[tuple[str, bool]]:
     graph = cg.graph
     # the dense eigensolves first, before the other oracles grow the heap,
     # so their N x N arrays and LAPACK's work space do not stack on it
-    eigenvalues = {
-        kind: oracle.symmetric_eigenvalues(matrix_of(graph, kind))
-        for kind in ("adjacency", "laplacian")
-    }
+    spectrum_rows = [
+        (
+            f"{kind} spectrum",
+            getattr(spectra, f"{kind}_spectrum")(params),
+            oracle.symmetric_eigenvalues(matrix_of(graph, kind)),
+            _spectra_agree,
+        )
+        for kind in MATRIX_KINDS
+    ]
     local = oracle.local_clustering(graph)
     trees = formulas.spanning_trees_closed(params)
     kirchhoff = formulas.kirchhoff_closed(params)
@@ -162,18 +167,7 @@ def verification_checks(params) -> list[tuple[str, bool]]:
             sum(local, Fraction(0)) / graph.vertex_count,
             eq,
         ),
-        (
-            "adjacency spectrum",
-            spectra.adjacency_spectrum(params),
-            eigenvalues["adjacency"],
-            _spectra_agree,
-        ),
-        (
-            "laplacian spectrum",
-            spectra.laplacian_spectrum(params),
-            eigenvalues["laplacian"],
-            _spectra_agree,
-        ),
+        *spectrum_rows,
         (
             "spanning trees",
             (trees, trees.value),

@@ -58,6 +58,9 @@ DEFAULT_STR_DIGITS = 4300
 # vertices of matrix_of's N x N array and of four oracles, by `_checked_size`
 MATRIX_VERTEX_LIMIT = 2000
 
+# the (alpha, beta) of each matrix kind alpha*D + beta*A, for matrix_of and the spectra
+MATRIX_KINDS = {"adjacency": (0, 1), "laplacian": (1, -1)}
+
 # build_rcg keeps 16 bytes per edge in u and v; refuse above this many edges
 EDGE_LIMIT = 2 * 10**7
 
@@ -249,10 +252,9 @@ def str_digit_limit() -> int:
     """The int->str digit limit that decimal output keeps to.
 
     The interpreter's limit, or DEFAULT_STR_DIGITS where it sets none (0,
-    as with PYTHONINTMAXSTRDIGITS=0, or before Python 3.11), so every
-    caller reads one positive bound.
+    as with PYTHONINTMAXSTRDIGITS=0), so every caller reads one positive bound.
     """
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or DEFAULT_STR_DIGITS
+    return sys.get_int_max_str_digits() or DEFAULT_STR_DIGITS
 
 
 def _name(value) -> str:
@@ -386,27 +388,23 @@ def build_rcg(params: RcgParams) -> CoronaGraph:
 
 
 def matrix_of(graph: Graph, kind: str) -> np.ndarray:
-    """Dense float64 adjacency or laplacian matrix, one C-contiguous N x N array.
+    """Dense float64 alpha*D + beta*A, (alpha, beta) = MATRIX_KINDS[kind], C-contiguous N x N.
 
-    Its entries are small integers held exactly, equal bit for bit to the
-    integer matrix converted to float, so `symmetric_eigenvalues` needs no
-    conversion copy.
-    The Laplacian is formed in place from the adjacency matrix: 0 - A, which
-    leaves no -0.0 where A is 0, then the degrees on the zero diagonal.
+    beta goes on the edges and alpha * degree on the diagonal, over zeros, so
+    no -0.0 appears: the entries are small integers held exactly, equal bit
+    for bit to the integer matrix converted to float, and
+    `symmetric_eigenvalues` needs no conversion copy.
     """
     import numpy as np
 
-    if kind not in ("adjacency", "laplacian"):
+    if kind not in MATRIX_KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}")
+    alpha, beta = MATRIX_KINDS[kind]
     n = _checked_size(graph.vertex_count)
     a = np.zeros((n, n))
-    a[graph.u, graph.v] = 1
-    a[graph.v, graph.u] = 1
-    if kind == "adjacency":
-        return a
-    degrees = a.sum(axis=1)
-    np.subtract(0.0, a, out=a)
-    a.flat[:: n + 1] = degrees
+    a[graph.u, graph.v] = beta
+    a[graph.v, graph.u] = beta
+    a.flat[:: n + 1] = np.multiply(alpha, graph.degrees())
     return a
 
 

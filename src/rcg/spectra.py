@@ -1,7 +1,8 @@
-"""Recursive adjacency and Laplacian spectra of recursive corona graphs.
+"""Recursive spectra of recursive corona graphs, one per matrix kind alpha*D + beta*A.
 
 Each generation maps every eigenvalue of the previous generation to two
-children, the roots of a fixed quadratic, and adds one structural eigenvalue
+children, the roots of a quadratic fixed by the kind's (alpha, beta) in
+`graphs.MATRIX_KINDS`, and adds the structural eigenvalue alpha*q - beta
 (-1 for the adjacency matrix, q+1 for the Laplacian) with multiplicity
 m_g = (q-1) N_{g-1}.  The children are taken in the stable form: first the
 root that does not cancel, then the other from the Vieta product.  Both
@@ -9,9 +10,9 @@ children increase with the parent, and every plus child lies above every
 minus child, so a descending spectrum maps to two descending runs and no
 generation needs a sort; the quadratic also fixes where the structural
 value goes, so it is never compared with an eigenvalue.  Eigenvalues are
-stored as floats with exact integer multiplicities; the exact spectral
-quantities (spanning trees, Kirchhoff index) come from separate exponent
-and integer recursions, never from the float spectrum.
+floats with exact integer multiplicities; the exact spectral quantities
+(spanning trees, Kirchhoff index) come from separate exponent and integer
+recursions, never from the float spectrum.
 """
 from __future__ import annotations
 
@@ -36,14 +37,16 @@ class SpectrumMultiset:
 
 
 def _quadratic(q: int, kind: str) -> tuple[float, float, float, float, float]:
-    """`_children`'s (a, e, b, c, 4q) for `kind`, after refusing a q past the largest float."""
+    """`_children`'s (a, e, b, c, 4q) for `kind`, after refusing a q past the largest float;
+    each is evaluated left to right on float(q), as the floats q - 1.0 and 4.0 * q are."""
     if q > sys.float_info.max:
         raise ResourceLimitError(f"q={_name(q)} is past the largest float, {sys.float_info.max!r}")
-    if kind == "laplacian":
-        return q + 1.0, q - 1.0, 1.0, 0.0, 4.0 * q
-    if kind == "adjacency":
-        return q - 1.0, 1.0 - q, q - 1.0, -float(q), 4.0 * q
-    raise ValueError(f"unknown spectrum kind {kind!r}")
+    if kind not in graphs.MATRIX_KINDS:
+        raise ValueError(f"unknown spectrum kind {kind!r}")
+    (alpha, beta), x = graphs.MATRIX_KINDS[kind], float(q)
+    t = alpha + beta
+    a, e, b = (alpha + t) * x - beta, beta - beta * x, t * x - beta
+    return a, e, b, alpha * t * x * x - beta * t * x, 4 * beta * beta * x
 
 
 def _children(parents: list[float], quadratic) -> tuple[list[float], list[float]]:
@@ -84,35 +87,32 @@ def _recursive_spectrum(params, kind):
 
     g = 0 has 2 distinct values and each generation at most doubles them and
     adds one, so graphs.VERTEX_BUDGET is checked against 3 * 2^g - 1 before
-    any work.
-    Laplacian: at t = q+1 the child quadratic is -q lambda, so q+1 is a child
-    of the last parent, 0, alone; it is the last plus child, and m_g joins
-    its multiplicity.  Adjacency: at t = -1 the quadratic is q lambda, and 0
-    is never an eigenvalue (a child is 0 only where (q-1) lambda = q, so at
-    q = 2 and lambda = 2, a child of 0 alone); -1 lies below every plus child
-    and the minus children of positive parents, above those of negative
-    ones, and goes in between as a new entry.  Distinct eigenvalues a few
-    ulps apart can round to equal values or, through the Vieta quotient,
-    swap order; one sort at the end, run only when the list is out of order,
-    restores the descending order.
+    any work.  K_q gives (alpha+beta)(q-1) once and alpha(q-1) - beta q-1
+    times.  At t = alpha*q - beta the child quadratic is nu*beta*q, so t is
+    a child of nu = 0 alone.  Where the rows sum to zero (alpha + beta = 0),
+    0 is the last parent, and m_g joins its plus child, the last plus entry.
+    Otherwise 0 is never an eigenvalue (for A a child is 0 only at q = 2 and
+    nu = 2, a child of 0 alone), and t goes in as a new entry after the minus
+    children of the positive parents: outside the pair of a nu*beta > 0,
+    inside that of a nu*beta < 0.  Values a few ulps apart can round equal
+    or, through the Vieta quotient, swap order; one sort at the end, run
+    only when the list is out of order, restores the descending order.
     """
     message = "spectrum of (q={q}, g={g}) has up to {n} distinct eigenvalues, budget is {limit}"
     over_limit(graphs.VERTEX_BUDGET, params, "eigenvalues", message)
     q = params.q
-    quadratic = _quadratic(q, kind)
-    if kind == "adjacency":
-        values, mults = [float(q - 1), -1.0], [1, q - 1]
-    else:
-        values, mults = [float(q), 0.0], [q - 1, 1]
+    quadratic, (alpha, beta) = _quadratic(q, kind), graphs.MATRIX_KINDS[kind]
+    lone, rest = float((alpha + beta) * (q - 1)), float(alpha * (q - 1) - beta)
+    values, mults = ([lone, rest], [1, q - 1]) if lone > rest else ([rest, lone], [q - 1, 1])
     m = (q - 1) * q  # m_g = (q-1) N_{g-1}, the structural multiplicity
     for _ in range(params.g):
         plus, minus = _children(values, quadratic)
         at = len(plus) + bisect_left(values, 0.0, key=neg)  # after parents > 0
         values, mults = plus + minus, mults + mults
-        if kind == "laplacian":
+        if alpha + beta == 0:
             mults[len(plus) - 1] += m
         else:
-            values.insert(at, -1.0)
+            values.insert(at, float(alpha * q - beta))
             mults.insert(at, m)
         m *= q + 1
     entries = zip(values, mults)

@@ -1332,6 +1332,13 @@ class TestUsage:
             "curve": ["-h", "--help", "--quantity", "--q-list", "--g-max", "--output"],
         }
 
+    def test_matrix_choices_are_the_kinds(self):
+        # cli keeps its own tuple, so that --help loads no layer
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        spectrum = sub.choices["spectrum"]
+        (matrix,) = (action for action in spectrum._actions if "--matrix" in action.option_strings)
+        assert matrix.choices == tuple(graphs.MATRIX_KINDS)
+
     @pytest.mark.parametrize(
         "argv",
         [

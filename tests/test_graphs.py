@@ -743,6 +743,21 @@ class TestMatrixOf:
         integer = np.diag(graph.degrees()) - matrix_of(graph, "adjacency").astype(np.int64)
         assert lap.tobytes() == integer.astype(float).tobytes()
 
+    @pytest.mark.parametrize("kind", graphs.MATRIX_KINDS)
+    @pytest.mark.parametrize("q,g", [(2, 0), (2, 2), (3, 1), (5, 1)])
+    def test_is_the_integer_matrix_of_its_row(self, q, g, kind):
+        # alpha D + beta A in int64, cast once: the same bytes, so no -0.0
+        graph = build_rcg(RcgParams(q, g)).graph
+        n = graph.vertex_count
+        adjacency = np.zeros((n, n), dtype=np.int64)
+        for u, v in edge_pairs(graph):
+            adjacency[u, v] = adjacency[v, u] = 1
+        alpha, beta = graphs.MATRIX_KINDS[kind]
+        integer = alpha * np.diag(adjacency.sum(axis=1)) + beta * adjacency
+        matrix = matrix_of(graph, kind)
+        assert matrix.tobytes() == integer.astype(float).tobytes()
+        assert not np.signbit(matrix[matrix == 0]).any()
+
     def test_unknown_kind(self):
         for kind in ("incidence", "degree"):
             with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -22,7 +23,7 @@ from rcg import (
     spanning_trees_closed,
     spanning_trees_spectral,
 )
-from rcg import graphs
+from rcg import graphs, spectra
 from rcg.oracle import matrix_tree_count, symmetric_eigenvalues
 
 from reference import laplacian_reciprocal_sum
@@ -129,6 +130,30 @@ class TestChildPair:
         assert plus * minus == pytest.approx(parent, abs=1e-12)
         if parent >= sys.float_info.min:  # a subnormal parent's child underflows
             assert plus * minus == pytest.approx(parent, rel=1e-14, abs=0)
+
+
+# q = 2^1023 is the largest power of two below the largest float; its 4q is inf
+QUADRATIC_POINTS = [*range(2, 41), 2**53 + 1, 2**60 + 3, 10**300, 2**1023]
+
+
+class TestQuadratic:
+    """The constants from MATRIX_KINDS are, byte for byte, the floats of each
+    kind's literal tuple, which fix every float of the pinned spectra."""
+
+    LITERALS = {
+        "laplacian": lambda q: (q + 1.0, q - 1.0, 1.0, 0.0, 4.0 * q),
+        "adjacency": lambda q: (q - 1.0, 1.0 - q, q - 1.0, -float(q), 4.0 * q),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(LITERALS))
+    def test_constants_are_the_literal_floats(self, kind):
+        def pack(constants):
+            return struct.pack("<5d", *constants)
+
+        literal = self.LITERALS[kind]
+        got = [pack(spectra._quadratic(q, kind)) for q in QUADRATIC_POINTS]
+        assert got == [pack(literal(q)) for q in QUADRATIC_POINTS]
+        assert math.isinf(spectra._quadratic(2**1023, kind)[4])
 
 
 class TestPrecision:
@@ -382,22 +407,12 @@ class TestLaplacianSpectrum:
 
 
 class TestSpectrumVsEigensolver:
+    @pytest.mark.parametrize("kind", graphs.MATRIX_KINDS)
     @pytest.mark.parametrize("q,g", GRID)
-    def test_adjacency_multiset_agreement(self, q, g):
+    def test_multiset_agreement(self, q, g, kind):
         params = RcgParams(q, g)
-        predicted = expand(adjacency_spectrum(params))
-        measured = symmetric_eigenvalues(
-            matrix_of(build_rcg(params).graph, "adjacency")
-        )
-        assert predicted == pytest.approx(measured, abs=1e-8)
-
-    @pytest.mark.parametrize("q,g", GRID)
-    def test_laplacian_multiset_agreement(self, q, g):
-        params = RcgParams(q, g)
-        predicted = expand(laplacian_spectrum(params))
-        measured = symmetric_eigenvalues(
-            matrix_of(build_rcg(params).graph, "laplacian")
-        )
+        predicted = expand(getattr(spectra, f"{kind}_spectrum")(params))
+        measured = symmetric_eigenvalues(matrix_of(build_rcg(params).graph, kind))
         assert predicted == pytest.approx(measured, abs=1e-8)
 
 
